@@ -9,7 +9,8 @@ CPLEX offline; because the problem is a small discrete program
 enumeration returns the identical argmax.  We provide:
 
 * :func:`solve_horizon` — vectorised NumPy enumeration (the production
-  path; all plans evaluated simultaneously),
+  path; the batched kernel of :mod:`repro.core.kernel` rolls all plans
+  out together over their shared prefixes),
 * :func:`solve_horizon_reference` — a straightforward recursive
   implementation used as the ground truth in property tests, and
 * :func:`solve_startup` — the startup variant ``QOE_MAX`` that also
@@ -313,8 +314,8 @@ def solve_startup(
     than ``Bmax`` of accumulated content is never useful.
 
     The whole wait grid is evaluated as *one* batched-kernel call — the
-    grid points differ only in starting buffer, so they stack into a
-    single ``(grid, plans)`` computation instead of ``steps + 1``
+    grid points differ only in starting buffer, so they stack as the
+    instances of a single prefix-tree roll-out instead of ``steps + 1``
     independent solves.  Results (QoE values and the smallest-wait /
     lexicographic tie-break) are identical to the per-point loop.
     """

@@ -10,9 +10,12 @@ double loop over ``(buffer_bin, prev_level)`` states.  This module is the
 single implementation they all delegate to:
 
 * :class:`_BatchEvaluator` — reusable scratch buffers plus the vectorised
-  plan roll-out, evaluating ``(n_instances, n_plans)`` in one shot.  The
-  arithmetic is element-wise and associates *exactly* like the scalar
-  reference solver, so batched results are bit-identical to
+  plan roll-out over the plan prefix tree: plans sharing a prefix share
+  every float up to its end, so step ``i`` evaluates the ``|R|^(i+1)``
+  distinct prefixes of all instances at once, and the last step yields
+  ``(n_instances, n_plans)`` in the plan matrix's lexicographic order.
+  The arithmetic is element-wise and associates *exactly* like the
+  scalar reference solver, so batched results are bit-identical to
   :func:`~repro.core.horizon.solve_horizon_reference` (same optimal QoE,
   same lexicographic tie-break).
 
@@ -70,19 +73,22 @@ class _BatchEvaluator:
 
     An evaluator owns a small dictionary of named scratch arrays, reused
     across calls whenever the requested shape matches (the common case:
-    one controller solving the same-shaped problem every chunk).  Holding
-    one evaluator per session removes all per-decision allocations from
-    the online MPC path; a fresh throw-away evaluator degrades gracefully
-    to the old allocate-per-call behaviour.
+    one controller solving the same-shaped problem every chunk), and the
+    per-level arrays of the plan prefix tree for the last roll-out shape.
+    Holding one evaluator per session removes all per-decision
+    allocations from the online MPC path; a fresh throw-away evaluator
+    degrades gracefully to the old allocate-per-call behaviour.
 
     Not thread-safe: the returned arrays alias the scratch and are only
     valid until the next call on the same evaluator.
     """
 
-    __slots__ = ("_arrays",)
+    __slots__ = ("_arrays", "_tree_key", "_tree")
 
     def __init__(self) -> None:
         self._arrays: Dict[str, np.ndarray] = {}
+        self._tree_key: Optional[tuple] = None
+        self._tree: Optional[tuple] = None
 
     def scratch(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
         """An uninitialised float64 array of ``shape``, reused when possible."""
@@ -92,9 +98,60 @@ class _BatchEvaluator:
             self._arrays[name] = arr
         return arr
 
+    def _prefix_tree(self, n: int, num_levels: int, horizon: int, dt_rows: int):
+        """Scratch for one roll-out shape: a root and one entry per step.
+
+        Step ``i`` holds the ``(qoe, rebuffer, buffer)`` of the
+        ``num_levels**(i+1)`` plan prefixes of length ``i + 1``, as
+        ``(prefixes, n)`` arrays: prefix ``p`` extended by level ``l`` is
+        row ``p * num_levels + l``, so the rows of the last step are
+        :func:`~repro.core.horizon._plan_matrix`'s rows in order.  The
+        instance axis is innermost, so every element-wise op over a batch
+        (a whole startup wait grid, say) runs along contiguous memory.
+        Each entry carries ready-made ``(parents, 1, n)`` views of its
+        parent step and ``(parents, num_levels, n)`` views of its own
+        arrays, so a roll-out creates no arrays at all.
+        """
+        key = (n, num_levels, horizon, dt_rows)
+        if self._tree_key == key:
+            return self._tree
+        zeros = np.zeros((1, n))  # the root's QoE and rebuffer, read only
+        root_buf = np.empty((1, n))
+        parent = (zeros, zeros, root_buf)
+        steps = []
+        for i in range(horizon):
+            parents = num_levels**i
+            qoe, rebuf, buf = (
+                np.empty((parents * num_levels, n)) for _ in range(3)
+            )
+            steps.append(
+                (
+                    tuple(a.reshape(parents, 1, n) for a in parent),
+                    tuple(
+                        a.reshape(parents, num_levels, n) for a in (qoe, rebuf, buf)
+                    ),
+                    # (grandparents, previous level, level, n) for the
+                    # switching penalty between consecutive steps.
+                    qoe.reshape(-1, num_levels, num_levels, n) if i else None,
+                )
+            )
+            parent = (qoe, rebuf, buf)
+        tree = (
+            root_buf,
+            np.empty((1, num_levels, dt_rows)),  # download time per level
+            np.empty((num_levels, num_levels, 1)),  # switching penalty matrix
+            np.empty((1, num_levels, n)),  # first-step switching penalty
+            steps,
+            tuple(a.T for a in parent),
+        )
+        self._tree_key = key
+        self._tree = tree
+        return tree
+
     def evaluate(
         self,
-        plans: np.ndarray,
+        num_levels: int,
+        horizon: int,
         sizes: np.ndarray,
         preds: np.ndarray,
         buffer0: np.ndarray,
@@ -107,11 +164,17 @@ class _BatchEvaluator:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """QoE, total rebuffer and final buffer of every (instance, plan).
 
+        The plans are the full lexicographic product
+        ``_plan_matrix(num_levels, horizon)``, rolled out over their
+        prefix tree: step ``i`` evaluates each of the ``num_levels**(i+1)``
+        distinct prefixes once, from its parent prefix, instead of once
+        per plan sharing it (3,905 prefix-steps for 5 levels x horizon 5
+        against 15,625 plan-steps).  Every element goes through the same
+        operations in the same order as in the scalar recurrence
+        (:func:`_evaluate_one_py`), so each cell is bit-identical to it.
+
         Parameters
         ----------
-        plans:
-            ``(M, N)`` level indices (from :func:`~repro.core.horizon.
-            _plan_matrix`).
         sizes:
             ``(n, N, levels)`` per-instance chunk sizes, or ``(N, levels)``
             shared by all instances.
@@ -126,69 +189,70 @@ class _BatchEvaluator:
         quality:
             ``(levels,)`` the ladder's quality values.
 
-        Returns ``(qoe, rebuffer, final_buffer)``, each ``(n, M)`` views
-        into this evaluator's scratch — consume before the next call.
+        Returns ``(qoe, rebuffer, final_buffer)``, each an ``(n, M)`` view
+        with column ``j`` the plan in row ``j`` of the plan matrix — views
+        into this evaluator's scratch, consume before the next call.
         """
         n = buffer0.shape[0]
-        m, horizon = plans.shape
-        qoe = self.scratch("qoe", (n, m))
-        rebuf = self.scratch("rebuf", (n, m))
-        buf = self.scratch("buf", (n, m))
-        dt = self.scratch("dt", (n, m))
-        tmp = self.scratch("tmp", (n, m))
-        qoe.fill(0.0)
-        rebuf.fill(0.0)
-        buf[:] = buffer0[:, None]
         shared_sizes = sizes.ndim == 2
         shared_preds = preds.ndim == 1
+        root_buf, dt, pen, first, steps, leaves = self._prefix_tree(
+            n, num_levels, horizon, 1 if shared_sizes and shared_preds else n
+        )
+        root_buf[0] = buffer0
         no_prev = None
         if prev_quality is not None:
             mask = np.isnan(prev_quality)
             if mask.any():
                 no_prev = mask
+        q = quality[None, :, None]
+        if horizon > 1:
+            # pen[a, b]: the switching penalty from level a to level b.
+            pairs = pen[:, :, 0]
+            np.subtract(quality[None, :], quality[:, None], out=pairs)
+            np.abs(pairs, out=pairs)
+            np.multiply(pairs, switching, out=pairs)
 
-        for i in range(horizon):
-            levels = plans[:, i]
-            q_now = quality[levels]  # (M,)
+        for i, ((qoe_p, rebuf_p, buf_p), (qoe, rebuf, buf), qoe_pairs) in enumerate(
+            steps
+        ):
+            # Download time of each level at this step, per instance.
             if shared_sizes:
-                step_sizes = sizes[i, levels]  # (M,)
                 if shared_preds:
-                    np.divide(step_sizes[None, :], preds[i], out=dt)
+                    np.divide(sizes[i], preds[i], out=dt[0, :, 0])
                 else:
-                    np.divide(step_sizes[None, :], preds[:, i, None], out=dt)
+                    np.divide(sizes[i][:, None], preds[None, :, i], out=dt[0])
+            elif shared_preds:
+                np.divide(sizes[:, i, :].T, preds[i], out=dt[0])
             else:
-                np.take(sizes[:, i, :], levels, axis=1, out=tmp)
-                if shared_preds:
-                    np.divide(tmp, preds[i], out=dt)
-                else:
-                    np.divide(tmp, preds[:, i, None], out=dt)
-            # stall = max(dt - buffer, 0); accumulate before reusing tmp.
-            np.subtract(dt, buf, out=tmp)
-            np.maximum(tmp, 0.0, out=tmp)
-            rebuf += tmp
+                np.divide(sizes[:, i, :].T, preds[None, :, i], out=dt[0])
+            # stall = max(dt - buffer, 0), held in ``qoe`` until it is
+            # accumulated.
+            np.subtract(dt, buf_p, out=qoe)
+            np.maximum(qoe, 0.0, out=qoe)
+            np.add(rebuf_p, qoe, out=rebuf)
             # qoe += q_now - mu * stall (exact reference association).
-            np.multiply(tmp, rebuffering, out=tmp)
-            np.subtract(q_now[None, :], tmp, out=tmp)
-            qoe += tmp
+            np.multiply(qoe, rebuffering, out=qoe)
+            np.subtract(q, qoe, out=qoe)
+            np.add(qoe_p, qoe, out=qoe)
             # buffer = min(max(buffer - dt, 0) + L, Bmax)  (Eqs. 1-4).
-            np.subtract(buf, dt, out=buf)
+            np.subtract(buf_p, dt, out=buf)
             np.maximum(buf, 0.0, out=buf)
-            buf += chunk_duration_s
+            np.add(buf, chunk_duration_s, out=buf)
             np.minimum(buf, buffer_capacity_s, out=buf)
             # Switching penalty: per-instance at the first step, shared
-            # between steps (the plan fixes both qualities).
+            # between steps (the prefix fixes both qualities).
             if i == 0:
                 if prev_quality is not None:
-                    np.subtract(q_now[None, :], prev_quality[:, None], out=tmp)
-                    np.abs(tmp, out=tmp)
-                    np.multiply(tmp, switching, out=tmp)
+                    np.subtract(q, prev_quality[None, None, :], out=first)
+                    np.abs(first, out=first)
+                    np.multiply(first, switching, out=first)
                     if no_prev is not None:
-                        tmp[no_prev, :] = 0.0
-                    qoe -= tmp
+                        first[:, :, no_prev] = 0.0
+                    np.subtract(qoe, first, out=qoe)
             else:
-                penalty = switching * np.abs(q_now - quality[plans[:, i - 1]])
-                qoe -= penalty[None, :]
-        return qoe, rebuf, buf
+                np.subtract(qoe_pairs, pen, out=qoe_pairs)
+        return leaves
 
 
 def _evaluate_one_py(
@@ -310,7 +374,10 @@ def _solve_rows(
     if evaluator is None:
         evaluator = _BatchEvaluator()
     n = buffer0.shape[0]
-    m = plans.shape[0]
+    m, horizon = plans.shape
+    num_levels = quality.shape[0]
+    if m != num_levels**horizon:
+        raise ValueError("the plans must be the full product of the ladder levels")
     step = max(1, MAX_BATCH_ELEMENTS // m)
     best = np.empty(n, dtype=np.int64)
     best_qoe = np.empty(n)
@@ -319,7 +386,8 @@ def _solve_rows(
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         qoe, rebuf, fin = evaluator.evaluate(
-            plans,
+            num_levels,
+            horizon,
             sizes if sizes.ndim == 2 else sizes[lo:hi],
             preds if preds.ndim == 1 else preds[lo:hi],
             buffer0[lo:hi],
@@ -347,8 +415,9 @@ def solve_horizon_batch(
     """Solve many ``QOE_MAX_STEADY`` instances in one vectorised pass.
 
     Problems are grouped by shared structure (ladder qualities, weights,
-    horizon, chunk duration, capacity); each group is stacked into a
-    single ``(n_instances, n_plans)`` evaluation.  Per-instance chunk
+    horizon, chunk duration, capacity); each group is stacked into one
+    prefix-tree roll-out whose last step scores every ``(instance,
+    plan)`` pair.  Per-instance chunk
     sizes (VBR rows) and predictions may differ freely within a group.
     Results are returned in input order and are bit-identical to
     :func:`~repro.core.horizon.solve_horizon` on each instance —

@@ -20,10 +20,11 @@ What makes exactness possible (and where the traps were):
   QoE quality/switching totals and the rebuffer total accumulate chunk
   by chunk with elementwise adds, in the simulator's own order.
 * Download times invert the trace integral with a masked lockstep
-  re-implementation of :meth:`Trace.time_to_download` — the same
+  re-implementation of :meth:`Trace.download_time_and_stall` — the same
   segment walk, the same ``_EPS`` completion test, the same
-  floor-division repetition skip — never a closed-form inversion, whose
-  rounding would diverge.
+  floor-division repetition skip over the trace's cached per-pass
+  kilobits — never a closed-form inversion, whose rounding would
+  diverge.
 * Segment location is comparison-only (a per-session hint index advanced
   while ``t >= times[idx+1]``, exactly ``bisect_right``'s recurrence),
   not arithmetic search, so it cannot disagree with the scalar walk.
@@ -47,7 +48,7 @@ from typing import List, Optional, Sequence
 from ..abr.base import SessionConfig
 from ..core.fastmpc import FastMPCConfig
 from ..core.npcompat import HAVE_NUMPY, np
-from ..traces.trace import Trace, _EPS
+from ..traces.trace import Trace, _EPS, _NEVER_COMPLETES
 from ..video.manifest import VideoManifest
 from .controllers import (
     SUPPORTED_CONTROLLERS,
@@ -112,8 +113,9 @@ class TraceBank:
     offsets.  ``segend_flat`` holds ``times[i+1]`` (or the duration for
     the last segment) **copied, not recomputed**, so the lockstep walk
     compares and subtracts exactly the floats the scalar walk does.
-    ``per_pass`` comes from the trace's own integrator for the same
-    reason.
+    ``per_pass`` and ``stall_pp`` are the trace's cached
+    :attr:`~Trace.kilobits_per_pass` and :attr:`~Trace.stall_per_pass_s`
+    for the same reason.
     """
 
     def __init__(self, traces: Sequence[Trace]) -> None:
@@ -147,13 +149,11 @@ class TraceBank:
             segend_flat.append(trace.duration_s)
             nseg.append(len(times))
             durations.append(trace.duration_s)
-            bits = trace._kilobits_one_pass(0.0, trace.duration_s)
+            bits = trace.kilobits_per_pass
             if bits <= 0:
-                raise ValueError(
-                    "trace delivers zero bytes per pass; download never completes"
-                )
+                raise ValueError(_NEVER_COMPLETES)
             per_pass.append(bits)
-            stall_pp.append(trace._stall_one_pass())
+            stall_pp.append(trace.stall_per_pass_s)
 
         self.num_traces = len(order)
         self.times_flat = np.asarray(times_flat, dtype=np.float64)
@@ -223,6 +223,11 @@ class TraceBank:
         return self._walk(t0, size_kilobits, hint, collect_stall=True)
 
     def _walk(self, t0, size_kilobits, hint, collect_stall):
+        remaining = np.asarray(size_kilobits, dtype=np.float64).copy()
+        if not np.isfinite(remaining).all():
+            raise ValueError("size must be finite")
+        if (remaining < 0.0).any():
+            raise ValueError("size must be >= 0")
         n = int(t0.shape[0])
         tw = self._wrap(t0)
         start_idx = self.locate(tw, hint)
@@ -230,14 +235,14 @@ class TraceBank:
 
         out = np.zeros(n, dtype=np.float64)
         stall = np.zeros(n, dtype=np.float64)
-        remaining = np.asarray(size_kilobits, dtype=np.float64).copy()
         elapsed = np.zeros(n, dtype=np.float64)
         t = tw.copy()
         idx = start_idx.copy()
-        phase = np.zeros(n, dtype=np.int8)  # 0 = leading pass, 1 = post-skip
+        # 0 = leading pass, 1 = post-skip, 2 = post-skip after one lap.
+        phase = np.zeros(n, dtype=np.int8)
         active = remaining > 0.0  # size 0 downloads take 0 s, as scalar
 
-        guard = 2 * self._max_nseg + 64
+        guard = 3 * self._max_nseg + 64
         iteration = 0
         while active.any():
             iteration += 1
@@ -253,7 +258,10 @@ class TraceBank:
                 big = remaining[tids] > _EPS
                 if big.any():
                     mids = tids[big]
-                    full = np.floor(remaining[mids] / self.per_pass[mids])
+                    with np.errstate(over="ignore"):
+                        full = np.floor(remaining[mids] / self.per_pass[mids])
+                    if np.isinf(full).any():
+                        raise ValueError(_NEVER_COMPLETES)
                     remaining[mids] = remaining[mids] - full * self.per_pass[mids]
                     elapsed[mids] = elapsed[mids] + full * self.duration[mids]
                     if collect_stall:
@@ -263,7 +271,7 @@ class TraceBank:
                 idx[tids] = 0
 
             # Post-skip loop condition: `while remaining > _EPS`.
-            done = (phase[ids] == 1) & (remaining[ids] <= _EPS)
+            done = (phase[ids] != 0) & (remaining[ids] <= _EPS)
             if done.any():
                 dids = ids[done]
                 out[dids] = elapsed[dids]
@@ -296,9 +304,12 @@ class TraceBank:
                         stall[zids] = stall[zids] + seg_len[cont][zero]
                 t[cids] = seg_end[cont]
                 idx[cids] = idx[cids] + 1
-                wrap = (phase[cids] == 1) & (idx[cids] >= self.nseg[cids])
+                wrap = (phase[cids] != 0) & (idx[cids] >= self.nseg[cids])
                 if wrap.any():
                     wids = cids[wrap]
+                    if (phase[wids] == 2).any():
+                        raise ValueError(_NEVER_COMPLETES)
+                    phase[wids] = 2
                     t[wids] = 0.0
                     idx[wids] = 0
         return out, stall

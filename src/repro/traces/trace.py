@@ -37,6 +37,7 @@ from typing import Iterable, List, Sequence, Tuple
 __all__ = ["Trace", "TraceStats"]
 
 _EPS = 1e-12
+_NEVER_COMPLETES = "trace delivers zero bytes per pass; download never completes"
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class Trace:
         Optional label used in reports (e.g. ``"fcc-0042"``).
     """
 
-    __slots__ = ("_times", "_bw", "_duration", "name")
+    __slots__ = ("_times", "_bw", "_duration", "_per_pass", "_stall_per_pass", "name")
 
     def __init__(
         self,
@@ -94,6 +95,8 @@ class Trace:
         if abs(timestamps[0]) > _EPS:
             raise ValueError(f"first timestamp must be 0.0, got {timestamps[0]}")
         times = [float(t) for t in timestamps]
+        if not all(map(math.isfinite, times)):
+            raise ValueError("timestamps must be finite")
         for a, b in zip(times, times[1:]):
             if b <= a:
                 raise ValueError("timestamps must be strictly increasing")
@@ -108,14 +111,13 @@ class Trace:
                 duration_s = times[-1] + median_gap
             else:
                 duration_s = times[-1] + 1.0
+        if not math.isfinite(duration_s):
+            raise ValueError(f"duration must be finite, got {duration_s}")
         if duration_s <= times[-1]:
             raise ValueError(
                 f"duration {duration_s} must exceed the last timestamp {times[-1]}"
             )
-        object.__setattr__(self, "_times", times)
-        object.__setattr__(self, "_bw", bws)
-        object.__setattr__(self, "_duration", float(duration_s))
-        object.__setattr__(self, "name", name)
+        self.__setstate__((times, bws, float(duration_s), name))
 
     def __setattr__(self, key, value):  # pragma: no cover - defensive
         raise AttributeError("Trace instances are immutable")
@@ -131,6 +133,12 @@ class Trace:
         object.__setattr__(self, "_bw", bw)
         object.__setattr__(self, "_duration", duration)
         object.__setattr__(self, "name", name)
+        # Per-pass constants of the immutable trace, walked once here
+        # instead of on every download.
+        object.__setattr__(
+            self, "_per_pass", self._kilobits_one_pass(0.0, duration)
+        )
+        object.__setattr__(self, "_stall_per_pass", self._stall_one_pass())
 
     # ------------------------------------------------------------------
     # Constructors
@@ -230,7 +238,7 @@ class Trace:
         """Kilobits deliverable between wall times ``t0`` and ``t1``.
 
         Handles wrap-around: full trace repetitions contribute
-        ``kilobits_between(0, duration)`` each.
+        :attr:`kilobits_per_pass` each.
         """
         if t1 < t0:
             raise ValueError(f"t1 ({t1}) must be >= t0 ({t0})")
@@ -246,9 +254,8 @@ class Trace:
         if span <= _EPS:
             return total
         # Whole repetitions.
-        per_pass = self._kilobits_one_pass(0.0, self._duration)
         full, rem = divmod(span, self._duration)
-        total += per_pass * full
+        total += self._per_pass * full
         if rem > _EPS:
             total += self._kilobits_one_pass(0.0, rem)
         return total
@@ -259,52 +266,10 @@ class Trace:
         This is the exact inverse of :meth:`kilobits_between` and implements
         the download-time term ``d_k(R_k) / C_k`` of Eq. (1) without ever
         materialising the average ``C_k``: the integral is inverted segment
-        by segment.  Raises if the trace has zero total capacity (the
-        download would never complete).
+        by segment (see :meth:`download_time_and_stall`).  Raises if the
+        download would never complete.
         """
-        if size_kilobits < 0:
-            raise ValueError("size must be >= 0")
-        if size_kilobits == 0:
-            return 0.0
-        per_pass = self._kilobits_one_pass(0.0, self._duration)
-        if per_pass <= 0:
-            raise ValueError("trace delivers zero bytes per pass; download never completes")
-        remaining = size_kilobits
-        elapsed = 0.0
-        t = self._wrap(t0)
-        idx = bisect.bisect_right(self._times, t) - 1
-        # Leading partial pass.
-        while idx < len(self._times):
-            seg_end = self._times[idx + 1] if idx + 1 < len(self._times) else self._duration
-            seg_len = seg_end - t
-            seg_bits = self._bw[idx] * seg_len
-            if seg_bits >= remaining - _EPS and self._bw[idx] > 0:
-                return elapsed + remaining / self._bw[idx]
-            remaining -= seg_bits
-            elapsed += seg_len
-            t = seg_end
-            idx += 1
-        # Whole repetitions from the top of the trace.
-        if remaining > _EPS:
-            full = math.floor(remaining / per_pass)
-            remaining -= full * per_pass
-            elapsed += full * self._duration
-        t = 0.0
-        idx = 0
-        while remaining > _EPS:
-            seg_end = self._times[idx + 1] if idx + 1 < len(self._times) else self._duration
-            seg_len = seg_end - t
-            seg_bits = self._bw[idx] * seg_len
-            if seg_bits >= remaining - _EPS and self._bw[idx] > 0:
-                return elapsed + remaining / self._bw[idx]
-            remaining -= seg_bits
-            elapsed += seg_len
-            t = seg_end
-            idx += 1
-            if idx >= len(self._times):  # pragma: no cover - numeric safety
-                t = 0.0
-                idx = 0
-        return elapsed
+        return self.download_time_and_stall(t0, size_kilobits)[0]
 
     def _stall_one_pass(self) -> float:
         """Zero-bandwidth seconds per full pass of the trace."""
@@ -314,67 +279,101 @@ class Trace:
                 stall += dur
         return stall
 
+    @property
+    def kilobits_per_pass(self) -> float:
+        """Kilobits one whole pass of the trace delivers."""
+        return self._per_pass
+
+    @property
+    def stall_per_pass_s(self) -> float:
+        """Zero-bandwidth seconds in one whole pass, summed in segment order."""
+        return self._stall_per_pass
+
     def download_time_and_stall(
         self, t0: float, size_kilobits: float
     ) -> Tuple[float, float]:
-        """:meth:`time_to_download` plus the stalled seconds inside it.
+        """Download time of ``size_kilobits`` from ``t0``, and the stalled
+        seconds inside it.
 
-        The returned download time is bit-identical to
-        :meth:`time_to_download` — the walk below is the same code with a
-        stall accumulator bolted on (the added sums never touch the time
-        arithmetic).  "Stalled" means time spent inside zero-bandwidth
-        segments (blackouts compiled in by
-        :func:`repro.faults.trace.apply_trace_faults`); whole-repetition
-        skips contribute ``full * stall_per_pass`` with the per-pass
-        stall accumulated in segment order, which is also how the fleet
-        stepper's vectorized twin computes it.
+        The walk locates ``t0`` with one bisect and then visits only the
+        segments the download spans: the leading partial pass to the end
+        of the trace, a floor-division skip over whole repetitions
+        (:attr:`kilobits_per_pass` each), and a tail walk from the top.
+        "Stalled" means time spent inside zero-bandwidth segments
+        (blackouts compiled in by :func:`repro.faults.trace.
+        apply_trace_faults`); whole-repetition skips contribute
+        ``full * stall_per_pass_s``, which is also how the fleet stepper's
+        vectorized twin computes it.  The stall sums never touch the time
+        arithmetic.
+
+        Raises ``ValueError`` for a negative or non-finite size, and when
+        the download never completes: the trace delivers nothing per pass,
+        or so little that the count of whole passes overflows or the tail
+        walk cannot finish within the pass it has left.
         """
+        if not math.isfinite(size_kilobits):
+            raise ValueError(f"size must be finite, got {size_kilobits}")
         if size_kilobits < 0:
             raise ValueError("size must be >= 0")
         if size_kilobits == 0:
             return 0.0, 0.0
-        per_pass = self._kilobits_one_pass(0.0, self._duration)
+        per_pass = self._per_pass
         if per_pass <= 0:
-            raise ValueError("trace delivers zero bytes per pass; download never completes")
+            raise ValueError(_NEVER_COMPLETES)
+        times = self._times
+        bws = self._bw
+        last = len(times) - 1
         remaining = size_kilobits
         elapsed = 0.0
         stall = 0.0
         t = self._wrap(t0)
-        idx = bisect.bisect_right(self._times, t) - 1
+        idx = bisect.bisect_right(times, t) - 1
         # Leading partial pass.
-        while idx < len(self._times):
-            seg_end = self._times[idx + 1] if idx + 1 < len(self._times) else self._duration
+        while idx <= last:
+            seg_end = times[idx + 1] if idx < last else self._duration
+            bw = bws[idx]
             seg_len = seg_end - t
-            seg_bits = self._bw[idx] * seg_len
-            if seg_bits >= remaining - _EPS and self._bw[idx] > 0:
-                return elapsed + remaining / self._bw[idx], stall
+            seg_bits = bw * seg_len
+            if seg_bits >= remaining - _EPS and bw > 0:
+                return elapsed + remaining / bw, stall
             remaining -= seg_bits
             elapsed += seg_len
-            if self._bw[idx] == 0.0:
+            if bw == 0.0:
                 stall += seg_len
             t = seg_end
             idx += 1
         # Whole repetitions from the top of the trace.
         if remaining > _EPS:
-            full = math.floor(remaining / per_pass)
+            passes = remaining / per_pass
+            if passes == math.inf:
+                raise ValueError(_NEVER_COMPLETES)
+            full = math.floor(passes)
             remaining -= full * per_pass
             elapsed += full * self._duration
-            stall += full * self._stall_one_pass()
+            stall += full * self._stall_per_pass
         t = 0.0
         idx = 0
+        wrapped = False
         while remaining > _EPS:
-            seg_end = self._times[idx + 1] if idx + 1 < len(self._times) else self._duration
+            seg_end = times[idx + 1] if idx < last else self._duration
+            bw = bws[idx]
             seg_len = seg_end - t
-            seg_bits = self._bw[idx] * seg_len
-            if seg_bits >= remaining - _EPS and self._bw[idx] > 0:
-                return elapsed + remaining / self._bw[idx], stall
+            seg_bits = bw * seg_len
+            if seg_bits >= remaining - _EPS and bw > 0:
+                return elapsed + remaining / bw, stall
             remaining -= seg_bits
             elapsed += seg_len
-            if self._bw[idx] == 0.0:
+            if bw == 0.0:
                 stall += seg_len
             t = seg_end
             idx += 1
-            if idx >= len(self._times):  # pragma: no cover - numeric safety
+            if idx > last:
+                # Less than a pass is left after the skip, give or take
+                # the rounding of ``full * per_pass``: a second lap means
+                # one pass's kilobits are lost in that rounding.
+                if wrapped:
+                    raise ValueError(_NEVER_COMPLETES)
+                wrapped = True
                 t = 0.0
                 idx = 0
         return elapsed, stall
@@ -391,7 +390,7 @@ class Trace:
 
     def mean_kbps(self) -> float:
         """Time-weighted mean throughput over one pass of the trace."""
-        return self._kilobits_one_pass(0.0, self._duration) / self._duration
+        return self._per_pass / self._duration
 
     def std_kbps(self) -> float:
         """Time-weighted standard deviation of throughput."""

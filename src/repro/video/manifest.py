@@ -28,8 +28,8 @@ class BitrateLadder:
         if not levels_kbps:
             raise ValueError("a ladder needs at least one bitrate level")
         levels = tuple(float(x) for x in levels_kbps)
-        if any(x <= 0 for x in levels):
-            raise ValueError("bitrate levels must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in levels):
+            raise ValueError("bitrate levels must be finite and positive")
         if list(levels) != sorted(levels):
             raise ValueError("bitrate levels must be sorted ascending")
         if len(set(levels)) != len(levels):
@@ -137,8 +137,8 @@ class VideoManifest:
         chunk_sizes_kilobits: Sequence[Sequence[float]],
         title: str = "",
     ) -> None:
-        if chunk_duration_s <= 0:
-            raise ValueError("chunk duration must be positive")
+        if not (math.isfinite(chunk_duration_s) and chunk_duration_s > 0):
+            raise ValueError("chunk duration must be finite and positive")
         if not chunk_sizes_kilobits:
             raise ValueError("a video needs at least one chunk")
         sizes: List[Tuple[float, ...]] = []
@@ -148,8 +148,8 @@ class VideoManifest:
                     f"chunk {k} has {len(row)} sizes but the ladder has {len(ladder)} levels"
                 )
             row_t = tuple(float(x) for x in row)
-            if any(x <= 0 for x in row_t):
-                raise ValueError(f"chunk {k} has a non-positive size")
+            if not all(math.isfinite(x) and x > 0 for x in row_t):
+                raise ValueError(f"chunk {k} has a non-finite or non-positive size")
             if list(row_t) != sorted(row_t):
                 raise ValueError(f"chunk {k} sizes must increase with bitrate level")
             sizes.append(row_t)

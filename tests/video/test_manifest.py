@@ -38,6 +38,13 @@ class TestBitrateLadder:
         with pytest.raises(ValueError):
             BitrateLadder([])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_levels(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BitrateLadder([bad])
+        with pytest.raises(ValueError, match="finite"):
+            BitrateLadder([100.0, bad])
+
     def test_index_of(self):
         ladder = BitrateLadder(ENVIVIO_LADDER_KBPS)
         assert ladder.index_of(1000.0) == 2
@@ -131,6 +138,19 @@ class TestVideoManifest:
     def test_rejects_empty_video(self):
         with pytest.raises(ValueError):
             VideoManifest(4.0, BitrateLadder([100.0]), [])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_chunk_duration(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            VideoManifest(bad, BitrateLadder([100.0]), [[400.0]])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_chunk_size(self, bad):
+        ladder = BitrateLadder([100.0, 200.0])
+        with pytest.raises(ValueError, match="finite"):
+            VideoManifest(4.0, ladder, [[400.0, 800.0], [400.0, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            VideoManifest(4.0, ladder, [[bad, 800.0]])
 
     def test_truncated(self):
         video = envivio().truncated(10)
