@@ -6,12 +6,18 @@ trajectory (timings + speedup ratios) future PRs can diff against.  The
 reference implementations timed here are literal copies of the
 pre-kernel code paths: one ``solve_horizon`` call per instance, and the
 per-``(buffer_bin, prev_level)`` Python loop the table builder used.
+It also records the peak RSS of a cold 100x100x5 table build in a fresh
+process, which catches a return to full-size roll-out temporaries.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,13 +234,62 @@ def test_disabled_tracing_overhead_below_five_percent(
     assert overhead < 0.05
 
 
+#: One cold 100x100x5 build; prints the process's peak resident set in
+#: KiB.  That is ``VmHWM``, not ``ru_maxrss``: Linux carries the parent's
+#: high-water mark across fork and exec into the child's ``ru_maxrss``,
+#: so a child of this pytest process would read pytest's own peak.
+COLD_BUILD = """
+from repro.core.fastmpc import FastMPCConfig, build_decision_table
+from repro.qoe import QoEWeights
+
+build_decision_table(
+    (350.0, 600.0, 1000.0, 2000.0, 3000.0), 4.0, 30.0, QoEWeights.balanced(),
+    config=FastMPCConfig(buffer_bins=100, throughput_bins=100, horizon=5),
+    use_cache=False,
+)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+#: The prefix-tree build peaks near 44 MB (interpreter and NumPy
+#: included); full-size roll-out temporaries took it to about 123 MB.
+MAX_COLD_BUILD_RSS_MB = 80.0
+
+
+@pytest.fixture(scope="module")
+def cold_build_rss():
+    """Peak RSS of a process that imports the package and builds one
+    table, with the disk cache off so the build really runs."""
+    if not os.path.exists("/proc/self/status"):
+        return {}  # VmHWM is Linux's; the RSS test skips elsewhere
+    env = dict(os.environ)
+    env.pop("REPRO_CACHE_DIR", None)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_BUILD],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return {"table_build_peak_rss_mb": int(out.stdout.split()[-1]) / 1024.0}
+
+
+def test_cold_table_build_peak_rss(benchmark, cold_build_rss):
+    if not cold_build_rss:
+        pytest.skip("peak RSS is read from /proc/self/status (Linux)")
+    peak = run_once(benchmark, lambda: cold_build_rss["table_build_peak_rss_mb"])
+    assert peak < MAX_COLD_BUILD_RSS_MB
+
+
 def test_write_bench_json(
-    measurements, cache_measurements, tracing_overhead, report_sink
+    measurements, cache_measurements, tracing_overhead, cold_build_rss, report_sink
 ):
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = dict(measurements)
     payload.update(cache_measurements)
     payload.update(tracing_overhead)
+    payload.update(cold_build_rss)
     path = RESULTS_DIR / "BENCH_kernel.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     lines = [

@@ -20,6 +20,7 @@ computed once and downloaded by every player.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -139,6 +140,12 @@ def build_decision_table(
     ladder = tuple(float(r) for r in ladder_kbps)
     if not ladder or list(ladder) != sorted(ladder):
         raise ValueError("ladder must be non-empty and ascending")
+    for name, value in (
+        ("chunk duration", chunk_duration_s),
+        ("buffer capacity", buffer_capacity_s),
+    ):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     quality = (
         tuple(float(q) for q in quality_values)
         if quality_values is not None

@@ -10,7 +10,8 @@ enumeration returns the identical argmax.  We provide:
 
 * :func:`solve_horizon` — vectorised NumPy enumeration (the production
   path; the batched kernel of :mod:`repro.core.kernel` rolls all plans
-  out together over their shared prefixes),
+  out together over their shared prefixes, on roll-out scratch that
+  belongs to the calling thread),
 * :func:`solve_horizon_reference` — a straightforward recursive
   implementation used as the ground truth in property tests, and
 * :func:`solve_startup` — the startup variant ``QOE_MAX`` that also
@@ -150,9 +151,7 @@ def _plan_matrix(num_levels: int, horizon: int):
     return plans
 
 
-def solve_horizon(
-    problem: HorizonProblem, evaluator: Optional[object] = None
-) -> HorizonSolution:
+def solve_horizon(problem: HorizonProblem) -> HorizonSolution:
     """Exact solution of ``QOE_MAX_STEADY``.
 
     Dispatches on instance size: small plan spaces use vectorised
@@ -161,18 +160,17 @@ def solve_horizon(
     which returns the same optimal QoE but may pick a different optimal
     plan when several are tied.
 
-    ``evaluator`` optionally carries a :class:`repro.core.kernel.
-    _BatchEvaluator` whose scratch buffers are reused across calls (the
-    per-session state held by the MPC controllers).
+    The enumeration reuses the calling thread's roll-out scratch
+    (:func:`repro.core.kernel._thread_evaluator`), so repeated solves of
+    one shape — every chunk of every MPC session — allocate no roll-out
+    arrays.
     """
     if problem.num_levels**problem.horizon > _ENUMERATION_LIMIT:
         return solve_horizon_dp(problem)
-    return solve_horizon_enumerate(problem, evaluator)
+    return solve_horizon_enumerate(problem)
 
 
-def solve_horizon_enumerate(
-    problem: HorizonProblem, evaluator: Optional[object] = None
-) -> HorizonSolution:
+def solve_horizon_enumerate(problem: HorizonProblem) -> HorizonSolution:
     """Exact solution by vectorised exhaustive enumeration.
 
     A thin wrapper over the batched kernel (the single implementation of
@@ -180,7 +178,7 @@ def solve_horizon_enumerate(
     """
     from .kernel import solve_horizon_batch
 
-    return solve_horizon_batch([problem], evaluator=evaluator)[0]
+    return solve_horizon_batch([problem])[0]
 
 
 def solve_horizon_reference(problem: HorizonProblem) -> HorizonSolution:
@@ -302,7 +300,6 @@ def solve_startup(
     problem: HorizonProblem,
     max_wait_s: Optional[float] = None,
     wait_step_s: float = 0.25,
-    evaluator: Optional[object] = None,
 ) -> HorizonSolution:
     """The startup problem ``QOE_MAX`` — jointly optimise plan and ``T_s``.
 
@@ -317,7 +314,9 @@ def solve_startup(
     grid points differ only in starting buffer, so they stack as the
     instances of a single prefix-tree roll-out instead of ``steps + 1``
     independent solves.  Results (QoE values and the smallest-wait /
-    lexicographic tie-break) are identical to the per-point loop.
+    lexicographic tie-break) are identical to the per-point loop.  The
+    grid's tree (about 11 MB for 121 points at 5 levels x horizon 5) is
+    the calling thread's scratch, kept across sessions.
     """
     if wait_step_s <= 0:
         raise ValueError("wait step must be positive")
@@ -351,12 +350,10 @@ def solve_startup(
         assert best is not None
         return best
 
-    from .kernel import _BatchEvaluator, _solve_rows
+    from .kernel import _solve_rows
 
     plans = _plan_matrix(problem.num_levels, problem.horizon)
     if HAVE_NUMPY:
-        if evaluator is None:
-            evaluator = _BatchEvaluator()
         sizes = np.asarray(problem.chunk_sizes_kilobits, dtype=np.float64)
         preds = np.asarray(problem.predicted_kbps, dtype=np.float64)
         quality = np.asarray(problem.quality_values, dtype=np.float64)
@@ -367,7 +364,6 @@ def solve_startup(
             else np.full(waits.shape, problem.prev_quality)
         )
     else:
-        evaluator = None
         sizes = problem.chunk_sizes_kilobits
         preds = problem.predicted_kbps
         quality = problem.quality_values
@@ -378,7 +374,7 @@ def solve_startup(
             else [problem.prev_quality] * len(waits)
         )
     best_idx, qoe, rebuf, fin = _solve_rows(
-        evaluator, plans, sizes, preds, buffer0, prev, quality,
+        plans, sizes, preds, buffer0, prev, quality,
         problem.weights.switching, problem.weights.rebuffering,
         problem.chunk_duration_s, problem.buffer_capacity_s,
     )

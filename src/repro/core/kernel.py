@@ -9,15 +9,18 @@ per wait-grid point, and the FastMPC table builder in a hand-rolled
 double loop over ``(buffer_bin, prev_level)`` states.  This module is the
 single implementation they all delegate to:
 
-* :class:`_BatchEvaluator` — reusable scratch buffers plus the vectorised
-  plan roll-out over the plan prefix tree: plans sharing a prefix share
-  every float up to its end, so step ``i`` evaluates the ``|R|^(i+1)``
-  distinct prefixes of all instances at once, and the last step yields
-  ``(n_instances, n_plans)`` in the plan matrix's lexicographic order.
-  The arithmetic is element-wise and associates *exactly* like the
-  scalar reference solver, so batched results are bit-identical to
+* :class:`_BatchEvaluator` — the vectorised plan roll-out over the plan
+  prefix tree: plans sharing a prefix share every float up to its end,
+  so step ``i`` evaluates the ``|R|^(i+1)`` distinct prefixes of all
+  instances at once, and the last step yields ``(n_instances, n_plans)``
+  in the plan matrix's lexicographic order.  The arithmetic is
+  element-wise and associates *exactly* like the scalar reference
+  solver, so batched results are bit-identical to
   :func:`~repro.core.horizon.solve_horizon_reference` (same optimal QoE,
-  same lexicographic tie-break).
+  same lexicographic tie-break).  Its per-shape tree arrays are the
+  roll-out scratch; each thread owns one evaluator
+  (:func:`_thread_evaluator`) that every solve on that thread reuses,
+  so no session or controller carries solver scratch of its own.
 
 * :func:`solve_horizon_batch` — solve many :class:`~repro.core.horizon.
   HorizonProblem` instances at once.  Problems sharing structure (ladder,
@@ -29,13 +32,11 @@ single implementation they all delegate to:
   exploits the table's extra structure (CBR sizes, flat predictions): the
   quality/switching part of a plan's QoE is independent of the buffer and
   throughput state, so it is computed once per plan and only the
-  rebuffering dynamics are rolled out per state.  This re-associates the
-  floating-point sum (documented; immaterial at the table's resolution)
-  and is what makes a 100x100x5 table build several times faster than
-  per-state solves.
+  rebuffering dynamics are rolled out per state — over the same plan
+  prefix tree, in cache-sized blocks of buffer bins.
 
-Instance batches are chunked internally so scratch stays bounded
-(:data:`MAX_BATCH_ELEMENTS` elements per array) regardless of batch size.
+Instance batches are chunked internally so each roll-out stays bounded
+(:data:`MAX_BATCH_ELEMENTS` leaf elements) regardless of batch size.
 
 NumPy is optional (:mod:`repro.core.npcompat`): without it, every entry
 point falls back to a pure-Python evaluation that replicates the
@@ -47,8 +48,10 @@ bit-identical between the two paths; only the speed differs.
 from __future__ import annotations
 
 import math
+import threading
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..obs.events import SolverCall
 from .npcompat import HAVE_NUMPY, np
@@ -63,40 +66,47 @@ from .horizon import (
 
 __all__ = ["solve_horizon_batch", "build_table_decisions", "MAX_BATCH_ELEMENTS"]
 
-# Upper bound on the element count of any one scratch array (~16 MB of
-# float64).  Batches larger than this are processed in chunks.
+# Upper bound on the (instances x plans) element count of one roll-out's
+# last step (~16 MB of float64 per leaf array).  Larger batches are
+# rolled out in chunks of instances.
 MAX_BATCH_ELEMENTS = 2_000_000
+
+# Leaf states per block of the table build: as many buffer bins as fit
+# (plans x throughput bins each), and at least one.  One bin of a
+# 5-level, horizon-5, 100-bin table is 312,500 states, 2.5 MB per leaf
+# array; blocks of four or more such bins built that table more slowly.
+_TABLE_BLOCK_ELEMENTS = 1 << 19
+
+# Bounds of an evaluator's prefix-tree cache: at most this many shapes,
+# whose arrays total at most this many bytes.  A tree larger than the
+# byte bound is built for its call and not kept.  A RobustMPC session
+# uses six shapes (the 121-point startup grid, about 11 MB at 5 levels x
+# horizon 5, and steady horizons 5 to 1), so replayed sessions allocate
+# no roll-out arrays at all.
+_TREE_CACHE_SHAPES = 8
+_TREE_CACHE_BYTES = 16 << 20
 
 
 class _BatchEvaluator:
-    """Reusable scratch state for the vectorised plan roll-out.
+    """Scratch for the vectorised plan roll-out: prefix trees by shape.
 
-    An evaluator owns a small dictionary of named scratch arrays, reused
-    across calls whenever the requested shape matches (the common case:
-    one controller solving the same-shaped problem every chunk), and the
-    per-level arrays of the plan prefix tree for the last roll-out shape.
-    Holding one evaluator per session removes all per-decision
-    allocations from the online MPC path; a fresh throw-away evaluator
-    degrades gracefully to the old allocate-per-call behaviour.
+    The evaluator keeps the per-level arrays of the plan prefix tree for
+    each roll-out shape it has seen, least recently used first, within
+    :data:`_TREE_CACHE_SHAPES` shapes and :data:`_TREE_CACHE_BYTES`
+    bytes.  Each thread shares one evaluator among all its solves
+    (:func:`_thread_evaluator`), so a controller solving the same-shaped
+    problem every chunk, and every later session of that controller,
+    reuses the same arrays.
 
     Not thread-safe: the returned arrays alias the scratch and are only
     valid until the next call on the same evaluator.
     """
 
-    __slots__ = ("_arrays", "_tree_key", "_tree")
+    __slots__ = ("_trees",)
 
     def __init__(self) -> None:
-        self._arrays: Dict[str, np.ndarray] = {}
-        self._tree_key: Optional[tuple] = None
-        self._tree: Optional[tuple] = None
-
-    def scratch(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
-        """An uninitialised float64 array of ``shape``, reused when possible."""
-        arr = self._arrays.get(name)
-        if arr is None or arr.shape != shape:
-            arr = np.empty(shape, dtype=np.float64)
-            self._arrays[name] = arr
-        return arr
+        # shape key -> (tree, bytes held by its arrays)
+        self._trees: "OrderedDict[tuple, tuple]" = OrderedDict()
 
     def _prefix_tree(self, n: int, num_levels: int, horizon: int, dt_rows: int):
         """Scratch for one roll-out shape: a root and one entry per step.
@@ -110,13 +120,19 @@ class _BatchEvaluator:
         (a whole startup wait grid, say) runs along contiguous memory.
         Each entry carries ready-made ``(parents, 1, n)`` views of its
         parent step and ``(parents, num_levels, n)`` views of its own
-        arrays, so a roll-out creates no arrays at all.
+        arrays, so a roll-out of a cached shape creates no arrays at all.
         """
         key = (n, num_levels, horizon, dt_rows)
-        if self._tree_key == key:
-            return self._tree
+        cached = self._trees.get(key)
+        if cached is not None:
+            self._trees.move_to_end(key)
+            return cached[0]
         zeros = np.zeros((1, n))  # the root's QoE and rebuffer, read only
         root_buf = np.empty((1, n))
+        dt = np.empty((1, num_levels, dt_rows))  # download time per level
+        pen = np.empty((num_levels, num_levels, 1))  # switching penalty matrix
+        first = np.empty((1, num_levels, n))  # first-step switching penalty
+        arrays = [zeros, root_buf, dt, pen, first]
         parent = (zeros, zeros, root_buf)
         steps = []
         for i in range(horizon):
@@ -124,6 +140,7 @@ class _BatchEvaluator:
             qoe, rebuf, buf = (
                 np.empty((parents * num_levels, n)) for _ in range(3)
             )
+            arrays += (qoe, rebuf, buf)
             steps.append(
                 (
                     tuple(a.reshape(parents, 1, n) for a in parent),
@@ -136,16 +153,15 @@ class _BatchEvaluator:
                 )
             )
             parent = (qoe, rebuf, buf)
-        tree = (
-            root_buf,
-            np.empty((1, num_levels, dt_rows)),  # download time per level
-            np.empty((num_levels, num_levels, 1)),  # switching penalty matrix
-            np.empty((1, num_levels, n)),  # first-step switching penalty
-            steps,
-            tuple(a.T for a in parent),
-        )
-        self._tree_key = key
-        self._tree = tree
+        tree = (root_buf, dt, pen, first, steps, tuple(a.T for a in parent))
+        nbytes = sum(a.nbytes for a in arrays)
+        if nbytes <= _TREE_CACHE_BYTES:
+            self._trees[key] = (tree, nbytes)
+            while (
+                len(self._trees) > _TREE_CACHE_SHAPES
+                or sum(held for _, held in self._trees.values()) > _TREE_CACHE_BYTES
+            ):
+                self._trees.popitem(last=False)
         return tree
 
     def evaluate(
@@ -255,6 +271,18 @@ class _BatchEvaluator:
         return leaves
 
 
+_thread_local = threading.local()
+
+
+def _thread_evaluator() -> _BatchEvaluator:
+    """The calling thread's evaluator, created on its first solve."""
+    try:
+        return _thread_local.evaluator
+    except AttributeError:
+        evaluator = _thread_local.evaluator = _BatchEvaluator()
+        return evaluator
+
+
 def _evaluate_one_py(
     plan: Sequence[int],
     sizes_rows: Sequence[Sequence[float]],
@@ -347,7 +375,6 @@ def _solve_rows_py(
 
 
 def _solve_rows(
-    evaluator: Optional[_BatchEvaluator],
     plans,
     sizes,
     preds,
@@ -363,16 +390,18 @@ def _solve_rows(
 
     Returns per-instance arrays ``(best_plan_index, qoe, rebuffer,
     final_buffer)``; the argmax takes the first maximum, i.e. the
-    lexicographically smallest optimal plan.  Without NumPy the inputs
-    are plain sequences and the bit-identical scalar fallback runs.
+    lexicographically smallest optimal plan.  The roll-out runs on the
+    thread's shared evaluator, and each chunk's views of its scratch are
+    consumed here, before the next ``evaluate`` call.  Without NumPy the
+    inputs are plain sequences and the bit-identical scalar fallback
+    runs.
     """
     if not HAVE_NUMPY:
         return _solve_rows_py(
             plans, sizes, preds, buffer0, prev_quality, quality,
             switching, rebuffering, chunk_duration_s, buffer_capacity_s,
         )
-    if evaluator is None:
-        evaluator = _BatchEvaluator()
+    evaluator = _thread_evaluator()
     n = buffer0.shape[0]
     m, horizon = plans.shape
     num_levels = quality.shape[0]
@@ -409,7 +438,6 @@ def _solve_rows(
 
 def solve_horizon_batch(
     problems: Iterable[HorizonProblem],
-    evaluator: Optional[_BatchEvaluator] = None,
     tracer=None,
 ) -> List[HorizonSolution]:
     """Solve many ``QOE_MAX_STEADY`` instances in one vectorised pass.
@@ -434,8 +462,6 @@ def solve_horizon_batch(
     problem_list = list(problems)
     if not problem_list:
         return []
-    if evaluator is None:
-        evaluator = _BatchEvaluator()
     solutions: List[Optional[HorizonSolution]] = [None] * len(problem_list)
 
     groups: Dict[tuple, List[int]] = {}
@@ -491,7 +517,7 @@ def solve_horizon_batch(
                 prev = [p.prev_quality for p in members]
             quality = quality_values
         best, qoe, rebuf, fin = _solve_rows(
-            evaluator, plans, sizes, preds, buffer0, prev, quality,
+            plans, sizes, preds, buffer0, prev, quality,
             lam, mu, duration, capacity,
         )
         for row, idx in enumerate(idxs):
@@ -526,7 +552,6 @@ def build_table_decisions(
     rebuffering: float,
     chunk_duration_s: float,
     buffer_capacity_s: float,
-    evaluator: Optional[_BatchEvaluator] = None,
     tracer=None,
 ):
     """FastMPC's offline enumeration over the whole binned state space.
@@ -541,11 +566,26 @@ def build_table_decisions(
     The quality and switching terms of a plan's QoE do not depend on the
     buffer or throughput state, so they are computed once per plan
     (``static``) plus a per-``prev_level`` first-switch column; only the
-    rebuffering dynamics are rolled out per state, batched across buffer
-    bins.  The resulting QoE sums associate differently from the scalar
-    solver's interleaved accumulation — mathematically identical, and at
-    table resolution the (sub-ULP) difference cannot flip a decision
-    except on exact ties between plans that already share a first level.
+    rebuffering dynamics are rolled out per state.  The resulting QoE
+    sums associate differently from the scalar solver's interleaved
+    accumulation — mathematically identical, and at table resolution the
+    (sub-ULP) difference cannot flip a decision except on exact ties
+    between plans that already share a first level.
+
+    The roll-out runs over the plan prefix tree, in blocks of
+    :data:`_TABLE_BLOCK_ELEMENTS` leaf states with the state axis
+    innermost: step ``i`` computes the stall, rebuffer and buffer of each
+    of the ``L**(i+1)`` prefixes once, from its parent (3,905
+    prefix-steps per state at 5 levels x horizon 5, against 15,625
+    plan-steps), and the last step computes only the rebuffer.  Per
+    ``prev_level``, the score of each block of ``L**(N-1)`` plans sharing
+    a first level is reduced to its maximum, and the first of the ``L``
+    block maxima to reach the overall maximum gives the decision: plans
+    are in lexicographic order, so that is the first level of the first
+    maximising plan.  Every float goes through the same operations in
+    the same order as in :func:`_build_table_decisions_py`, the
+    reference this path is tested against, so the decision arrays are
+    identical.
     """
     tracing = tracer is not None and tracer.enabled
     if tracing:
@@ -575,11 +615,10 @@ def build_table_decisions(
     b_centers = np.asarray(buffer_centers, dtype=np.float64)
     c_centers = np.asarray(throughput_centers, dtype=np.float64)
     num_levels = quality.shape[0]
-    if evaluator is None:
-        evaluator = _BatchEvaluator()
 
     plans = _plan_matrix(num_levels, horizon)
     m = plans.shape[0]
+    share = m // num_levels  # plans per first level
     num_buffer = b_centers.shape[0]
     num_throughput = c_centers.shape[0]
 
@@ -593,43 +632,64 @@ def build_table_decisions(
     first_switch = switching * np.abs(
         plan_quality[:, 0][:, None] - quality[None, :]
     )  # (M, num_levels)
+    # (prev_level, plan): what each plan adds to -mu * rebuffer.
+    columns = np.ascontiguousarray((static[:, None] - first_switch).T)
 
-    # Download times are shared by every buffer bin: CBR sizes and flat
-    # predictions make dt a pure (level, throughput_bin) gather per step.
-    level_dt = sizes[:, None] / c_centers[None, :]  # (levels, C)
-    step_dt = [level_dt[plans[:, i]] for i in range(horizon)]  # (M, C) each
+    # CBR sizes and flat predictions make the download time a function of
+    # (level, throughput bin) alone, the same at every step and buffer bin.
+    dt = (sizes[:, None] / c_centers[None, :]).reshape(
+        1, num_levels, 1, num_throughput
+    )
 
     decisions = np.empty(
         (num_buffer, num_levels, num_throughput), dtype=np.int64
     )
-    plan_first = plans[:, 0]
-    block = max(1, MAX_BATCH_ELEMENTS // max(m * num_throughput, 1))
-    buf = evaluator.scratch("table_buf", (block, m, num_throughput))
-    rebuf = evaluator.scratch("table_rebuf", (block, m, num_throughput))
-    tmp = evaluator.scratch("table_tmp", (block, m, num_throughput))
-    score = evaluator.scratch("table_score", (block, m, num_throughput))
+    block = max(
+        1, min(_TABLE_BLOCK_ELEMENTS // max(m * num_throughput, 1), num_buffer)
+    )
+    # Flat per-step scratch, so a short last block takes a contiguous head.
+    states = block * num_throughput
+    rebufs = [np.empty(num_levels ** (i + 1) * states) for i in range(horizon)]
+    bufs = [np.empty(num_levels ** (i + 1) * states) for i in range(horizon - 1)]
+    score = np.empty(share * states)
+    best = np.empty(num_levels * states)
     for lo in range(0, num_buffer, block):
         hi = min(lo + block, num_buffer)
         nb = hi - lo
-        buf_v, rebuf_v, tmp_v, score_v = (
-            buf[:nb], rebuf[:nb], tmp[:nb], score[:nb]
-        )
-        buf_v[:] = b_centers[lo:hi, None, None]
-        rebuf_v.fill(0.0)
+        n_states = nb * num_throughput
+        buf_p = b_centers[lo:hi].reshape(1, 1, nb, 1)
+        rebuf_p = None
         for i in range(horizon):
-            dt = step_dt[i][None, :, :]
-            np.subtract(dt, buf_v, out=tmp_v)
-            np.maximum(tmp_v, 0.0, out=tmp_v)
-            rebuf_v += tmp_v
-            np.subtract(buf_v, dt, out=buf_v)
-            np.maximum(buf_v, 0.0, out=buf_v)
-            buf_v += chunk_duration_s
-            np.minimum(buf_v, buffer_capacity_s, out=buf_v)
-        np.multiply(rebuf_v, -rebuffering, out=rebuf_v)  # -> -mu * rebuffer
+            prefixes = num_levels ** (i + 1)
+            shape = (prefixes // num_levels, num_levels, nb, num_throughput)
+            # rebuffer += max(dt - buffer, 0).  The first step's rebuffer
+            # is its stall; the reference's 0.0 + stall is the same value.
+            rebuf = rebufs[i][: prefixes * n_states].reshape(shape)
+            np.subtract(dt, buf_p, out=rebuf)
+            np.maximum(rebuf, 0.0, out=rebuf)
+            if rebuf_p is not None:
+                np.add(rebuf_p, rebuf, out=rebuf)
+            rebuf_p = rebuf.reshape(prefixes, 1, nb, num_throughput)
+            if i + 1 < horizon:
+                # buffer = min(max(buffer - dt, 0) + L, Bmax)  (Eqs. 1-4).
+                buf = bufs[i][: prefixes * n_states].reshape(shape)
+                np.subtract(buf_p, dt, out=buf)
+                np.maximum(buf, 0.0, out=buf)
+                np.add(buf, chunk_duration_s, out=buf)
+                np.minimum(buf, buffer_capacity_s, out=buf)
+                buf_p = buf.reshape(prefixes, 1, nb, num_throughput)
+        leaves = rebufs[-1][: m * n_states].reshape(m, n_states)
+        np.multiply(leaves, -rebuffering, out=leaves)  # -> -mu * rebuffer
+        block_score = score[: share * n_states].reshape(share, n_states)
+        block_best = best[: num_levels * n_states].reshape(num_levels, n_states)
         for prev in range(num_levels):
-            column = static - first_switch[:, prev]  # (M,)
-            np.add(rebuf_v, column[None, :, None], out=score_v)
-            decisions[lo:hi, prev, :] = plan_first[np.argmax(score_v, axis=1)]
+            for first in range(num_levels):
+                rows = slice(first * share, (first + 1) * share)
+                np.add(leaves[rows], columns[prev, rows, None], out=block_score)
+                np.max(block_score, axis=0, out=block_best[first])
+            decisions[lo:hi, prev, :] = np.argmax(
+                block_best, axis=0
+            ).reshape(nb, num_throughput)
     if tracing:
         tracer.emit(
             SolverCall(
@@ -655,14 +715,16 @@ def _build_table_decisions_py(
     chunk_duration_s: float,
     buffer_capacity_s: float,
 ) -> List[List[List[int]]]:
-    """Pure-Python :func:`build_table_decisions` — the no-NumPy fallback.
+    """Pure-Python :func:`build_table_decisions` — the no-NumPy fallback
+    and the reference the vectorised build is tested against.
 
     The same static/first-switch/roll-out decomposition, computed cell by
-    cell with the exact arithmetic association of the vectorised path
-    (sequential sums, ``rebuf * -mu + (static - first_switch)``, strict
-    first-maximum argmax), so the decision array is identical.  Intended
-    for the small tables exercised when serving without NumPy — the big
-    production builds want the vectorised path.
+    cell and plan by plan with the exact arithmetic association of the
+    vectorised path (sequential sums, ``rebuf * -mu + (static -
+    first_switch)``, strict first-maximum argmax over all plans), so the
+    decision array is identical.  Intended for the small tables exercised
+    when serving without NumPy — the big production builds want the
+    vectorised path.
     """
     quality = list(quality_values)
     sizes = list(level_sizes_kilobits)

@@ -26,7 +26,6 @@ from ..prediction.errors import PredictionErrorTracker
 from ..prediction.harmonic import HarmonicMeanPredictor
 from ..prediction.oracle import OraclePredictor
 from .horizon import HorizonProblem, HorizonSolution, solve_horizon, solve_startup
-from .kernel import _BatchEvaluator
 
 __all__ = ["MPCController", "make_mpc_opt", "DEFAULT_HORIZON"]
 
@@ -72,7 +71,6 @@ class MPCController(ABRAlgorithm):
             self.name = name
         self._pending_raw_prediction: Optional[float] = None
         self._startup_wait_s = 0.0
-        self._evaluator: Optional[_BatchEvaluator] = None
 
     # ------------------------------------------------------------------
     # ABRAlgorithm interface
@@ -83,10 +81,6 @@ class MPCController(ABRAlgorithm):
         self.error_tracker.reset()
         self._pending_raw_prediction = None
         self._startup_wait_s = 0.0
-        # Per-session scratch for the horizon kernel: every per-chunk
-        # solve of this session reuses the same arrays instead of
-        # allocating fresh ones (the solves all share one shape).
-        self._evaluator = _BatchEvaluator()
         self._quality_values = tuple(
             config.quality(rate) for rate in manifest.ladder
         )
@@ -175,12 +169,12 @@ class MPCController(ABRAlgorithm):
         if tracing:
             _t0 = time.perf_counter()
         if self.optimize_startup and not observation.playback_started:
-            solution = solve_startup(problem, evaluator=self._evaluator)
+            solution = solve_startup(problem)
             self._startup_wait_s = solution.startup_wait_s
             op = "solve-startup"
         else:
             self._startup_wait_s = 0.0
-            solution = solve_horizon(problem, evaluator=self._evaluator)
+            solution = solve_horizon(problem)
             op = "solve-horizon"
         if tracing:
             tracer.emit(

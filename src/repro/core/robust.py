@@ -17,10 +17,10 @@ the maximum absolute percentage error over the past 5 chunks
 
 :class:`RobustMPCController` implements exactly that: it subclasses
 :class:`~repro.core.mpc.MPCController` and overrides only the
-prediction-transformation hook, which *is* Theorem 1 in code.  The
-per-session solver scratch (the batched-kernel evaluator set up in
-``prepare``) is inherited unchanged, so RobustMPC decisions are just as
-allocation-free as the base controller's.
+prediction-transformation hook, which *is* Theorem 1 in code.  Its
+solves run on the same roll-out scratch as every other solve on the
+thread (the kernel's per-thread evaluator), so replayed RobustMPC
+sessions — startup wait grid included — allocate no roll-out arrays.
 """
 
 from __future__ import annotations

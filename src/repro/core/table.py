@@ -115,6 +115,8 @@ class Binning:
     def __init__(self, low: float, high: float, count: int, spacing: str = "linear") -> None:
         if count < 1:
             raise ValueError("need at least one bin")
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise ValueError("bin range must be finite")
         if not (low < high):
             raise ValueError("need low < high")
         if spacing not in ("linear", "log"):
@@ -766,7 +768,9 @@ class DecisionTable:
     @staticmethod
     def _unpack_binning(blob: bytes, offset: int) -> Tuple[Binning, int]:
         low, high, count, code = struct.unpack_from("<ddIB", blob, offset)
-        spacing = {v: k for k, v in DecisionTable._SPACING_CODES.items()}[code]
+        spacing = {v: k for k, v in DecisionTable._SPACING_CODES.items()}.get(code)
+        if spacing is None:
+            raise ValueError(f"unknown binning spacing code {code}")
         return Binning(low, high, count, spacing), offset + struct.calcsize("<ddIB")
 
     def to_bytes(self) -> bytes:

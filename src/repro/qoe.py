@@ -17,6 +17,7 @@ of rebuffering or startup costs as much as lowering one chunk by 3000 kbps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,7 +36,13 @@ class QoEWeights:
     label: str = "balanced"
 
     def __post_init__(self) -> None:
-        if self.switching < 0 or self.rebuffering < 0 or self.startup < 0:
+        weights = (self.switching, self.rebuffering, self.startup)
+        if not all(math.isfinite(w) for w in weights):
+            # A NaN weight would score every plan NaN (an all-zero table,
+            # an arbitrary online plan); an infinite one turns 0 * inf
+            # into NaN the same way.
+            raise ValueError("QoE weights must be finite")
+        if min(weights) < 0:
             raise ValueError("QoE weights must be non-negative")
 
     # The three preference profiles evaluated in Figure 11b.

@@ -13,7 +13,7 @@ from repro.core.horizon import (
     solve_horizon_reference,
     solve_startup,
 )
-from repro.core.kernel import _BatchEvaluator, solve_horizon_batch
+from repro.core.kernel import _thread_evaluator, solve_horizon_batch
 from repro.core.table import Binning
 from repro.qoe import QoEWeights
 
@@ -178,14 +178,19 @@ class TestBatchVsReference:
         assert solve_horizon_batch([]) == []
 
     def test_evaluator_reuse_across_shapes(self):
-        """One evaluator serves batches of different shapes back to back."""
+        """The thread's one evaluator serves batches of different shapes
+        back to back, and a repeated batch reuses its cached tree."""
         rng = np.random.default_rng(17)
-        evaluator = _BatchEvaluator()
+        evaluator = _thread_evaluator()
         for _ in range(5):
             problems = [random_problem(rng) for _ in range(int(rng.integers(1, 9)))]
-            solutions = solve_horizon_batch(problems, evaluator=evaluator)
+            solutions = solve_horizon_batch(problems)
             for problem, solution in zip(problems, solutions):
                 assert_same_solution(solution, problem)
+        trees = {key: tree for key, (tree, _) in evaluator._trees.items()}
+        assert solve_horizon_batch(problems) == solutions
+        assert _thread_evaluator() is evaluator
+        assert all(evaluator._trees[key][0] is tree for key, tree in trees.items())
 
 
 class TestStartupBatched:

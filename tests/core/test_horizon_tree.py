@@ -141,6 +141,6 @@ def test_plans_must_be_the_full_product():
     partial = _plan_matrix(3, 2)[:4]
     with pytest.raises(ValueError, match="full product"):
         _solve_rows(
-            None, partial, np.ones((2, 3)), np.ones(2), np.zeros(1), None,
+            partial, np.ones((2, 3)), np.ones(2), np.zeros(1), None,
             np.arange(3.0), 1.0, 1.0, 4.0, 30.0,
         )

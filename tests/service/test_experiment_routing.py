@@ -59,6 +59,10 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def frozen_clock() -> float:
+    return 0.0
+
+
 async def with_server(service, inner):
     server = DecisionServer(service, port=0)
     await server.start()
@@ -143,8 +147,15 @@ class TestServiceRouting:
 
 class TestBatchRouting:
     def test_batch_matches_scalar_and_preserves_order(self, test_table):
-        scalar = DecisionService(LADDER, table=test_table, experiment=EXPERIMENT)
-        batched = DecisionService(LADDER, table=test_table, experiment=EXPERIMENT)
+        # A frozen clock keeps both services inside the 5 ms lookup budget:
+        # with the wall clock, a slow moment (the batch's controller arms
+        # run before its table lookup) degraded the batch to the fallback.
+        scalar = DecisionService(
+            LADDER, table=test_table, experiment=EXPERIMENT, clock=frozen_clock
+        )
+        batched = DecisionService(
+            LADDER, table=test_table, experiment=EXPERIMENT, clock=frozen_clock
+        )
         requests = [make_request(f"s{i}", buffer_s=5.0 + i % 7) for i in range(40)]
         expected = [scalar.decide(r) for r in requests]
         got = batched.decide_batch(requests)

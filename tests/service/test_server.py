@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
+import struct
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
 )
+from repro.core.table import DecisionTable
 from repro.service.client import ServiceUnavailable
 from repro.service.protocol import SOURCE_FALLBACK, SOURCE_TABLE
 from repro.service.server import REASON_MALFORMED, REASON_NO_TABLE
@@ -168,6 +171,25 @@ class TestTableSwap:
                 # The connection (and the old table) survive the rejection.
                 response = await client.decide(make_request())
                 assert response.source == SOURCE_TABLE
+
+        run(with_server(service, inner))
+
+
+    def test_table_with_infinite_edge_rejected(self, test_table):
+        """A blob whose throughput edge is inf answers 400 "bad table"
+        instead of installing a table that answers level 0 to all."""
+        blob = bytearray(test_table.to_bytes())
+        high_at = len(DecisionTable._MAGIC) + struct.calcsize("<ddIB") + 8
+        struct.pack_into("<d", blob, high_at, math.inf)
+        service = DecisionService(LADDER, table=test_table)
+
+        async def inner(server):
+            async with ServiceClient("127.0.0.1", server.bound_port) as client:
+                with pytest.raises(ServiceUnavailable, match="400 bad table"):
+                    await client.swap_table(bytes(blob))
+                response = await client.decide(make_request())
+                assert response.source == SOURCE_TABLE
+                assert response.level_index == test_table.lookup(10.0, 2, 1500.0)
 
         run(with_server(service, inner))
 
