@@ -6,11 +6,12 @@ optimisations from Section 5.2 live here:
 
 * **Compaction via binning** — buffer and throughput values are coarsened
   into bins; row keys need not be stored because they are computed from
-  bin indices (:class:`Binning`).  Quantisation is *flat-array index
-  arithmetic*: one inverse-scale multiply plus clamp (with an exact
-  edge-correction step), not a per-value binary search — the same
-  precomputed scale backs the scalar :meth:`Binning.index_of` and the
-  vectorized :meth:`Binning.index_of_batch`, so they cannot drift.
+  bin indices (:class:`Binning`).  Scalar quantisation
+  (:meth:`Binning.index_of`) is *flat-array index arithmetic*: one
+  inverse-scale multiply plus clamp (with an exact edge-correction step),
+  not a per-value binary search.  The vectorized
+  :meth:`Binning.index_of_batch` is one ``searchsorted`` over the same
+  edges.  Both equal ``bisect_right(edges, value) - 1``, clamped.
 
 * **Table compression** — the optimal decisions for neighbouring scenarios
   are usually identical, so the decision vector compresses extremely well
@@ -91,13 +92,12 @@ class Binning:
     maps to *some* table row — the paper's "key value closest to the
     current state".
 
-    Quantisation is O(1) index arithmetic: ``idx = (f(value) - offset) *
-    scale`` (``f`` = identity or ``log``) followed by an exact correction
-    against the true edge values, which repairs any floating-point
-    off-by-one so the result always equals the reference
-    ``bisect_right(edges, value) - 1``.  The same precomputed
-    ``(offset, scale)`` pair and the same edge array back both the scalar
-    and the batch path.
+    Scalar quantisation is O(1) index arithmetic: ``idx = (f(value) -
+    offset) * scale`` (``f`` = identity or ``log``) followed by an exact
+    correction against the true edge values, which repairs any
+    floating-point off-by-one so the result always equals the reference
+    ``bisect_right(edges, value) - 1``.  The batch path is that reference
+    itself, as one ``searchsorted`` over the same edge array.
     """
 
     __slots__ = (
@@ -224,35 +224,20 @@ class Binning:
     def index_of_batch(self, values):
         """Vectorized :meth:`index_of` over an array of values.
 
-        Returns an ``int64`` array (a list without NumPy).  Same clamp
-        and NaN semantics as the scalar path, computed from the same
-        precomputed scale and corrected against the same edges — the
-        two paths cannot disagree on any input.
+        Returns an ``int64`` array (a list without NumPy).  One
+        ``searchsorted(edges, values, side="right") - 1`` and a clamp:
+        exactly :meth:`index_of_reference`'s ``bisect_right``, element by
+        element, with the same clamp and NaN semantics as the scalar path.
         """
         if not HAVE_NUMPY:
             return [self.index_of(float(v)) for v in values]
         v = np.asarray(values, dtype=np.float64)
         if np.isnan(v).any():
             raise ValueError("cannot bin NaN")
-        vc = np.clip(v, self.low, self.high)
-        x = vc if self.spacing == "linear" else np.log(vc)
-        idx = ((x - self._offset) * self._scale).astype(np.int64)
-        np.clip(idx, 0, self.count - 1, out=idx)
-        edges = self._edges
-        last = self.count - 1
-        # vc >= edges[0] after the clip, so the down-correction can never
-        # push below 0; the up-correction is bounded by `last`.
-        while True:
-            mask = vc < edges[idx]
-            if not mask.any():
-                break
-            idx[mask] -= 1
-        while True:
-            mask = (idx < last) & (vc >= edges[np.minimum(idx + 1, self.count)])
-            if not mask.any():
-                break
-            idx[mask] += 1
-        return idx
+        idx = np.searchsorted(self._edges, v, side="right") - 1
+        # maximum/minimum, not np.clip: the same clamp at half the
+        # dispatch cost on the fleet's and the edge frames' small batches.
+        return np.minimum(np.maximum(idx, 0), self.count - 1)
 
     def center(self, index: int) -> float:
         if not 0 <= index < self.count:
@@ -401,23 +386,55 @@ class RunLengthEncodedTable:
             parts.append(struct.pack("<IB", end, value))
         return b"".join(parts)
 
+    @property
+    def max_value(self) -> int:
+        """Largest decision value across all runs."""
+        return max(self._run_values)
+
     @classmethod
     def from_bytes(cls, blob: bytes) -> "RunLengthEncodedTable":
-        (count,) = struct.unpack_from("<I", blob, 0)
-        ends, values = [], []
-        offset = 4
+        """Inverse of :meth:`to_bytes`, in O(runs) time and memory.
+
+        Only the canonical (:meth:`encode`) form loads: adjacent runs
+        with equal values are refused, so :meth:`DecisionTable.
+        same_decisions` can compare encodings byte for byte.
+        """
+        (count,) = _RLE_HEADER.unpack_from(blob, 0)
+        ends: List[int] = []
+        values: List[int] = []
+        offset = _RLE_HEADER.size
         for _ in range(count):
-            end, value = struct.unpack_from("<IB", blob, offset)
-            offset += 5
+            end, value = _RLE_RECORD.unpack_from(blob, offset)
+            offset += _RLE_RECORD.size
+            if values and value == values[-1]:
+                raise ValueError(_SPLIT_RUN)
             ends.append(end)
             values.append(value)
         return cls(ends, values)
+
+    def full_vector(self):
+        """The decisions one byte per entry: a ``uint8`` array (a
+        ``bytearray`` without NumPy), built straight from the runs."""
+        if HAVE_NUMPY:
+            lengths = np.diff(np.asarray(self._run_ends, dtype=np.int64), prepend=0)
+            return np.repeat(np.asarray(self._run_values, dtype=np.uint8), lengths)
+        flat = bytearray()
+        start = 0
+        for end, value in zip(self._run_ends, self._run_values):
+            flat += bytes((value,)) * (end - start)
+            start = end
+        return flat
 
 
 #: Serialized RLE layout: ``u32 run count`` then one ``(u32 end, u8 value)``
 #: record per run — 5 bytes, unaligned, little-endian.
 _RLE_HEADER = struct.Struct("<I")
 _RLE_RECORD = struct.Struct("<IB")
+_SPLIT_RUN = "adjacent runs must hold different values"
+#: Serialized table header after the magic: two ``(f64 low, f64 high,
+#: u32 count, u8 spacing)`` binnings, then ``(u32 levels, u8 keep_full)``.
+_BINNING_HEADER = struct.Struct("<ddIB")
+_SHAPE_HEADER = struct.Struct("<IB")
 
 
 class MappedRunLengthTable:
@@ -437,10 +454,10 @@ class MappedRunLengthTable:
     then answer every batch with one ``searchsorted`` — the big mmap'd
     decision vector itself is still never expanded.
 
-    Construction validates the run structure (strictly increasing ends)
-    in one O(runs) scan — the scan does not compromise the zero-copy
-    story.  The memoryview held here keeps the underlying buffer (and
-    any ``mmap`` behind it) alive.
+    Construction validates the run structure (strictly increasing ends,
+    adjacent runs holding different values) in one O(runs) scan — the
+    scan does not compromise the zero-copy story.  The memoryview held
+    here keeps the underlying buffer (and any ``mmap`` behind it) alive.
     """
 
     __slots__ = ("_view", "_num_runs", "_length", "_max_value", "_ends_arr", "_values_arr")
@@ -461,6 +478,7 @@ class MappedRunLengthTable:
             )
         self._view = view[:need]
         prev = 0
+        prev_value = -1
         max_value = 0
         for run in range(count):
             end, value = _RLE_RECORD.unpack_from(
@@ -468,7 +486,9 @@ class MappedRunLengthTable:
             )
             if end <= prev:
                 raise ValueError("run ends must be strictly increasing and positive")
-            prev = end
+            if value == prev_value:
+                raise ValueError(_SPLIT_RUN)
+            prev, prev_value = end, value
             if value > max_value:
                 max_value = value
         self._num_runs = count
@@ -757,8 +777,7 @@ class DecisionTable:
 
     @staticmethod
     def _pack_binning(binning: Binning) -> bytes:
-        return struct.pack(
-            "<ddIB",
+        return _BINNING_HEADER.pack(
             binning.low,
             binning.high,
             binning.count,
@@ -766,12 +785,14 @@ class DecisionTable:
         )
 
     @staticmethod
-    def _unpack_binning(blob: bytes, offset: int) -> Tuple[Binning, int]:
-        low, high, count, code = struct.unpack_from("<ddIB", blob, offset)
+    def _unpack_binning(view, offset: int) -> Tuple[tuple, int]:
+        """One binning header as the ``(low, high, count, spacing)``
+        arguments of :class:`Binning`, which is not built here."""
+        low, high, count, code = _BINNING_HEADER.unpack_from(view, offset)
         spacing = {v: k for k, v in DecisionTable._SPACING_CODES.items()}.get(code)
         if spacing is None:
             raise ValueError(f"unknown binning spacing code {code}")
-        return Binning(low, high, count, spacing), offset + struct.calcsize("<ddIB")
+        return (low, high, count, spacing), offset + _BINNING_HEADER.size
 
     def to_bytes(self) -> bytes:
         """Lossless serialization: binnings, shape flags, then the RLE.
@@ -784,45 +805,20 @@ class DecisionTable:
                 self._MAGIC,
                 self._pack_binning(self.buffer_bins),
                 self._pack_binning(self.throughput_bins),
-                struct.pack("<IB", self.num_levels, int(self._full is not None)),
+                _SHAPE_HEADER.pack(self.num_levels, int(self._full is not None)),
                 self._rle.to_bytes(),
             ]
         )
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "DecisionTable":
-        """Inverse of :meth:`to_bytes`."""
-        if blob[: len(cls._MAGIC)] != cls._MAGIC:
-            raise ValueError("not a serialized DecisionTable")
-        offset = len(cls._MAGIC)
-        buffer_bins, offset = cls._unpack_binning(blob, offset)
-        throughput_bins, offset = cls._unpack_binning(blob, offset)
-        num_levels, keep_full = struct.unpack_from("<IB", blob, offset)
-        offset += struct.calcsize("<IB")
-        rle = RunLengthEncodedTable.from_bytes(blob[offset:])
-        return cls(
-            buffer_bins,
-            num_levels,
-            throughput_bins,
-            rle.decode(),
-            keep_full=bool(keep_full),
-        )
+    def _deserialize(cls, buffer, mapped: bool) -> "DecisionTable":
+        """Header first, then the runs, then the binnings.
 
-    @classmethod
-    def from_buffer(cls, buffer) -> "DecisionTable":
-        """Zero-copy view over a serialized table (the :meth:`to_bytes`
-        layout), typically an ``mmap`` of a published table file.
-
-        Unlike :meth:`from_bytes`, the decision vector is never decoded:
-        lookups binary-search the serialized run records in place through
-        a :class:`MappedRunLengthTable`, so N worker processes mapping
-        the same file share one copy of the table in page cache.  Only
-        the fixed-size header (binnings, ladder size) and the O(runs)
-        structure validation read the buffer up front.
-
-        ``lookup``/``lookup_traced`` answers are identical to the
-        in-memory table's — :meth:`same_decisions` (or the Hypothesis
-        parity suite) checks that end to end.
+        Nothing the header sizes — no :class:`Binning`, no decision
+        array — is built until the runs' last end equals the declared
+        index space and every run value is a ladder index, so a forged
+        header costs time and memory in proportion to the blob, not to
+        the counts it declares.
         """
         view = memoryview(buffer)
         if view.ndim != 1 or view.itemsize != 1:
@@ -830,15 +826,17 @@ class DecisionTable:
         magic_len = len(cls._MAGIC)
         if bytes(view[:magic_len]) != cls._MAGIC:
             raise ValueError("not a serialized DecisionTable")
-        offset = magic_len
-        buffer_bins, offset = cls._unpack_binning(view, offset)
-        throughput_bins, offset = cls._unpack_binning(view, offset)
-        num_levels, _keep_full = struct.unpack_from("<IB", view, offset)
-        offset += struct.calcsize("<IB")
+        buffer_spec, offset = cls._unpack_binning(view, magic_len)
+        throughput_spec, offset = cls._unpack_binning(view, offset)
+        num_levels, keep_full = _SHAPE_HEADER.unpack_from(view, offset)
+        offset += _SHAPE_HEADER.size
         if num_levels < 1:
             raise ValueError("need at least one ladder level")
-        rle = MappedRunLengthTable(view[offset:])
-        expected = buffer_bins.count * num_levels * throughput_bins.count
+        if mapped:
+            rle = MappedRunLengthTable(view[offset:])
+        else:
+            rle = RunLengthEncodedTable.from_bytes(view[offset:])
+        expected = buffer_spec[2] * num_levels * throughput_spec[2]
         if len(rle) != expected:
             raise ValueError(
                 f"{len(rle)} decisions but the index space has {expected}"
@@ -846,12 +844,40 @@ class DecisionTable:
         if rle.max_value >= num_levels:
             raise ValueError("decisions must be valid ladder level indices")
         table = object.__new__(cls)
-        table.buffer_bins = buffer_bins
+        table.buffer_bins = Binning(*buffer_spec)
         table.num_levels = num_levels
-        table.throughput_bins = throughput_bins
+        table.throughput_bins = Binning(*throughput_spec)
         table._rle = rle
-        table._full = None
+        table._full = rle.full_vector() if keep_full and not mapped else None
         return table
+
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> "DecisionTable":
+        """Inverse of :meth:`to_bytes`.
+
+        Adopts the validated runs as they are instead of expanding them
+        to the full vector.
+        """
+        return cls._deserialize(blob, mapped=False)
+
+    @classmethod
+    def from_buffer(cls, buffer) -> "DecisionTable":
+        """Zero-copy view over a serialized table (the :meth:`to_bytes`
+        layout), typically an ``mmap`` of a published table file.
+
+        Unlike :meth:`from_bytes`, the runs are not even parsed: lookups
+        binary-search the serialized run records in place through a
+        :class:`MappedRunLengthTable`, so N worker processes mapping the
+        same file share one copy of the table in page cache.  Only the
+        fixed-size header (binnings, ladder size) and the O(runs)
+        structure validation read the buffer up front, and the
+        ``keep_full`` flag is ignored.
+
+        ``lookup``/``lookup_traced`` answers are identical to the
+        in-memory table's — :meth:`same_decisions` (or the Hypothesis
+        parity suite) checks that end to end.
+        """
+        return cls._deserialize(buffer, mapped=True)
 
     def same_decisions(self, other: "DecisionTable") -> bool:
         """True when ``other`` answers every lookup identically.

@@ -357,12 +357,6 @@ def _highest_at_most_batch(ladder_array, budgets):
 class _BatchController:
     """Array-of-sessions decision interface driven by the stepper."""
 
-    #: Controllers whose predictors consume the on/off structure of the
-    #: download (gap-corrected twins) set this True; the stepper then
-    #: runs the stall-collecting trace walk and passes duration/stall
-    #: arrays to :meth:`observe`.
-    wants_gap_context = False
-
     def prepare(self, manifest: VideoManifest, config: SessionConfig, n: int):
         self.manifest = manifest
         self.config = config
@@ -380,8 +374,8 @@ class _BatchController:
     def observe(self, throughput_kbps, download_time_s=None, stall_s=None) -> None:
         """Feedback after the chunk completed (raw ``size / time``).
 
-        ``download_time_s`` / ``stall_s`` are only populated (and only
-        consumed) when :attr:`wants_gap_context` is set.
+        The stepper always passes the download times and the stalled
+        seconds inside them; only the gap-corrected twins consume them.
         """
 
 
@@ -555,7 +549,6 @@ class _BatchFastMPC(_BatchController):
     ):
         self.robust = robust
         self.gap = gap
-        self.wants_gap_context = gap
         self.table_config = table_config
         self.cache_dir = cache_dir
 

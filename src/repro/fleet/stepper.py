@@ -19,15 +19,12 @@ What makes exactness possible (and where the traps were):
   summation), so none are used where the scalar code sums sequentially:
   QoE quality/switching totals and the rebuffer total accumulate chunk
   by chunk with elementwise adds, in the simulator's own order.
-* Download times invert the trace integral with a masked lockstep
-  re-implementation of :meth:`Trace.download_time_and_stall` — the same
-  segment walk, the same ``_EPS`` completion test, the same
-  floor-division repetition skip over the trace's cached per-pass
-  kilobits — never a closed-form inversion, whose rounding would
-  diverge.
-* Segment location is comparison-only (a per-session hint index advanced
-  while ``t >= times[idx+1]``, exactly ``bisect_right``'s recurrence),
-  not arithmetic search, so it cannot disagree with the scalar walk.
+* Download times and stalls come from the scalar simulator's own walk:
+  :class:`TraceBank` calls :meth:`Trace.download_time_and_stall` once
+  per session, so they are the reference floats by construction.  A
+  download costs one bisect plus the segments it spans, which measured
+  cheaper at every fleet batch size than a masked lockstep walk over all
+  sessions at once (``docs/performance.md``).
 * Under the FIRST_CHUNK startup policy every supported controller's
   ``select_startup_wait`` is the base-class 0.0, and playback always
   starts at the first chunk's completion — which pins
@@ -48,7 +45,7 @@ from typing import List, Optional, Sequence
 from ..abr.base import SessionConfig
 from ..core.fastmpc import FastMPCConfig
 from ..core.npcompat import HAVE_NUMPY, np
-from ..traces.trace import Trace, _EPS, _NEVER_COMPLETES
+from ..traces.trace import Trace, _NEVER_COMPLETES
 from ..video.manifest import VideoManifest
 from .controllers import (
     SUPPORTED_CONTROLLERS,
@@ -101,218 +98,44 @@ class BatchResult:
 
 
 # ----------------------------------------------------------------------
-# TraceBank — flattened piecewise-constant traces for gather access
+# TraceBank — the batch's per-session download inversion
 # ----------------------------------------------------------------------
 
 
 class TraceBank:
-    """Per-session views over the batch's (deduplicated) traces.
+    """Per-session view of the batch's traces: row i is session i's trace.
 
-    Stores every unique trace's segment start times, bandwidths, and
-    segment ends as slices of flat arrays, plus per-session gather
-    offsets.  ``segend_flat`` holds ``times[i+1]`` (or the duration for
-    the last segment) **copied, not recomputed**, so the lockstep walk
-    compares and subtracts exactly the floats the scalar walk does.
-    ``per_pass`` and ``stall_pp`` are the trace's cached
-    :attr:`~Trace.kilobits_per_pass` and :attr:`~Trace.stall_per_pass_s`
-    for the same reason.
+    :meth:`download_time_and_stall` inverts every row's download with
+    :meth:`Trace.download_time_and_stall` itself, so the batch's download
+    times and stalls are the scalar simulator's floats, and both engines
+    refuse non-finite sizes and downloads that never complete with the
+    same ``ValueError``.  A trace that delivers nothing per pass is
+    refused here, before the first chunk.
     """
+
+    __slots__ = ("_traces",)
 
     def __init__(self, traces: Sequence[Trace]) -> None:
         if not HAVE_NUMPY:  # pragma: no cover - vector engine is gated
             raise RuntimeError("TraceBank requires NumPy")
-        unique: dict = {}
-        order: List[Trace] = []
-        session_tids: List[int] = []
-        for trace in traces:
-            tid = unique.get(id(trace))
-            if tid is None:
-                tid = len(order)
-                unique[id(trace)] = tid
-                order.append(trace)
-            session_tids.append(tid)
-
-        times_flat: List[float] = []
-        bw_flat: List[float] = []
-        segend_flat: List[float] = []
-        offsets: List[int] = []
-        nseg: List[int] = []
-        durations: List[float] = []
-        per_pass: List[float] = []
-        stall_pp: List[float] = []
-        for trace in order:
-            offsets.append(len(times_flat))
-            times = list(trace.timestamps)
-            times_flat.extend(times)
-            bw_flat.extend(trace.bandwidths_kbps)
-            segend_flat.extend(times[1:])
-            segend_flat.append(trace.duration_s)
-            nseg.append(len(times))
-            durations.append(trace.duration_s)
-            bits = trace.kilobits_per_pass
-            if bits <= 0:
+        self._traces = list(traces)
+        for trace in self._traces:
+            if trace.kilobits_per_pass <= 0:
                 raise ValueError(_NEVER_COMPLETES)
-            per_pass.append(bits)
-            stall_pp.append(trace.stall_per_pass_s)
 
-        self.num_traces = len(order)
-        self.times_flat = np.asarray(times_flat, dtype=np.float64)
-        self.bw_flat = np.asarray(bw_flat, dtype=np.float64)
-        self.segend_flat = np.asarray(segend_flat, dtype=np.float64)
-        tids = np.asarray(session_tids, dtype=np.int64)
-        self.off = np.asarray(offsets, dtype=np.int64)[tids]
-        self.nseg = np.asarray(nseg, dtype=np.int64)[tids]
-        self.duration = np.asarray(durations, dtype=np.float64)[tids]
-        self.per_pass = np.asarray(per_pass, dtype=np.float64)[tids]
-        self.stall_pp = np.asarray(stall_pp, dtype=np.float64)[tids]
-        self._max_nseg = int(max(nseg)) if nseg else 0
-
-    # ------------------------------------------------------------------
-
-    def _wrap(self, t):
-        """``Trace._wrap`` per session: identity below the duration,
-        Python float ``%`` (exact fmod for positive operands) above."""
-        wrapped = t >= self.duration
-        if not wrapped.any():
-            return t.copy()
-        tw = t.copy()
-        for i in np.nonzero(wrapped)[0].tolist():
-            tw[i] = float(t[i]) % float(self.duration[i])
-        return tw
-
-    def locate(self, tw, hint):
-        """``bisect_right(times, tw) - 1`` via hint advance.
-
-        Comparison-only: reset the hint to 0 where the session wrapped
-        behind it, then advance while ``tw >= times[idx + 1]`` — the
-        exact ``bisect_right`` recurrence, immune to rounding.
-        """
-        idx = hint.copy()
-        behind = tw < self.times_flat[self.off + idx]
-        if behind.any():
-            idx[behind] = 0
-        while True:
-            can = idx + 1 < self.nseg
-            pos = np.where(can, self.off + idx + 1, self.off)
-            advance = can & (tw >= self.times_flat[pos])
-            if not advance.any():
-                return idx
-            idx = idx + advance
-
-    def time_to_download(self, t0, size_kilobits, hint):
-        """Vectorized :meth:`Trace.time_to_download` — exact per session.
-
-        A masked lockstep walk: each iteration advances every still-
-        downloading session by one trace segment, with the scalar
-        inverter's own phase structure (leading partial pass, floor-
-        division skip over whole repetitions, wrapped tail walk) and its
-        ``_EPS`` completion test.  ``hint`` is updated in place with the
-        located start segment for the next chunk's warm start.
-        """
-        return self._walk(t0, size_kilobits, hint, collect_stall=False)[0]
-
-    def download_time_and_stall(self, t0, size_kilobits, hint):
-        """Vectorized :meth:`Trace.download_time_and_stall`.
-
-        The identical walk with a stall accumulator bolted on — zero-
-        bandwidth segments contribute their length, whole-repetition
-        skips contribute ``full * stall_per_pass`` — mirroring the
-        scalar method's accrual points exactly, and (like the scalar
-        twin) never touching the download-time arithmetic.
-        """
-        return self._walk(t0, size_kilobits, hint, collect_stall=True)
-
-    def _walk(self, t0, size_kilobits, hint, collect_stall):
-        remaining = np.asarray(size_kilobits, dtype=np.float64).copy()
-        if not np.isfinite(remaining).all():
-            raise ValueError("size must be finite")
-        if (remaining < 0.0).any():
-            raise ValueError("size must be >= 0")
-        n = int(t0.shape[0])
-        tw = self._wrap(t0)
-        start_idx = self.locate(tw, hint)
-        hint[:] = start_idx
-
-        out = np.zeros(n, dtype=np.float64)
-        stall = np.zeros(n, dtype=np.float64)
-        elapsed = np.zeros(n, dtype=np.float64)
-        t = tw.copy()
-        idx = start_idx.copy()
-        # 0 = leading pass, 1 = post-skip, 2 = post-skip after one lap.
-        phase = np.zeros(n, dtype=np.int8)
-        active = remaining > 0.0  # size 0 downloads take 0 s, as scalar
-
-        guard = 3 * self._max_nseg + 64
-        iteration = 0
-        while active.any():
-            iteration += 1
-            if iteration > guard:  # pragma: no cover - defensive
-                raise RuntimeError("download walk failed to terminate")
-            ids = np.nonzero(active)[0]
-
-            # Leading pass exhausted: skip whole repetitions by floor
-            # division, then restart the walk from the top of the trace.
-            trans = (phase[ids] == 0) & (idx[ids] >= self.nseg[ids])
-            if trans.any():
-                tids = ids[trans]
-                big = remaining[tids] > _EPS
-                if big.any():
-                    mids = tids[big]
-                    with np.errstate(over="ignore"):
-                        full = np.floor(remaining[mids] / self.per_pass[mids])
-                    if np.isinf(full).any():
-                        raise ValueError(_NEVER_COMPLETES)
-                    remaining[mids] = remaining[mids] - full * self.per_pass[mids]
-                    elapsed[mids] = elapsed[mids] + full * self.duration[mids]
-                    if collect_stall:
-                        stall[mids] = stall[mids] + full * self.stall_pp[mids]
-                phase[tids] = 1
-                t[tids] = 0.0
-                idx[tids] = 0
-
-            # Post-skip loop condition: `while remaining > _EPS`.
-            done = (phase[ids] != 0) & (remaining[ids] <= _EPS)
-            if done.any():
-                dids = ids[done]
-                out[dids] = elapsed[dids]
-                active[dids] = False
-                ids = np.nonzero(active)[0]
-                if ids.size == 0:
-                    break
-
-            # One segment step, identical arithmetic to the scalar walk.
-            pos = self.off[ids] + idx[ids]
-            bw = self.bw_flat[pos]
-            seg_end = self.segend_flat[pos]
-            seg_len = seg_end - t[ids]
-            seg_bits = bw * seg_len
-            rem = remaining[ids]
-            finish = (seg_bits >= rem - _EPS) & (bw > 0.0)
-            if finish.any():
-                fids = ids[finish]
-                out[fids] = elapsed[fids] + rem[finish] / bw[finish]
-                active[fids] = False
-            cont = ~finish
-            if cont.any():
-                cids = ids[cont]
-                remaining[cids] = remaining[cids] - seg_bits[cont]
-                elapsed[cids] = elapsed[cids] + seg_len[cont]
-                if collect_stall:
-                    zero = bw[cont] == 0.0
-                    if zero.any():
-                        zids = cids[zero]
-                        stall[zids] = stall[zids] + seg_len[cont][zero]
-                t[cids] = seg_end[cont]
-                idx[cids] = idx[cids] + 1
-                wrap = (phase[cids] != 0) & (idx[cids] >= self.nseg[cids])
-                if wrap.any():
-                    wids = cids[wrap]
-                    if (phase[wids] == 2).any():
-                        raise ValueError(_NEVER_COMPLETES)
-                    phase[wids] = 2
-                    t[wids] = 0.0
-                    idx[wids] = 0
-        return out, stall
+    def download_time_and_stall(self, t0, size_kilobits):
+        """Per-session :meth:`Trace.download_time_and_stall`: the download
+        times and the stalled seconds inside them, as two float64 arrays."""
+        pairs = [
+            trace.download_time_and_stall(t, size)
+            for trace, t, size in zip(
+                self._traces,
+                np.asarray(t0, dtype=np.float64).tolist(),
+                np.asarray(size_kilobits, dtype=np.float64).tolist(),
+            )
+        ]
+        times, stalls = zip(*pairs) if pairs else ((), ())
+        return np.array(times, dtype=np.float64), np.array(stalls, dtype=np.float64)
 
 
 # ----------------------------------------------------------------------
@@ -379,14 +202,12 @@ def _run_vector(
     quality_total = np.zeros(n, dtype=np.float64)
     switching_total = np.zeros(n, dtype=np.float64)
     bitrate_total = np.zeros(n, dtype=np.float64)
-    hint = np.zeros(n, dtype=np.int64)
 
     levels_out = np.empty((n, num_chunks), dtype=np.int64)
     rebuffer_out = np.empty((n, num_chunks), dtype=np.float64)
     buffer_out = np.empty((n, num_chunks), dtype=np.float64)
     download_out = np.empty((n, num_chunks), dtype=np.float64)
 
-    wants_gap = controller.wants_gap_context
     for k in range(num_chunks):
         levels = controller.decide(k, buffer_s, prev_levels)
         if levels.size and (levels.min() < 0 or levels.max() >= num_levels):
@@ -394,11 +215,7 @@ def _run_vector(
                 f"{controller_name} returned an invalid level for chunk {k}"
             )
         size = sizes[k][levels]
-        if wants_gap:
-            download_time, stalled = bank.download_time_and_stall(t, size, hint)
-        else:
-            download_time = bank.time_to_download(t, size, hint)
-            stalled = None
+        download_time, stalled = bank.download_time_and_stall(t, size)
         t_end = t + download_time
 
         if k == 0:
@@ -549,8 +366,8 @@ def run_batch(
     controller:
         One of :data:`~repro.fleet.controllers.SUPPORTED_CONTROLLERS`.
     traces:
-        One :class:`Trace` per session (repeats allowed and deduplicated
-        internally).  Empty input returns a well-formed empty result.
+        One :class:`Trace` per session (repeats allowed).  Empty input
+        returns a well-formed empty result.
     engine:
         ``"auto"`` (vector when NumPy is available, else scalar),
         ``"vector"``, or ``"scalar"``.  Both engines produce identical

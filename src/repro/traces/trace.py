@@ -302,8 +302,9 @@ class Trace:
         "Stalled" means time spent inside zero-bandwidth segments
         (blackouts compiled in by :func:`repro.faults.trace.
         apply_trace_faults`); whole-repetition skips contribute
-        ``full * stall_per_pass_s``, which is also how the fleet stepper's
-        vectorized twin computes it.  The stall sums never touch the time
+        ``full * stall_per_pass_s``.  The fleet stepper's
+        :class:`~repro.fleet.stepper.TraceBank` calls this walk for every
+        session of a batch.  The stall sums never touch the time
         arithmetic.
 
         Raises ``ValueError`` for a negative or non-finite size, and when

@@ -193,6 +193,40 @@ class TestTableSwap:
 
         run(with_server(service, inner))
 
+    @pytest.mark.parametrize(
+        "counts",
+        [(2_000_000, 1, 1, 1), (65535, 1, 65535, 65535 * 65535)],
+        ids=["forged-bin-count", "huge-one-level-space"],
+    )
+    def test_forged_table_sizes_rejected(self, test_table, counts):
+        """A 64-byte blob is refused by what it holds, not by what its
+        header declares: a bin count the runs do not fill, and a space
+        of 2^32 - 131071 entries for a one-level ladder.  Neither is
+        expanded, so neither can raise MemoryError past the handler."""
+        buffer_count, num_levels, throughput_count, end = counts
+        blob = b"".join(
+            [
+                DecisionTable._MAGIC,
+                struct.pack("<ddIB", 0.0, 30.0, buffer_count, 0),
+                struct.pack("<ddIB", 10.0, 6000.0, throughput_count, 1),
+                struct.pack("<IB", num_levels, 0),
+                struct.pack("<I", 1),
+                struct.pack("<IB", end, 0),
+            ]
+        )
+        assert len(blob) == 64
+        service = DecisionService(LADDER, table=test_table)
+
+        async def inner(server):
+            async with ServiceClient("127.0.0.1", server.bound_port) as client:
+                with pytest.raises(ServiceUnavailable, match="400 bad table"):
+                    await client.swap_table(blob)
+                response = await client.decide(make_request())
+                assert response.source == SOURCE_TABLE
+                assert response.level_index == test_table.lookup(10.0, 2, 1500.0)
+
+        run(with_server(service, inner))
+
 
 class TestConnectionHandling:
     def test_keep_alive_reuses_connection(self, test_table):

@@ -1,8 +1,8 @@
-"""Degenerate trace input: a defined outcome in both inversion engines.
+"""Degenerate trace input: a defined outcome in both engines.
 
 The scalar walk (:meth:`Trace.download_time_and_stall`) and the fleet's
-lockstep twin (:class:`repro.fleet.stepper.TraceBank`) must refuse
-non-finite input and downloads that never complete with the same
+per-session view over it (:class:`repro.fleet.stepper.TraceBank`) must
+refuse non-finite input and downloads that never complete with the same
 ``ValueError`` — never a hang, an ``OverflowError``, ``inf`` or a silent
 ``0.0``.  The per-pass constants a trace caches must survive pickling.
 """
@@ -25,9 +25,7 @@ INF = float("inf")
 
 def bank_download(trace: Trace, t0: float, size: float):
     bank = TraceBank([trace])
-    time_s, stall_s = bank.download_time_and_stall(
-        np.array([t0]), np.array([size]), np.zeros(1, dtype=np.int64)
-    )
+    time_s, stall_s = bank.download_time_and_stall(np.array([t0]), np.array([size]))
     return float(time_s[0]), float(stall_s[0])
 
 
