@@ -11,11 +11,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from ..core.fastmpc import FastMPCController
-
-try:  # the MDP extension needs NumPy; the rest of the zoo does not
-    from ..core.mdp import MDPController
-except ImportError:  # pragma: no cover - exercised by the no-numpy test
-    MDPController = None  # type: ignore[assignment, misc]
+from ..core.mdp import MDPController
 from ..core.mpc import MPCController, make_mpc_opt
 from ..core.robust import RobustMPCController
 from ..prediction.streaming import GapCorrectedHarmonicPredictor
@@ -50,20 +46,17 @@ _FACTORIES: Dict[str, Callable[[], ABRAlgorithm]] = {
         predictor=GapCorrectedHarmonicPredictor(), name="fastmpc-gap"
     ),
     "mpc-opt": make_mpc_opt,
+    "mdp": MDPController,
     "lowest": lambda: ConstantLevelAlgorithm(0),
     "highest": lambda: ConstantLevelAlgorithm(-1),
     # The arena's fairness-aware arm: BOLA clamped to its measured
     # throughput share (docs/fairness.md).
     "fair-bola": lambda: FairShareCappedAlgorithm(BolaAlgorithm()),
 }
-if MDPController is not None:
-    _FACTORIES["mdp"] = MDPController
 
 #: Names shipped with the repo; :func:`register`/:func:`unregister` refuse
 #: to touch them so user plugins cannot shadow or strand the paper zoo.
-#: ``mdp`` is always protected, even when NumPy's absence keeps it out of
-#: the live registry.
-_BUILTIN_NAMES = frozenset(_FACTORIES) | {"mdp"}
+_BUILTIN_NAMES = frozenset(_FACTORIES)
 
 
 def register(
@@ -105,10 +98,6 @@ def create(name: str) -> ABRAlgorithm:
     try:
         factory = _FACTORIES[name]
     except KeyError:
-        if name == "mdp" and MDPController is None:
-            raise ValueError(
-                "algorithm 'mdp' requires NumPy, which is not installed"
-            ) from None
         raise ValueError(
             f"unknown algorithm {name!r}; available: {', '.join(available())}"
         ) from None

@@ -419,8 +419,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="FastMPC table discretization (default 100, the paper's)",
     )
     p.add_argument(
-        "--engine", choices=("auto", "vector", "scalar"), default="auto",
-        help="batch stepper engine (auto: vector when NumPy is available)",
+        "--engine", choices=("vector", "scalar"), default="vector",
+        help="batch stepper engine (scalar: one reference session at a time)",
     )
     p.add_argument(
         "--json", metavar="PATH", help="also write the merged aggregates as JSON"

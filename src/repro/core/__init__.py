@@ -21,16 +21,7 @@ from .fastmpc import (
     clear_table_cache,
     table_size_sweep,
 )
-# The MDP extension is the one core module that genuinely needs NumPy
-# (dense transition matrices, value iteration).  Everything else runs on
-# the pure-Python fallbacks (see .npcompat), so a NumPy-less environment
-# still imports the package and serves decisions; the MDP symbols
-# degrade to None there.
-try:
-    from .mdp import MDPController, ThroughputMarkovModel
-except ImportError:  # pragma: no cover - exercised by the no-numpy test
-    MDPController = None  # type: ignore[assignment, misc]
-    ThroughputMarkovModel = None  # type: ignore[assignment, misc]
+from .mdp import MDPController, ThroughputMarkovModel
 from .planner import OfflineBeamPlanner, PlanResult
 from .offline import (
     CumulativeBits,

@@ -187,17 +187,11 @@ def build_decision_table(
         buffer_capacity_s=buffer_capacity_s,
     )
 
-    if hasattr(decisions, "reshape"):
-        decisions_flat = decisions.reshape(-1)
-    else:  # pure-Python fallback: nested (buffer, prev, throughput) lists
-        decisions_flat = [
-            level for plane in decisions for row in plane for level in row
-        ]
     table = DecisionTable(
         buffer_binning,
         len(ladder),
         throughput_binning,
-        decisions_flat,
+        decisions.reshape(-1),
         keep_full=config.keep_full_table,
     )
     if use_cache:

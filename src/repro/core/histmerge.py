@@ -19,9 +19,9 @@ Two deliberate determinism properties for the fleet driver:
 * bucket counts, the total count, and the max are exact and
   order-independent;
 * :meth:`FixedBucketHistogram.observe_many` accumulates the value sum
-  with :func:`math.fsum` (correctly rounded, hence independent of both
-  observation order and of whether the NumPy bucketing fast path ran),
-  so per-shard sums are reproducible bit for bit across worker counts.
+  with :func:`math.fsum` (correctly rounded, hence independent of
+  observation order), so per-shard sums are reproducible bit for bit
+  across worker counts.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import bisect
 import math
 from typing import List, Optional, Sequence, Type
 
-from .npcompat import HAVE_NUMPY, np
+import numpy as np
 
 __all__ = [
     "FixedBucketHistogram",
@@ -97,12 +97,11 @@ class FixedBucketHistogram:
     def observe_many(self, values: Sequence[float]) -> None:
         """Bulk :meth:`observe` with order-independent accumulation.
 
-        Bucket counts come from a vectorized ``searchsorted`` when NumPy
-        is available (identical to per-value ``bisect_left``); the sum
-        uses :func:`math.fsum`, so the result does not depend on the
-        order of ``values`` or on the NumPy fast path being taken.
+        Bucket counts come from a vectorized ``searchsorted`` (identical
+        to per-value ``bisect_left``); the sum uses :func:`math.fsum`, so
+        the result does not depend on the order of ``values``.
         """
-        if HAVE_NUMPY and not isinstance(values, (list, tuple)):
+        if not isinstance(values, (list, tuple)):
             values = np.asarray(values, dtype=np.float64).tolist()
         else:
             values = [float(v) for v in values]
@@ -110,14 +109,10 @@ class FixedBucketHistogram:
             return
         if self.non_negative and min(values) < 0:
             raise ValueError(f"{self.value_name} must be >= 0")
-        if HAVE_NUMPY:
-            arr = np.asarray(values, dtype=np.float64)
-            idx = np.searchsorted(np.asarray(self._bounds), arr, side="left")
-            for i, c in zip(*[u.tolist() for u in np.unique(idx, return_counts=True)]):
-                self._counts[i] += c
-        else:
-            for v in values:
-                self._counts[bisect.bisect_left(self._bounds, v)] += 1
+        arr = np.asarray(values, dtype=np.float64)
+        idx = np.searchsorted(np.asarray(self._bounds), arr, side="left")
+        for i, c in zip(*[u.tolist() for u in np.unique(idx, return_counts=True)]):
+            self._counts[i] += c
         self._count += len(values)
         self._sum = math.fsum([self._sum] + values)
         peak = max(values)

@@ -29,11 +29,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from .npcompat import HAVE_NUMPY, np
+import numpy as np
+
 from ..qoe import QoEWeights
-from ..video.quality import QualityFunction
 
 __all__ = [
     "HorizonProblem",
@@ -135,8 +135,7 @@ def _plan_matrix(num_levels: int, horizon: int):
 
     The returned array is shared by every caller (it is memoised), so it
     is marked read-only — a consumer mutating it in place would silently
-    corrupt every other caller's plan space.  Without NumPy the plans
-    come back as an (immutable) tuple of tuples in the same order.
+    corrupt every other caller's plan space.
     """
     if num_levels**horizon > 2_000_000:
         raise ValueError(
@@ -144,8 +143,6 @@ def _plan_matrix(num_levels: int, horizon: int):
             "reduce the horizon or ladder size"
         )
     ranges = [range(num_levels)] * horizon
-    if not HAVE_NUMPY:
-        return tuple(itertools.product(*ranges))
     plans = np.array(list(itertools.product(*ranges)), dtype=np.int64)
     plans.setflags(write=False)
     return plans
@@ -326,10 +323,7 @@ def solve_startup(
         raise ValueError("max wait must be >= 0")
     mu_s = problem.weights.startup
     steps = int(round(max_wait_s / wait_step_s))
-    if HAVE_NUMPY:
-        waits = np.minimum(np.arange(steps + 1) * wait_step_s, max_wait_s)
-    else:
-        waits = [min(i * wait_step_s, max_wait_s) for i in range(steps + 1)]
+    waits = np.minimum(np.arange(steps + 1) * wait_step_s, max_wait_s)
 
     best: Optional[HorizonSolution] = None
     if problem.num_levels**problem.horizon > _ENUMERATION_LIMIT:
@@ -353,35 +347,21 @@ def solve_startup(
     from .kernel import _solve_rows
 
     plans = _plan_matrix(problem.num_levels, problem.horizon)
-    if HAVE_NUMPY:
-        sizes = np.asarray(problem.chunk_sizes_kilobits, dtype=np.float64)
-        preds = np.asarray(problem.predicted_kbps, dtype=np.float64)
-        quality = np.asarray(problem.quality_values, dtype=np.float64)
-        buffer0 = problem.buffer_level_s + waits
-        prev = (
-            None
-            if problem.prev_quality is None
-            else np.full(waits.shape, problem.prev_quality)
-        )
-    else:
-        sizes = problem.chunk_sizes_kilobits
-        preds = problem.predicted_kbps
-        quality = problem.quality_values
-        buffer0 = [problem.buffer_level_s + w for w in waits]
-        prev = (
-            None
-            if problem.prev_quality is None
-            else [problem.prev_quality] * len(waits)
-        )
+    sizes = np.asarray(problem.chunk_sizes_kilobits, dtype=np.float64)
+    preds = np.asarray(problem.predicted_kbps, dtype=np.float64)
+    quality = np.asarray(problem.quality_values, dtype=np.float64)
+    buffer0 = problem.buffer_level_s + waits
+    prev = (
+        None
+        if problem.prev_quality is None
+        else np.full(waits.shape, problem.prev_quality)
+    )
     best_idx, qoe, rebuf, fin = _solve_rows(
         plans, sizes, preds, buffer0, prev, quality,
         problem.weights.switching, problem.weights.rebuffering,
         problem.chunk_duration_s, problem.buffer_capacity_s,
     )
-    if HAVE_NUMPY:
-        adjusted = qoe - mu_s * waits
-    else:
-        adjusted = [q - mu_s * w for q, w in zip(qoe, waits)]
+    adjusted = qoe - mu_s * waits
     for j in range(len(waits)):
         if best is None or adjusted[j] > best.qoe + 1e-12:
             best = HorizonSolution(

@@ -38,23 +38,20 @@ single implementation they all delegate to:
 Instance batches are chunked internally so each roll-out stays bounded
 (:data:`MAX_BATCH_ELEMENTS` leaf elements) regardless of batch size.
 
-NumPy is optional (:mod:`repro.core.npcompat`): without it, every entry
-point falls back to a pure-Python evaluation that replicates the
-vectorised arithmetic *operation for operation* — same element-wise op
-order, same first-maximum argmax — so decisions and QoE values are
-bit-identical between the two paths; only the speed differs.
+The scalar references the kernel is tested against, cell for cell and
+decision for decision, live in ``tests/core/kernel_reference.py``.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..obs.events import SolverCall
-from .npcompat import HAVE_NUMPY, np
 
 from .horizon import (
     _ENUMERATION_LIMIT,
@@ -187,7 +184,8 @@ class _BatchEvaluator:
         per plan sharing it (3,905 prefix-steps for 5 levels x horizon 5
         against 15,625 plan-steps).  Every element goes through the same
         operations in the same order as in the scalar recurrence
-        (:func:`_evaluate_one_py`), so each cell is bit-identical to it.
+        (``_evaluate_one_py`` in ``tests/core/kernel_reference.py``), so
+        each cell is bit-identical to it.
 
         Parameters
         ----------
@@ -283,97 +281,6 @@ def _thread_evaluator() -> _BatchEvaluator:
         return evaluator
 
 
-def _evaluate_one_py(
-    plan: Sequence[int],
-    sizes_rows: Sequence[Sequence[float]],
-    preds_row: Sequence[float],
-    buffer0: float,
-    prev_quality: Optional[float],
-    quality: Sequence[float],
-    switching: float,
-    rebuffering: float,
-    chunk_duration_s: float,
-    buffer_capacity_s: float,
-) -> Tuple[float, float, float]:
-    """One (instance, plan) roll-out, replicating the vectorised op order.
-
-    Each line mirrors the corresponding element-wise NumPy op in
-    :meth:`_BatchEvaluator.evaluate` (same association, commutative
-    reorderings only), so the returned ``(qoe, rebuffer, final_buffer)``
-    is bit-identical to the vectorised path's element for this cell.
-    """
-    buf = buffer0
-    qoe = 0.0
-    rebuf = 0.0
-    for i, level in enumerate(plan):
-        dt = sizes_rows[i][level] / preds_row[i]
-        stall = dt - buf
-        if stall < 0.0:
-            stall = 0.0
-        rebuf += stall
-        q_now = quality[level]
-        qoe += q_now - stall * rebuffering
-        buf = buf - dt
-        if buf < 0.0:
-            buf = 0.0
-        buf += chunk_duration_s
-        if buf > buffer_capacity_s:
-            buf = buffer_capacity_s
-        if i == 0:
-            if prev_quality is not None and not math.isnan(prev_quality):
-                qoe -= switching * abs(q_now - prev_quality)
-        else:
-            qoe -= switching * abs(q_now - quality[plan[i - 1]])
-    return qoe, rebuf, buf
-
-
-def _solve_rows_py(
-    plans,
-    sizes,
-    preds,
-    buffer0,
-    prev_quality,
-    quality,
-    switching: float,
-    rebuffering: float,
-    chunk_duration_s: float,
-    buffer_capacity_s: float,
-):
-    """Pure-Python :func:`_solve_rows` — the no-NumPy fallback.
-
-    Accepts plain sequences: ``sizes`` is shared ``(N, levels)`` rows or
-    per-instance ``(n, N, levels)``; ``preds`` shared ``(N,)`` or
-    per-instance ``(n, N)``; ``prev_quality`` per-instance values where
-    ``None``/NaN means "no previous chunk".  The strict ``>`` scan keeps
-    the first maximum — exactly NumPy's ``argmax`` tie-break.
-    """
-    shared_sizes = len(sizes) > 0 and not hasattr(sizes[0][0], "__len__")
-    shared_preds = len(preds) > 0 and not hasattr(preds[0], "__len__")
-    best: List[int] = []
-    best_qoe: List[float] = []
-    best_rebuf: List[float] = []
-    best_buf: List[float] = []
-    for row, buf0 in enumerate(buffer0):
-        sizes_rows = sizes if shared_sizes else sizes[row]
-        preds_row = preds if shared_preds else preds[row]
-        prev = None if prev_quality is None else prev_quality[row]
-        top = (-math.inf, 0.0, 0.0)
-        top_idx = 0
-        for plan_idx, plan in enumerate(plans):
-            result = _evaluate_one_py(
-                plan, sizes_rows, preds_row, buf0, prev, quality,
-                switching, rebuffering, chunk_duration_s, buffer_capacity_s,
-            )
-            if result[0] > top[0]:
-                top = result
-                top_idx = plan_idx
-        best.append(top_idx)
-        best_qoe.append(top[0])
-        best_rebuf.append(top[1])
-        best_buf.append(top[2])
-    return best, best_qoe, best_rebuf, best_buf
-
-
 def _solve_rows(
     plans,
     sizes,
@@ -392,15 +299,8 @@ def _solve_rows(
     final_buffer)``; the argmax takes the first maximum, i.e. the
     lexicographically smallest optimal plan.  The roll-out runs on the
     thread's shared evaluator, and each chunk's views of its scratch are
-    consumed here, before the next ``evaluate`` call.  Without NumPy the
-    inputs are plain sequences and the bit-identical scalar fallback
-    runs.
+    consumed here, before the next ``evaluate`` call.
     """
-    if not HAVE_NUMPY:
-        return _solve_rows_py(
-            plans, sizes, preds, buffer0, prev_quality, quality,
-            switching, rebuffering, chunk_duration_s, buffer_capacity_s,
-        )
     evaluator = _thread_evaluator()
     n = buffer0.shape[0]
     m, horizon = plans.shape
@@ -486,36 +386,22 @@ def solve_horizon_batch(
             _t0 = time.perf_counter()
         plans = _plan_matrix(num_levels, horizon)
         members = [problem_list[i] for i in idxs]
-        if HAVE_NUMPY:
-            sizes = np.asarray(
-                [p.chunk_sizes_kilobits for p in members], dtype=np.float64
-            )
-            preds = np.asarray(
-                [p.predicted_kbps for p in members], dtype=np.float64
-            )
-            buffer0 = np.asarray(
-                [p.buffer_level_s for p in members], dtype=np.float64
-            )
-            if all(p.prev_quality is None for p in members):
-                prev = None
-            else:
-                prev = np.asarray(
-                    [
-                        np.nan if p.prev_quality is None else p.prev_quality
-                        for p in members
-                    ],
-                    dtype=np.float64,
-                )
-            quality = np.asarray(quality_values, dtype=np.float64)
+        sizes = np.asarray(
+            [p.chunk_sizes_kilobits for p in members], dtype=np.float64
+        )
+        preds = np.asarray([p.predicted_kbps for p in members], dtype=np.float64)
+        buffer0 = np.asarray([p.buffer_level_s for p in members], dtype=np.float64)
+        if all(p.prev_quality is None for p in members):
+            prev = None
         else:
-            sizes = [p.chunk_sizes_kilobits for p in members]
-            preds = [p.predicted_kbps for p in members]
-            buffer0 = [p.buffer_level_s for p in members]
-            if all(p.prev_quality is None for p in members):
-                prev = None
-            else:
-                prev = [p.prev_quality for p in members]
-            quality = quality_values
+            prev = np.asarray(
+                [
+                    np.nan if p.prev_quality is None else p.prev_quality
+                    for p in members
+                ],
+                dtype=np.float64,
+            )
+        quality = np.asarray(quality_values, dtype=np.float64)
         best, qoe, rebuf, fin = _solve_rows(
             plans, sizes, preds, buffer0, prev, quality,
             lam, mu, duration, capacity,
@@ -559,9 +445,8 @@ def build_table_decisions(
     Solves every ``(buffer_bin, prev_level, throughput_bin)`` instance —
     CBR sizes, flat predictions — and returns the optimal *first* level
     of each as an ``(buffer_bins, num_levels, throughput_bins)`` int
-    array (nested lists when NumPy is absent — same shape, identical
-    decisions, scalar speed).  Ties pick the lexicographically smallest
-    plan, matching the online solver.
+    array.  Ties pick the lexicographically smallest plan, matching the
+    online solver.
 
     The quality and switching terms of a plan's QoE do not depend on the
     buffer or throughput state, so they are computed once per plan
@@ -583,33 +468,13 @@ def build_table_decisions(
     block maxima to reach the overall maximum gives the decision: plans
     are in lexicographic order, so that is the first level of the first
     maximising plan.  Every float goes through the same operations in
-    the same order as in :func:`_build_table_decisions_py`, the
-    reference this path is tested against, so the decision arrays are
-    identical.
+    the same order as in ``_build_table_decisions_py``
+    (``tests/core/kernel_reference.py``), the reference this path is
+    tested against, so the decision arrays are identical.
     """
     tracing = tracer is not None and tracer.enabled
     if tracing:
         _t0 = time.perf_counter()
-    if not HAVE_NUMPY:
-        decisions_py = _build_table_decisions_py(
-            level_sizes_kilobits, quality_values, buffer_centers,
-            throughput_centers, horizon, switching, rebuffering,
-            chunk_duration_s, buffer_capacity_s,
-        )
-        if tracing:
-            tracer.emit(
-                SolverCall(
-                    session_id="",
-                    t_mono=tracer.now(),
-                    op="table-build",
-                    instances=len(buffer_centers)
-                    * len(quality_values)
-                    * len(throughput_centers),
-                    plans=len(_plan_matrix(len(quality_values), horizon)),
-                    wall_s=time.perf_counter() - _t0,
-                )
-            )
-        return decisions_py
     sizes = np.asarray(level_sizes_kilobits, dtype=np.float64)
     quality = np.asarray(quality_values, dtype=np.float64)
     b_centers = np.asarray(buffer_centers, dtype=np.float64)
@@ -703,85 +568,3 @@ def build_table_decisions(
         )
     return decisions
 
-
-def _build_table_decisions_py(
-    level_sizes_kilobits: Sequence[float],
-    quality_values: Sequence[float],
-    buffer_centers: Sequence[float],
-    throughput_centers: Sequence[float],
-    horizon: int,
-    switching: float,
-    rebuffering: float,
-    chunk_duration_s: float,
-    buffer_capacity_s: float,
-) -> List[List[List[int]]]:
-    """Pure-Python :func:`build_table_decisions` — the no-NumPy fallback
-    and the reference the vectorised build is tested against.
-
-    The same static/first-switch/roll-out decomposition, computed cell by
-    cell and plan by plan with the exact arithmetic association of the
-    vectorised path (sequential sums, ``rebuf * -mu + (static -
-    first_switch)``, strict first-maximum argmax over all plans), so the
-    decision array is identical.  Intended for the small tables exercised
-    when serving without NumPy — the big production builds want the
-    vectorised path.
-    """
-    quality = list(quality_values)
-    sizes = list(level_sizes_kilobits)
-    num_levels = len(quality)
-    plans = _plan_matrix(num_levels, horizon)
-
-    static: List[float] = []
-    first_switch: List[List[float]] = []  # (plan, prev_level)
-    for plan in plans:
-        total = 0.0
-        for level in plan:
-            total += quality[level]
-        diff_sum = 0.0
-        for i in range(1, horizon):
-            diff_sum += abs(quality[plan[i]] - quality[plan[i - 1]])
-        if horizon > 1:
-            total = total - switching * diff_sum
-        static.append(total)
-        q_first = quality[plan[0]]
-        first_switch.append(
-            [switching * abs(q_first - q_prev) for q_prev in quality]
-        )
-
-    decisions: List[List[List[int]]] = []
-    for b0 in buffer_centers:
-        plane: List[List[int]] = [[] for _ in range(num_levels)]
-        for c_idx, c_center in enumerate(throughput_centers):
-            # Roll the rebuffer dynamics once per plan for this
-            # (buffer, throughput) cell; prev_level only shifts the
-            # score by a per-plan constant.
-            rebuf_scores: List[float] = []
-            for plan in plans:
-                buf = b0
-                rebuf = 0.0
-                for i in range(horizon):
-                    dt = sizes[plan[i]] / c_center
-                    stall = dt - buf
-                    if stall < 0.0:
-                        stall = 0.0
-                    rebuf += stall
-                    buf = buf - dt
-                    if buf < 0.0:
-                        buf = 0.0
-                    buf += chunk_duration_s
-                    if buf > buffer_capacity_s:
-                        buf = buffer_capacity_s
-                rebuf_scores.append(rebuf * -rebuffering)
-            for prev in range(num_levels):
-                best_score = -math.inf
-                best_first = 0
-                for plan_idx, plan in enumerate(plans):
-                    score = rebuf_scores[plan_idx] + (
-                        static[plan_idx] - first_switch[plan_idx][prev]
-                    )
-                    if score > best_score:
-                        best_score = score
-                        best_first = plan[0]
-                plane[prev].append(best_first)
-        decisions.append(plane)
-    return decisions

@@ -29,15 +29,6 @@ The run records are binary-searched in place (:class:`MappedRunLengthTable`),
 so many worker processes can serve one read-only table file with zero
 per-process copies; the serialized form is position-independent, which
 is what makes that sharing safe.
-
-NumPy is optional here (see :mod:`repro.core.npcompat`): every scalar
-path — quantisation, single lookups, (de)serialization — is pure
-Python, so a serving process without NumPy still answers identically;
-only the batch methods degrade to per-value loops.  One caveat: NumPy's
-``geomspace`` and ``math.pow`` can disagree by 1 ULP on log-spaced bin
-edges, so a value landing *within 1 ULP of a log bin edge* may quantize
-differently across the two environments (linear edges are bit-identical
-by construction).
 """
 
 from __future__ import annotations
@@ -49,8 +40,9 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..obs.events import TableLookup
-from .npcompat import HAVE_NUMPY, np
 
 __all__ = [
     "Binning",
@@ -59,30 +51,6 @@ __all__ = [
     "DecisionTable",
     "TableSizeReport",
 ]
-
-
-def _compute_edges(low: float, high: float, count: int, spacing: str) -> List[float]:
-    """Bin edges as a plain list.
-
-    With NumPy this is ``linspace``/``geomspace`` (the historical edge
-    values — published tables and disk caches key on them).  Without, a
-    pure-Python replica: bit-identical for linear spacing; within 1 ULP
-    for log spacing (``pow`` rounding differs between libm entry points).
-    """
-    if HAVE_NUMPY:
-        if spacing == "linear":
-            return np.linspace(low, high, count + 1).tolist()
-        return np.geomspace(low, high, count + 1).tolist()
-    if spacing == "linear":
-        step = (high - low) / count
-        edges = [i * step + low for i in range(count + 1)]
-        edges[-1] = high
-        return edges
-    log_low, log_high = math.log10(low), math.log10(high)
-    step = (log_high - log_low) / count
-    edges = [10.0 ** (i * step + log_low) for i in range(count + 1)]
-    edges[0], edges[-1] = low, high
-    return edges
 
 
 class Binning:
@@ -127,40 +95,29 @@ class Binning:
         self.high = float(high)
         self.count = count
         self.spacing = spacing
-        edges_list = _compute_edges(self.low, self.high, count, spacing)
-        if spacing == "linear":
-            centers_list = [
-                (edges_list[i] + edges_list[i + 1]) / 2.0 for i in range(count)
-            ]
-        else:
-            centers_list = [
-                math.sqrt(edges_list[i] * edges_list[i + 1]) for i in range(count)
-            ]  # geometric mid
         # The flat-lookup scale: one multiply maps a value to (almost) its
         # bin; the correction loops in index_of make it exact.
         if spacing == "linear":
+            edges = np.linspace(self.low, self.high, count + 1)
+            centers = (edges[:-1] + edges[1:]) / 2.0
             self._offset = self.low
             self._scale = count / (self.high - self.low)
         else:
+            edges = np.geomspace(self.low, self.high, count + 1)
+            centers = np.sqrt(edges[:-1] * edges[1:])  # geometric mid
             self._offset = math.log(self.low)
             self._scale = count / (math.log(self.high) - math.log(self.low))
         # Scalar lookups compare against the plain list (no per-access
         # NumPy scalar boxing); batch lookups use the shared array views.
-        self._edges_list = edges_list
-        if HAVE_NUMPY:
-            edges = np.asarray(edges_list, dtype=np.float64)
-            centers = np.asarray(centers_list, dtype=np.float64)
-            # Shared read-only views: hot-loop callers (table builds,
-            # kernels) access these per call, so handing out defensive
-            # copies would be a per-access allocation; read-only flags
-            # keep sharing safe.
-            edges.setflags(write=False)
-            centers.setflags(write=False)
-            self._edges = edges
-            self._centers = centers
-        else:
-            self._edges = tuple(edges_list)
-            self._centers = tuple(centers_list)
+        self._edges_list = edges.tolist()
+        # Shared read-only views: hot-loop callers (table builds,
+        # kernels) access these per call, so handing out defensive
+        # copies would be a per-access allocation; read-only flags keep
+        # sharing safe.
+        edges.setflags(write=False)
+        centers.setflags(write=False)
+        self._edges = edges
+        self._centers = centers
 
     @property
     def edges(self):
@@ -224,13 +181,11 @@ class Binning:
     def index_of_batch(self, values):
         """Vectorized :meth:`index_of` over an array of values.
 
-        Returns an ``int64`` array (a list without NumPy).  One
-        ``searchsorted(edges, values, side="right") - 1`` and a clamp:
-        exactly :meth:`index_of_reference`'s ``bisect_right``, element by
-        element, with the same clamp and NaN semantics as the scalar path.
+        Returns an ``int64`` array.  One ``searchsorted(edges, values,
+        side="right") - 1`` and a clamp: exactly
+        :meth:`index_of_reference`'s ``bisect_right``, element by element,
+        with the same clamp and NaN semantics as the scalar path.
         """
-        if not HAVE_NUMPY:
-            return [self.index_of(float(v)) for v in values]
         v = np.asarray(values, dtype=np.float64)
         if np.isnan(v).any():
             raise ValueError("cannot bin NaN")
@@ -284,42 +239,22 @@ class RunLengthEncodedTable:
         """Compress a flat vector of small non-negative ints."""
         if len(values) == 0:
             raise ValueError("cannot encode an empty vector")
-        if HAVE_NUMPY:
-            arr = np.asarray(values)
-            if arr.ndim != 1:
-                raise ValueError("values must be one-dimensional")
-            change = np.flatnonzero(np.diff(arr)) + 1
-            starts = np.concatenate(([0], change))
-            ends = np.concatenate((change, [len(arr)]))
-            return cls(ends.tolist(), arr[starts].tolist())
-        run_ends: List[int] = []
-        run_values: List[int] = []
-        previous: Optional[int] = None
-        for i, raw in enumerate(values):
-            v = int(raw)
-            if previous is None or v != previous:
-                if previous is not None:
-                    run_ends.append(i)
-                run_values.append(v)
-                previous = v
-        run_ends.append(len(values))
-        return cls(run_ends, run_values)
+        arr = np.asarray(values)
+        if arr.ndim != 1:
+            raise ValueError("values must be one-dimensional")
+        change = np.flatnonzero(np.diff(arr)) + 1
+        starts = np.concatenate(([0], change))
+        ends = np.concatenate((change, [len(arr)]))
+        return cls(ends.tolist(), arr[starts].tolist())
 
     def decode(self):
         """Expand back to the full vector (tests / full-table mode)."""
-        if HAVE_NUMPY:
-            out = np.empty(self._length, dtype=np.int64)
-            start = 0
-            for end, value in zip(self._run_ends, self._run_values):
-                out[start:end] = value
-                start = end
-            return out
-        flat: List[int] = []
+        out = np.empty(self._length, dtype=np.int64)
         start = 0
         for end, value in zip(self._run_ends, self._run_values):
-            flat.extend([value] * (end - start))
+            out[start:end] = value
             start = end
-        return flat
+        return out
 
     def lookup(self, index: int) -> int:
         """Value at a flat index via binary search over run ends."""
@@ -333,11 +268,9 @@ class RunLengthEncodedTable:
 
         ``side='right'`` over the run ends is exactly the scalar
         ``bisect_right`` recurrence, so batch and scalar answers are
-        identical on every index.  Degrades to a scalar loop without
-        NumPy.  Raises ``IndexError`` when any index is out of range.
+        identical on every index.  Raises ``IndexError`` when any index
+        is out of range.
         """
-        if not HAVE_NUMPY:
-            return [self.lookup(int(i)) for i in indices]
         flat = np.asarray(indices, dtype=np.int64)
         if flat.size and (flat.min() < 0 or flat.max() >= self._length):
             raise IndexError(f"batch index out of range 0..{self._length - 1}")
@@ -413,17 +346,10 @@ class RunLengthEncodedTable:
         return cls(ends, values)
 
     def full_vector(self):
-        """The decisions one byte per entry: a ``uint8`` array (a
-        ``bytearray`` without NumPy), built straight from the runs."""
-        if HAVE_NUMPY:
-            lengths = np.diff(np.asarray(self._run_ends, dtype=np.int64), prepend=0)
-            return np.repeat(np.asarray(self._run_values, dtype=np.uint8), lengths)
-        flat = bytearray()
-        start = 0
-        for end, value in zip(self._run_ends, self._run_values):
-            flat += bytes((value,)) * (end - start)
-            start = end
-        return flat
+        """The decisions one byte per entry: a ``uint8`` array built
+        straight from the runs."""
+        lengths = np.diff(np.asarray(self._run_ends, dtype=np.int64), prepend=0)
+        return np.repeat(np.asarray(self._run_values, dtype=np.uint8), lengths)
 
 
 #: Serialized RLE layout: ``u32 run count`` then one ``(u32 end, u8 value)``
@@ -435,6 +361,9 @@ _SPLIT_RUN = "adjacent runs must hold different values"
 #: u32 count, u8 spacing)`` binnings, then ``(u32 levels, u8 keep_full)``.
 _BINNING_HEADER = struct.Struct("<ddIB")
 _SHAPE_HEADER = struct.Struct("<IB")
+#: Bytes a :class:`Binning` holds per bin: its edge and centre arrays and
+#: the edge list of the scalar path (48 under tracemalloc, also at peak).
+_BINNING_BYTES_PER_BIN = 48
 
 
 class MappedRunLengthTable:
@@ -534,8 +463,6 @@ class MappedRunLengthTable:
     def lookup_batch(self, indices):
         """Batch variant of :meth:`lookup` — same answers, one
         ``searchsorted`` over the (cached) run-end array."""
-        if not HAVE_NUMPY:
-            return [self.lookup(int(i)) for i in indices]
         flat = np.asarray(indices, dtype=np.int64)
         if flat.size and (flat.min() < 0 or flat.max() >= self._length):
             raise IndexError(f"batch index out of range 0..{self._length - 1}")
@@ -565,21 +492,13 @@ class MappedRunLengthTable:
 
     def decode(self):
         """Expand to the full vector (parity checks / tests only)."""
-        if HAVE_NUMPY:
-            out = np.empty(self._length, dtype=np.int64)
-            start = 0
-            for run in range(self._num_runs):
-                end, value = self._run_at(run)
-                out[start:end] = value
-                start = end
-            return out
-        flat: List[int] = []
+        out = np.empty(self._length, dtype=np.int64)
         start = 0
         for run in range(self._num_runs):
             end, value = self._run_at(run)
-            flat.extend([value] * (end - start))
+            out[start:end] = value
             start = end
-        return flat
+        return out
 
     def __len__(self) -> int:
         return self._length
@@ -652,18 +571,11 @@ class DecisionTable:
         self.buffer_bins = buffer_bins
         self.num_levels = num_levels
         self.throughput_bins = throughput_bins
-        if HAVE_NUMPY:
-            arr = np.asarray(decisions_flat, dtype=np.int64)
-            if arr.min() < 0 or arr.max() >= num_levels:
-                raise ValueError("decisions must be valid ladder level indices")
-            self._rle = RunLengthEncodedTable.encode(arr)
-            self._full = arr.astype(np.uint8) if keep_full else None
-        else:
-            flat = [int(v) for v in decisions_flat]
-            if min(flat) < 0 or max(flat) >= num_levels:
-                raise ValueError("decisions must be valid ladder level indices")
-            self._rle = RunLengthEncodedTable.encode(flat)
-            self._full = bytearray(flat) if keep_full else None
+        arr = np.asarray(decisions_flat, dtype=np.int64)
+        if arr.min() < 0 or arr.max() >= num_levels:
+            raise ValueError("decisions must be valid ladder level indices")
+        self._rle = RunLengthEncodedTable.encode(arr)
+        self._full = arr.astype(np.uint8) if keep_full else None
 
     # ------------------------------------------------------------------
 
@@ -691,15 +603,10 @@ class DecisionTable:
         ``prev_levels`` must already be valid ladder indices (the
         decision service validates per request and degrades invalid ones
         to the fallback *before* batching).  Returns an ``int64`` array
-        of level indices (a list without NumPy).  Answers are identical
-        to per-element :meth:`lookup` calls: both paths share the
-        binnings' index arithmetic and the RLE run search.
+        of level indices.  Answers are identical to per-element
+        :meth:`lookup` calls: both paths share the binnings' index
+        arithmetic and the RLE run search.
         """
-        if not HAVE_NUMPY:
-            return [
-                self.lookup(float(b), int(p), float(c))
-                for b, p, c in zip(buffer_levels_s, prev_levels, predicted_kbps)
-            ]
         b = self.buffer_bins.index_of_batch(buffer_levels_s)
         c = self.throughput_bins.index_of_batch(predicted_kbps)
         prev = np.asarray(prev_levels, dtype=np.int64)
@@ -707,7 +614,7 @@ class DecisionTable:
             raise IndexError("prev level out of range")
         flat = (b * self.num_levels + prev) * self.throughput_bins.count + c
         if self._full is not None:
-            return np.asarray(self._full)[flat].astype(np.int64)
+            return self._full[flat].astype(np.int64)
         return self._rle.lookup_batch(flat)
 
     def lookup_traced(
@@ -811,14 +718,19 @@ class DecisionTable:
         )
 
     @classmethod
-    def _deserialize(cls, buffer, mapped: bool) -> "DecisionTable":
+    def _deserialize(
+        cls, buffer, mapped: bool, max_bytes: Optional[int] = None
+    ) -> "DecisionTable":
         """Header first, then the runs, then the binnings.
 
         Nothing the header sizes — no :class:`Binning`, no decision
         array — is built until the runs' last end equals the declared
         index space and every run value is a ladder index, so a forged
         header costs time and memory in proportion to the blob, not to
-        the counts it declares.
+        the counts it declares.  A consistent header can still declare
+        huge binnings or a huge ``keep_full`` vector; with ``max_bytes``,
+        what those would hold is charged first, and a table over the
+        budget raises ``ValueError`` before any of it is built.
         """
         view = memoryview(buffer)
         if view.ndim != 1 or view.itemsize != 1:
@@ -832,11 +744,20 @@ class DecisionTable:
         offset += _SHAPE_HEADER.size
         if num_levels < 1:
             raise ValueError("need at least one ladder level")
+        expected = buffer_spec[2] * num_levels * throughput_spec[2]
+        keep_full = bool(keep_full) and not mapped
+        if max_bytes is not None:
+            cost = _BINNING_BYTES_PER_BIN * (buffer_spec[2] + throughput_spec[2])
+            if keep_full:
+                cost += expected  # one byte per entry
+            if cost > max_bytes:
+                raise ValueError(
+                    f"table would hold {cost} bytes, over the {max_bytes}-byte budget"
+                )
         if mapped:
             rle = MappedRunLengthTable(view[offset:])
         else:
             rle = RunLengthEncodedTable.from_bytes(view[offset:])
-        expected = buffer_spec[2] * num_levels * throughput_spec[2]
         if len(rle) != expected:
             raise ValueError(
                 f"{len(rle)} decisions but the index space has {expected}"
@@ -848,17 +769,21 @@ class DecisionTable:
         table.num_levels = num_levels
         table.throughput_bins = Binning(*throughput_spec)
         table._rle = rle
-        table._full = rle.full_vector() if keep_full and not mapped else None
+        table._full = rle.full_vector() if keep_full else None
         return table
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "DecisionTable":
+    def from_bytes(
+        cls, blob: bytes, *, max_bytes: Optional[int] = None
+    ) -> "DecisionTable":
         """Inverse of :meth:`to_bytes`.
 
         Adopts the validated runs as they are instead of expanding them
-        to the full vector.
+        to the full vector.  ``max_bytes`` bounds what the header makes
+        the load build — both binnings, and the one-byte-per-entry
+        vector of a ``keep_full`` table; over it, ``ValueError``.
         """
-        return cls._deserialize(blob, mapped=False)
+        return cls._deserialize(blob, mapped=False, max_bytes=max_bytes)
 
     @classmethod
     def from_buffer(cls, buffer) -> "DecisionTable":

@@ -26,14 +26,14 @@ what the fair share can do to them:
   There are few of these at a time and they are handled per flow.
 * **uncapped** flows — fully-ramped transfers.  Max-min fairness gives
   every one of them the *identical* share rate, so per-event progress is
-  one shared delta (vectorized when NumPy is present) and, because a
-  uniform subtraction preserves order under IEEE round-to-nearest, the
-  earliest completion is always the head of a sorted pool.
+  one shared, vectorized delta and, because a uniform subtraction
+  preserves order under IEEE round-to-nearest, the earliest completion
+  is always the head of a sorted pool.
 
 Per event the link does O(capped · log capped) allocation work plus one
 elementwise subtraction over the pool, instead of the O(flows) Python
 bookkeeping of the historical all-pairs loop — which is preserved
-verbatim in :mod:`repro.emulation.reference` as the oracle the
+verbatim in ``tests/emulation/all_pairs_link.py`` as the oracle the
 equivalence tests pin this implementation against.  Both engines share
 :func:`_water_fill`, and the pool's elementwise delta is bit-identical
 to the per-flow scalar subtraction, so the two event loops produce
@@ -46,7 +46,8 @@ import bisect
 import math
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.npcompat import HAVE_NUMPY, np
+import numpy as np
+
 from ..traces.trace import Trace
 from .clock import EventQueue
 
@@ -183,9 +184,9 @@ def _water_fill(capacity_kbps, caps_kbps):
 class _UncappedPool:
     """The fully-ramped transfers, all moving at one shared rate.
 
-    Remaining sizes live in one array (NumPy when available); progress is
-    a single elementwise subtraction, bit-identical to the per-flow
-    scalar ``rem -= rate * dt`` of the reference loop.  ``_order`` keeps
+    Remaining sizes live in one NumPy array; progress is a single
+    elementwise subtraction, bit-identical to the per-flow scalar
+    ``rem -= rate * dt`` of the reference loop.  ``_order`` keeps
     live slots sorted by remaining size: a uniform subtraction cannot
     reorder values under IEEE round-to-nearest (x <= y implies
     fl(x - d) <= fl(y - d)), so completions are always a prefix and the
@@ -196,7 +197,7 @@ class _UncappedPool:
 
     def __init__(self) -> None:
         size = 16
-        self._rem = np.zeros(size, dtype=np.float64) if HAVE_NUMPY else [0.0] * size
+        self._rem = np.zeros(size, dtype=np.float64)
         self._transfers: List[Optional[Transfer]] = [None] * size
         self._order: List[int] = []  # live slots, ascending remaining
         self._free: List[int] = list(range(size - 1, -1, -1))
@@ -207,12 +208,9 @@ class _UncappedPool:
     def add(self, transfer: Transfer) -> None:
         if not self._free:
             old = len(self._transfers)
-            if HAVE_NUMPY:
-                grown = np.zeros(2 * old, dtype=np.float64)
-                grown[:old] = self._rem
-                self._rem = grown
-            else:
-                self._rem.extend([0.0] * old)
+            grown = np.zeros(2 * old, dtype=np.float64)
+            grown[:old] = self._rem
+            self._rem = grown
             self._transfers.extend([None] * old)
             self._free.extend(range(2 * old - 1, old - 1, -1))
         slot = self._free.pop()
@@ -231,12 +229,7 @@ class _UncappedPool:
         self._order.insert(lo, slot)
 
     def apply_delta(self, delta: float) -> None:
-        if HAVE_NUMPY:
-            self._rem -= delta  # dead slots drift harmlessly
-        else:
-            rem = self._rem
-            for slot in self._order:
-                rem[slot] -= delta
+        self._rem -= delta  # dead slots drift harmlessly
 
     def min_remaining(self) -> float:
         return float(self._rem[self._order[0]])

@@ -54,7 +54,7 @@ class FleetConfig:
     space: ScenarioSpace = field(default_factory=ScenarioSpace)
     cache_dir: Optional[str] = None
     #: Stepper engine, forwarded to :func:`run_batch`.
-    engine: str = "auto"
+    engine: str = "vector"
 
     def __post_init__(self) -> None:
         if self.sessions < 0:
@@ -67,7 +67,7 @@ def run_shard(
     space: ScenarioSpace,
     scenarios: Sequence[Scenario],
     cache_dir: Optional[str] = None,
-    engine: str = "auto",
+    engine: str = "vector",
 ) -> dict:
     """Run one shard and return its serialized :class:`FleetResult`.
 

@@ -32,9 +32,9 @@ What makes exactness possible (and where the traps were):
   pacing wait collapse to ``buffer - threshold`` exactly as the scalar
   expressions do.
 
-Without NumPy (or with ``engine="scalar"``) each session runs through
-the reference simulator itself, which is parity-exact by construction —
-the fallback contract of :mod:`repro.core.npcompat`.
+With ``engine="scalar"`` each session runs through the reference
+simulator itself: the reference the parity suites hold the vector
+engine to.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from ..abr.base import SessionConfig
 from ..core.fastmpc import FastMPCConfig
-from ..core.npcompat import HAVE_NUMPY, np
 from ..traces.trace import Trace, _NEVER_COMPLETES
 from ..video.manifest import VideoManifest
 from .controllers import (
@@ -55,7 +56,7 @@ from .controllers import (
 
 __all__ = ["TraceBank", "BatchResult", "run_batch"]
 
-_ENGINES = ("auto", "vector", "scalar")
+_ENGINES = ("vector", "scalar")
 
 
 @dataclass
@@ -89,7 +90,7 @@ class BatchResult:
         metric the fleet histograms aggregate — Eq. 5 per chunk)."""
         if self.num_sessions == 0:
             return []
-        if HAVE_NUMPY and isinstance(self.qoe_total, np.ndarray):
+        if isinstance(self.qoe_total, np.ndarray):
             return self.qoe_total / self.num_chunks
         return [value / self.num_chunks for value in self.qoe_total]
 
@@ -116,8 +117,6 @@ class TraceBank:
     __slots__ = ("_traces",)
 
     def __init__(self, traces: Sequence[Trace]) -> None:
-        if not HAVE_NUMPY:  # pragma: no cover - vector engine is gated
-            raise RuntimeError("TraceBank requires NumPy")
         self._traces = list(traces)
         for trace in self._traces:
             if trace.kilobits_per_pass <= 0:
@@ -357,7 +356,7 @@ def run_batch(
     *,
     cache_dir: Optional[str] = None,
     table_config: Optional[FastMPCConfig] = None,
-    engine: str = "auto",
+    engine: str = "vector",
 ) -> BatchResult:
     """Simulate one session per trace, all in lockstep.
 
@@ -369,9 +368,9 @@ def run_batch(
         One :class:`Trace` per session (repeats allowed).  Empty input
         returns a well-formed empty result.
     engine:
-        ``"auto"`` (vector when NumPy is available, else scalar),
-        ``"vector"``, or ``"scalar"``.  Both engines produce identical
-        values; the scalar engine is the reference simulator itself.
+        ``"vector"`` (the default) or ``"scalar"``.  Both engines produce
+        identical values; the scalar engine is the reference simulator
+        itself.
     table_config:
         Optional FastMPC table discretization override, threaded to both
         engines so they keep sharing one table.
@@ -387,10 +386,6 @@ def run_batch(
         raise ValueError("manifest must have at least one chunk")
     config = config if config is not None else SessionConfig()
     traces = list(traces)
-    if engine == "auto":
-        engine = "vector" if HAVE_NUMPY else "scalar"
-    if engine == "vector" and not HAVE_NUMPY:
-        raise RuntimeError("the vector engine requires NumPy")
     if not traces:
         return _empty_result(controller, manifest, engine)
     if engine == "vector":

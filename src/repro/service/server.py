@@ -1113,7 +1113,9 @@ class DecisionServer:
                 return keep_alive
             swap_started = time.perf_counter()
             try:
-                table = DecisionTable.from_bytes(body)
+                table = DecisionTable.from_bytes(
+                    body, max_bytes=config.max_table_bytes
+                )
                 self.service.swap_table(table)
             except (ValueError, IndexError, struct_error) as exc:
                 metrics.record_error()

@@ -32,7 +32,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["Trace", "TraceStats"]
 
@@ -82,7 +82,7 @@ class Trace:
         self,
         timestamps: Sequence[float],
         bandwidths_kbps: Sequence[float],
-        duration_s: float | None = None,
+        duration_s: Optional[float] = None,
         name: str = "",
     ) -> None:
         if len(timestamps) != len(bandwidths_kbps):

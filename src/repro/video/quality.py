@@ -10,7 +10,7 @@ is one such ``q``; all are callable on a bitrate in kbps.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Optional, Union
 
 __all__ = [
     "QualityFunction",
@@ -129,7 +129,9 @@ class PiecewiseLinearQuality(QualityFunction):
         return quals[-1]  # pragma: no cover - unreachable
 
 
-def as_quality_function(q: "QualityFunction | Callable[[float], float] | None") -> QualityFunction:
+def as_quality_function(
+    q: Optional[Union[QualityFunction, Callable[[float], float]]],
+) -> QualityFunction:
     """Coerce plain callables (or None) to a :class:`QualityFunction`."""
     if q is None:
         return IdentityQuality()

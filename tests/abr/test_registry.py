@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.abr import ABRAlgorithm, available, create, paper_algorithms, register
-from repro.abr import registry as registry_module
 from repro.abr.registry import _FACTORIES, unregister
 
 
@@ -92,8 +91,8 @@ class TestRegisterOverride:
                 register(name, CustomA, override=True)
 
     def test_mdp_protected_even_when_numpyless(self):
-        # 'mdp' stays guarded whether or not NumPy put it in the live
-        # registry — a plugin must never be able to claim the name.
+        # 'mdp' is built in like the rest of the zoo: a plugin must never
+        # be able to claim the name.
         with pytest.raises(ValueError, match="built in"):
             register("mdp", CustomA, override=True)
 
@@ -112,12 +111,3 @@ class TestUnregister:
                 unregister(name)
         assert "bola" in available()
 
-
-class TestMdpWithoutNumpy:
-    def test_create_mdp_names_the_missing_dependency(self, monkeypatch):
-        """When NumPy is absent, asking for 'mdp' must say *why* it is
-        unavailable, not claim the name is unknown."""
-        monkeypatch.setattr(registry_module, "MDPController", None)
-        monkeypatch.delitem(_FACTORIES, "mdp", raising=False)
-        with pytest.raises(ValueError, match="requires NumPy"):
-            create("mdp")

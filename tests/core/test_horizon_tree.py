@@ -1,10 +1,11 @@
 """The prefix-tree roll-out: every cell bit-identical to the scalar one.
 
 ``_BatchEvaluator.evaluate`` rolls the plan space out over its prefix
-tree; ``_evaluate_one_py`` rolls one plan out step by step.  Each
-(instance, plan) cell of the three outputs must carry the same IEEE-754
-bit pattern — not an approximately equal float — across the paper's
-horizon of 5 and every input layout the consumers pass.
+tree; ``_evaluate_one_py`` (``kernel_reference.py``) rolls one plan out
+step by step.  Each (instance, plan) cell of the three outputs must
+carry the same IEEE-754 bit pattern — not an approximately equal float
+— across the paper's horizon of 5 and every input layout the consumers
+pass.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import numpy as np
 import pytest
 
 from repro.core.horizon import HorizonProblem, _plan_matrix
-from repro.core.kernel import _BatchEvaluator, _evaluate_one_py, solve_horizon_batch
+from repro.core.kernel import _BatchEvaluator, solve_horizon_batch
 from repro.qoe import QoEWeights
+
+from kernel_reference import _evaluate_one_py
 
 #: (shared sizes, shared predictions) per layout.
 LAYOUTS = ((True, True), (True, False), (False, True), (False, False))

@@ -5,12 +5,15 @@ fixed header, and its decisions as run-length records.  Loading must
 check the declared index space against the runs before it builds any
 binning or array, and must adopt the runs instead of expanding them, so
 a 64-byte forged blob cannot make the loader allocate by the counts it
-declares.  Only canonical runs load, so :meth:`same_decisions` still
-compares one encoding per decision vector.
+declares.  A consistent blob can still declare huge binnings or a huge
+``keep_full`` vector; a byte budget refuses those before building them.
+Only canonical runs load, so :meth:`same_decisions` still compares one
+encoding per decision vector.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 import tracemalloc
 
@@ -82,6 +85,27 @@ def test_huge_declared_space_loads_from_its_runs():
     assert table.num_entries == 65535 * 65535
     assert table.lookup(29.0, 0, 5000.0) == 0
     assert peak < 32 * MIB
+
+
+@pytest.mark.parametrize(
+    "counts, keep_full",
+    [((4096, 1, 4096), 1), ((1, 1, 350_000), 0)],
+    ids=["keep-full", "bin-count"],
+)
+def test_budget_refuses_before_allocating(counts, keep_full):
+    # Consistent blobs that declare about 16 MiB: a full vector of 16 Mi
+    # entries, or 350,000 bins.  Only the budget stops them.
+    entries = counts[0] * counts[1] * counts[2]
+    blob = table_blob(*counts, [(entries, 0)], keep_full=keep_full)
+    assert len(blob) == 64
+    outcome, peak = traced_peak(
+        functools.partial(DecisionTable.from_bytes, max_bytes=MIB), blob
+    )
+    assert isinstance(outcome, ValueError)
+    assert "budget" in str(outcome)
+    assert peak < 1 * MIB
+    # The disk cache loads without a budget, as before.
+    assert DecisionTable.from_bytes(blob).num_entries == entries
 
 
 @pytest.mark.parametrize("load", LOADERS, ids=LOADER_IDS)

@@ -3,11 +3,10 @@
 ``build_table_decisions`` rolls the rebuffer dynamics out over the plan
 prefix tree, in blocks of buffer bins, and reduces each block of plans
 that share a first level to its maximum before the argmax.
-``_build_table_decisions_py`` — the pure-Python loop that scores every
-plan of every state and keeps the first maximum — is the table build's
-reference, and the two decision arrays must be byte-identical.  (When
-the pure-Python fallback is deleted, that loop moves into ``tests/``
-rather than away.)
+``_build_table_decisions_py`` (``kernel_reference.py``) — the
+pure-Python loop that scores every plan of every state and keeps the
+first maximum — is the table build's reference, and the two decision
+arrays must be byte-identical.
 
 No hash is pinned here: the log-spaced throughput edges come from
 ``np.geomspace``, whose last bits may differ between NumPy versions, so
@@ -22,8 +21,10 @@ import numpy as np
 import pytest
 
 from repro.core import kernel
-from repro.core.kernel import _build_table_decisions_py, build_table_decisions
+from repro.core.kernel import build_table_decisions
 from repro.core.table import Binning
+
+from kernel_reference import _build_table_decisions_py
 
 # Each case keeps the reference loop near this many plan-steps, so the
 # whole module runs in a few seconds.

@@ -6,7 +6,7 @@ every transfer (per-flow integration, full re-allocation over all caps,
 a completion scan over the whole set).  That is O(flows) Python work per
 event — unusable for thousand-player arenas, but trivially auditable.
 
-It stays in the tree for exactly one purpose: the equivalence suite
+It lives in ``tests/`` for exactly one purpose: the equivalence suite
 (``tests/emulation/test_link_incremental.py``) runs identical workloads
 through both engines and asserts *float-identical* completion times and
 callback order.  Both engines share :func:`repro.emulation.link._water_fill`,
@@ -22,9 +22,9 @@ import bisect
 import math
 from typing import Callable, Dict, List, Optional
 
-from ..traces.trace import Trace
-from .clock import EventQueue
-from .link import Transfer, _water_fill
+from repro.emulation.clock import EventQueue
+from repro.emulation.link import Transfer, _water_fill
+from repro.traces.trace import Trace
 
 __all__ = ["AllPairsSharedTraceLink"]
 

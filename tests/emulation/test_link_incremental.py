@@ -2,10 +2,10 @@
 
 Random workloads (seeded arrivals, sizes, step traces, with and without
 slow-start) run through both :class:`SharedTraceLink` and the preserved
-:class:`AllPairsSharedTraceLink`; completion times and callback order
-must match with ``==`` — both engines share ``_fill_level`` arithmetic
-and the pool's uniform delta is bit-identical to per-flow scalar
-subtraction, so any drift is a bug, not noise.
+:class:`AllPairsSharedTraceLink` (``all_pairs_link.py``); completion
+times and callback order must match with ``==`` — both engines share
+``_fill_level`` arithmetic and the pool's uniform delta is bit-identical
+to per-flow scalar subtraction, so any drift is a bug, not noise.
 """
 
 import random
@@ -14,8 +14,9 @@ import pytest
 
 from repro.emulation.clock import EventQueue
 from repro.emulation.link import SharedTraceLink
-from repro.emulation.reference import AllPairsSharedTraceLink
 from repro.traces.trace import Trace
+
+from all_pairs_link import AllPairsSharedTraceLink
 
 
 def _random_workload(seed, n_transfers):

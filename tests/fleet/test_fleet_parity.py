@@ -7,26 +7,14 @@ Eq. 5 QoE breakdown *bit for bit* (``==`` on floats, no tolerances).
 The scalar engine IS the reference simulator, so vector-vs-scalar
 equality is the parity statement; one test additionally pins the scalar
 engine against ``simulate_session`` directly to keep that anchor honest.
-
-The no-numpy subprocess tests mirror ``tests/core/test_numpy_fallback``:
-a child with ``sys.modules['numpy'] = None`` runs the batch API (which
-degrades to the scalar engine) and its JSON-serialized outputs — floats
-round-trip exactly through ``repr`` — must equal the in-process
-numpy-backed vector run.
 """
 
 from __future__ import annotations
-
-import json
-import os
-import subprocess
-import sys
 
 import pytest
 
 from repro.abr.base import SessionConfig
 from repro.core.fastmpc import FastMPCConfig
-from repro.core.npcompat import HAVE_NUMPY
 from repro.fleet import SUPPORTED_CONTROLLERS, run_batch
 from repro.fleet.controllers import make_scalar_algorithm
 from repro.qoe import QoEWeights
@@ -39,10 +27,6 @@ from repro.traces import (
 from repro.video import envivio, envivio_vbr
 from repro.video.manifest import BitrateLadder, VideoManifest
 from repro.video.presets import ENVIVIO_LADDER_KBPS
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the vector engine requires NumPy"
-)
 
 #: Small table so the fastmpc variants build in seconds, shared by both
 #: engines (the stepper threads it through to the scalar algorithm too).
@@ -90,14 +74,12 @@ def run_both(controller, traces, manifest, config=None):
     return vec, sca
 
 
-@needs_numpy
 @pytest.mark.parametrize("controller", SUPPORTED_CONTROLLERS)
 def test_vector_matches_scalar_everywhere(controller, mixed_traces, manifest):
     vec, sca = run_both(controller, mixed_traces, manifest)
     assert_exact_parity(vec, sca)
 
 
-@needs_numpy
 @pytest.mark.parametrize("preset", ("avoid-rebuffering", "avoid-instability"))
 @pytest.mark.parametrize("controller", ("bola", "robust-fastmpc"))
 def test_parity_holds_across_qoe_presets(controller, preset, mixed_traces, manifest):
@@ -106,7 +88,6 @@ def test_parity_holds_across_qoe_presets(controller, preset, mixed_traces, manif
     assert_exact_parity(vec, sca)
 
 
-@needs_numpy
 @pytest.mark.parametrize("controller", ("rb", "bb", "fastmpc"))
 def test_parity_with_request_pacing_target(controller, mixed_traces, manifest):
     # Eq. 4 pacing at a target below Bmax exercises the wait branch on
@@ -116,7 +97,6 @@ def test_parity_with_request_pacing_target(controller, mixed_traces, manifest):
     assert_exact_parity(vec, sca)
 
 
-@needs_numpy
 @pytest.mark.parametrize("controller", ("rb", "bola", "fastmpc"))
 def test_parity_on_vbr_manifest(controller, mixed_traces):
     # Per-chunk sizes deviate from d(R) = L*R, so the stepper's size
@@ -125,7 +105,6 @@ def test_parity_on_vbr_manifest(controller, mixed_traces):
     assert_exact_parity(vec, sca)
 
 
-@needs_numpy
 @pytest.mark.parametrize("controller", ("lowest", "bb", "bola"))
 def test_parity_when_traces_wrap_around(controller):
     # 40 s traces under a 260 s video force every session through the
@@ -135,7 +114,6 @@ def test_parity_when_traces_wrap_around(controller):
     assert_exact_parity(vec, sca)
 
 
-@needs_numpy
 @pytest.mark.parametrize("controller", ("fastmpc-gap", "fastmpc", "robust-fastmpc"))
 def test_parity_through_blackouts(controller):
     # Zero-bandwidth windows exercise the stall-collecting trace walk and
@@ -155,7 +133,6 @@ def test_parity_through_blackouts(controller):
     assert_exact_parity(vec, sca)
 
 
-@needs_numpy
 def test_parity_on_single_chunk_video(mixed_traces):
     manifest = VideoManifest.cbr(4.0, BitrateLadder(ENVIVIO_LADDER_KBPS), 1)
     for controller in ("lowest", "rb", "bola"):
@@ -164,10 +141,9 @@ def test_parity_on_single_chunk_video(mixed_traces):
         assert vec.num_chunks == 1
 
 
-@needs_numpy
 def test_duplicate_traces_share_bank_rows(manifest):
-    # The TraceBank deduplicates by identity; repeated rows must still
-    # produce per-session results equal to the lone-session run.
+    # One Trace object on three rows: each row's levels and QoE must
+    # equal those of the same trace run as a batch of one.
     trace = SyntheticTraceGenerator(seed=9).generate_many(1, 320.0)[0]
     vec = run_batch("bb", [trace, trace, trace], manifest, engine="vector")
     solo = run_batch("bb", [trace], manifest, engine="vector")
@@ -206,84 +182,7 @@ def test_unknown_controller_and_engine_are_rejected(manifest):
     trace = SyntheticTraceGenerator(seed=1).generate_many(1, 320.0)[0]
     with pytest.raises(ValueError, match="unsupported fleet controller"):
         run_batch("mpc", [trace], manifest)
-    with pytest.raises(ValueError, match="unknown engine"):
-        run_batch("bola", [trace], manifest, engine="warp")
+    for engine in ("warp", "auto"):
+        with pytest.raises(ValueError, match="unknown engine"):
+            run_batch("bola", [trace], manifest, engine=engine)
 
-
-# ----------------------------------------------------------------------
-# The pure-Python fallback: batch API without NumPy, identically
-# ----------------------------------------------------------------------
-
-_CHILD_SCRIPT = r"""
-import json, sys
-sys.modules["numpy"] = None  # make `import numpy` raise ImportError
-
-from repro.core.npcompat import HAVE_NUMPY
-assert not HAVE_NUMPY, "numpy import should have been blocked"
-
-from repro.core.fastmpc import FastMPCConfig
-from repro.fleet import run_batch
-from repro.traces import SyntheticTraceGenerator
-from repro.video.manifest import BitrateLadder, VideoManifest
-from repro.video.presets import ENVIVIO_LADDER_KBPS
-
-traces = SyntheticTraceGenerator(seed=5).generate_many(3, 200.0)
-manifest = VideoManifest.cbr(4.0, BitrateLadder(ENVIVIO_LADDER_KBPS), 20)
-table_config = FastMPCConfig(buffer_bins=12, throughput_bins=12, horizon=4)
-
-out = {}
-for name in ("rb", "bola", "fastmpc", "robust-fastmpc"):
-    batch = run_batch(
-        name, traces, manifest, table_config=table_config, engine="auto"
-    )
-    assert batch.engine == "scalar", batch.engine
-    out[name] = {
-        "levels": [[int(l) for l in row] for row in batch.levels],
-        "qoe": [float(v) for v in batch.qoe_total],
-        "rebuffer": [float(v) for v in batch.total_rebuffer_s],
-        "startup": [float(v) for v in batch.startup_delay_s],
-        "download": [[float(v) for v in row] for row in batch.download_time_s],
-    }
-print(json.dumps(out))
-"""
-
-
-@pytest.fixture(scope="module")
-def numpyless_run():
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src)
-    result = subprocess.run(
-        [sys.executable, "-c", _CHILD_SCRIPT],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.strip().splitlines()[-1])
-
-
-def test_batch_api_usable_without_numpy(numpyless_run):
-    assert set(numpyless_run) == {"rb", "bola", "fastmpc", "robust-fastmpc"}
-    for payload in numpyless_run.values():
-        assert len(payload["levels"]) == 3
-        assert all(len(row) == 20 for row in payload["levels"])
-
-
-@needs_numpy
-def test_batch_identical_with_and_without_numpy(numpyless_run):
-    traces = SyntheticTraceGenerator(seed=5).generate_many(3, 200.0)
-    manifest = VideoManifest.cbr(4.0, BitrateLadder(ENVIVIO_LADDER_KBPS), 20)
-    table_config = FastMPCConfig(buffer_bins=12, throughput_bins=12, horizon=4)
-    for name, child in numpyless_run.items():
-        batch = run_batch(
-            name, traces, manifest, table_config=table_config, engine="vector"
-        )
-        assert [batch.session_levels(i) for i in range(3)] == child["levels"]
-        assert [float(v) for v in batch.qoe_total] == child["qoe"]
-        assert [float(v) for v in batch.total_rebuffer_s] == child["rebuffer"]
-        assert [float(v) for v in batch.startup_delay_s] == child["startup"]
-        assert [
-            [float(v) for v in row] for row in batch.download_time_s
-        ] == child["download"]

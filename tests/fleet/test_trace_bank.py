@@ -11,15 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.fastmpc import FastMPCConfig
-from repro.core.npcompat import HAVE_NUMPY
 from repro.fleet import SUPPORTED_CONTROLLERS, TraceBank, run_batch
 from repro.traces import SyntheticTraceGenerator
 from repro.video.manifest import BitrateLadder, VideoManifest
 from repro.video.presets import ENVIVIO_LADDER_KBPS
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the vector engine requires NumPy"
-)
 
 
 @pytest.mark.parametrize("controller", SUPPORTED_CONTROLLERS)

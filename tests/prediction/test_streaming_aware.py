@@ -2,9 +2,7 @@
 
 Pins the three exact-equality contracts of
 :mod:`repro.prediction.streaming` — degradation, idle invariance,
-boundedness — plus scale-equivariance, and checks bit-identity of the
-predictions with and without NumPy importable (they are pure Python, and
-must stay that way).
+boundedness — plus scale-equivariance.
 
 Exactness notes: scale-equivariance is tested with power-of-two factors
 only.  Multiplying IEEE-754 doubles by ``2**k`` changes just the
@@ -14,11 +12,6 @@ point: the predictors may not contain any expression that breaks it.
 """
 
 from __future__ import annotations
-
-import json
-import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given
@@ -249,60 +242,3 @@ def test_invalid_parameters_rejected(factory):
     with pytest.raises(ValueError):
         factory(cold_start_kbps=0.0)
 
-
-# ----------------------------------------------------------------------
-# Bit-identity without NumPy (mirrors tests/core/test_numpy_fallback.py)
-# ----------------------------------------------------------------------
-
-_CHILD_SCRIPT = r"""
-import json, sys
-sys.modules["numpy"] = None  # make `import numpy` raise ImportError
-
-from repro.core.npcompat import HAVE_NUMPY
-assert not HAVE_NUMPY, "numpy import should have been blocked"
-
-from repro.prediction import make_predictor
-
-out = {}
-for name in ("gap-harmonic", "gap-ewma", "gap-harmonic-robust"):
-    predictor = make_predictor(name)
-    estimates = []
-    for step in range(24):
-        throughput = 120.0 + 333.7 * (((step * 7) % 11) + 1)
-        duration = 0.5 + (step % 5)
-        stall = 0.3 * duration if step % 3 == 1 else 0.0
-        predictor.observe_idle(0.25 * (step % 2))
-        predictor.observe_kbps(throughput, duration, stall_s=stall)
-        estimates.append(predictor.predict(1)[0].hex())
-    out[name] = {
-        "estimates": estimates,
-        "idle_gap_fraction": predictor.idle_gap_fraction().hex(),
-    }
-print(json.dumps(out))
-"""
-
-
-def _run_child(block_numpy: bool) -> dict:
-    script = _CHILD_SCRIPT
-    if not block_numpy:
-        script = script.replace('sys.modules["numpy"] = None', "pass")
-        script = script.replace("assert not HAVE_NUMPY", "assert HAVE_NUMPY")
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src)
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.strip().splitlines()[-1])
-
-
-def test_predictions_identical_without_numpy():
-    without = _run_child(block_numpy=True)
-    with_np = _run_child(block_numpy=False)
-    assert without == with_np
-    assert len(without["gap-harmonic"]["estimates"]) == 24

@@ -194,28 +194,49 @@ class TestTableSwap:
         run(with_server(service, inner))
 
     @pytest.mark.parametrize(
-        "counts",
-        [(2_000_000, 1, 1, 1), (65535, 1, 65535, 65535 * 65535)],
-        ids=["forged-bin-count", "huge-one-level-space"],
+        "counts, keep_full, max_table_bytes",
+        [
+            ((2_000_000, 1, 1, 1), 0, None),
+            ((65535, 1, 65535, 65535 * 65535), 0, None),
+            ((4096, 3, 1366, 4096 * 3 * 1366), 1, 1 << 20),
+            ((1, 3, 350_000, 3 * 350_000), 0, 1 << 20),
+        ],
+        ids=[
+            "forged-bin-count",
+            "huge-one-level-space",
+            "keep-full-over-budget",
+            "bin-count-over-budget",
+        ],
     )
-    def test_forged_table_sizes_rejected(self, test_table, counts):
+    def test_forged_table_sizes_rejected(
+        self, test_table, counts, keep_full, max_table_bytes
+    ):
         """A 64-byte blob is refused by what it holds, not by what its
         header declares: a bin count the runs do not fill, and a space
         of 2^32 - 131071 entries for a one-level ladder.  Neither is
-        expanded, so neither can raise MemoryError past the handler."""
+        expanded, so neither can raise MemoryError past the handler.
+        Two consistent blobs for the server's own ladder declare about
+        16 MiB against a 1 MiB ``max_table_bytes``: a full vector of
+        16 Mi entries, and a binning of 350,000 bins.  The budget
+        refuses both before building either."""
         buffer_count, num_levels, throughput_count, end = counts
         blob = b"".join(
             [
                 DecisionTable._MAGIC,
                 struct.pack("<ddIB", 0.0, 30.0, buffer_count, 0),
                 struct.pack("<ddIB", 10.0, 6000.0, throughput_count, 1),
-                struct.pack("<IB", num_levels, 0),
+                struct.pack("<IB", num_levels, keep_full),
                 struct.pack("<I", 1),
                 struct.pack("<IB", end, 0),
             ]
         )
         assert len(blob) == 64
-        service = DecisionService(LADDER, table=test_table)
+        config = (
+            ServiceConfig()
+            if max_table_bytes is None
+            else ServiceConfig(max_table_bytes=max_table_bytes)
+        )
+        service = DecisionService(LADDER, table=test_table, config=config)
 
         async def inner(server):
             async with ServiceClient("127.0.0.1", server.bound_port) as client:
