@@ -16,6 +16,7 @@ the paper's algorithm comparison apples-to-apples.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
@@ -50,13 +51,12 @@ class SessionConfig:
     request_target_buffer_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.buffer_capacity_s <= 0:
-            raise ValueError("buffer capacity must be positive")
-        if (
-            self.request_target_buffer_s is not None
-            and self.request_target_buffer_s <= 0
+        if not 0.0 < self.buffer_capacity_s < math.inf:
+            raise ValueError("buffer capacity must be a finite number > 0")
+        if self.request_target_buffer_s is not None and not (
+            0.0 < self.request_target_buffer_s < math.inf
         ):
-            raise ValueError("request target buffer must be positive")
+            raise ValueError("request target buffer must be a finite number > 0")
 
     @property
     def pacing_threshold_s(self) -> float:

@@ -364,6 +364,12 @@ _SHAPE_HEADER = struct.Struct("<IB")
 #: Bytes a :class:`Binning` holds per bin: its edge and centre arrays and
 #: the edge list of the scalar path (48 under tracemalloc, also at peak).
 _BINNING_BYTES_PER_BIN = 48
+#: Bytes :meth:`RunLengthEncodedTable.from_bytes` takes per run: an int
+#: object for the end and a slot in each run list, twice while
+#: ``__init__`` copies the lists.  Under tracemalloc (CPython 3.11) the
+#: peak was 60-63 bytes per run for ends below 2**30 and 64-67 above
+#: (larger ints), and 44-50 stay held after the load.
+_RLE_BYTES_PER_RUN = 68
 
 
 class MappedRunLengthTable:
@@ -728,9 +734,9 @@ class DecisionTable:
         index space and every run value is a ladder index, so a forged
         header costs time and memory in proportion to the blob, not to
         the counts it declares.  A consistent header can still declare
-        huge binnings or a huge ``keep_full`` vector; with ``max_bytes``,
-        what those would hold is charged first, and a table over the
-        budget raises ``ValueError`` before any of it is built.
+        huge binnings, a huge ``keep_full`` vector or many runs; with
+        ``max_bytes``, what those would hold is charged first, and a table
+        over the budget raises ``ValueError`` before any of it is built.
         """
         view = memoryview(buffer)
         if view.ndim != 1 or view.itemsize != 1:
@@ -750,6 +756,11 @@ class DecisionTable:
             cost = _BINNING_BYTES_PER_BIN * (buffer_spec[2] + throughput_spec[2])
             if keep_full:
                 cost += expected  # one byte per entry
+            if not mapped:
+                # Parsed runs are Python ints in lists, charged by the
+                # run count the RLE header declares.
+                (num_runs,) = _RLE_HEADER.unpack_from(view, offset)
+                cost += _RLE_BYTES_PER_RUN * num_runs
             if cost > max_bytes:
                 raise ValueError(
                     f"table would hold {cost} bytes, over the {max_bytes}-byte budget"
@@ -779,9 +790,10 @@ class DecisionTable:
         """Inverse of :meth:`to_bytes`.
 
         Adopts the validated runs as they are instead of expanding them
-        to the full vector.  ``max_bytes`` bounds what the header makes
-        the load build — both binnings, and the one-byte-per-entry
-        vector of a ``keep_full`` table; over it, ``ValueError``.
+        to the full vector.  ``max_bytes`` bounds what the headers make
+        the load build — both binnings, the parsed runs, and the
+        one-byte-per-entry vector of a ``keep_full`` table; over it,
+        ``ValueError``.
         """
         return cls._deserialize(blob, mapped=False, max_bytes=max_bytes)
 

@@ -68,6 +68,10 @@ class EmulatedClient:
             raise ValueError("RTT must be >= 0")
         if max_chunk_retries < 0:
             raise ValueError("max chunk retries must be >= 0")
+        if startup_policy is StartupPolicy.FIXED and not (
+            0.0 <= fixed_startup_delay_s < _INFINITY
+        ):
+            raise ValueError("fixed startup delay must be a finite number >= 0")
         self.client_id = client_id
         self.algorithm = algorithm
         self.manifest = manifest
@@ -259,8 +263,8 @@ class EmulatedClient:
                     playback_started=False,
                 )
             )
-            if extra < 0:
-                raise ValueError("startup wait must be >= 0")
+            if not 0.0 <= extra < _INFINITY:
+                raise ValueError("startup wait must be a finite number >= 0")
             self._playback_start_s = now + extra
 
         waited = 0.0

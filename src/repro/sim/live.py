@@ -2,7 +2,7 @@
 
 On-demand video hands the whole manifest to the player at ``t = 0``; a
 live stream publishes chunk ``k`` only once the encoder has produced it.
-That changes three things, each modelled here:
+That changes three things:
 
 * **bounded lookahead** — the controller cannot plan over chunks that do
   not exist yet, so every decision carries ``available_chunks`` and MPC
@@ -23,37 +23,27 @@ The publish schedule is ``publish(k) = (k - backlog + 1) * interval``
 for ``k >= backlog`` (the first ``backlog`` chunks pre-exist at ``t=0``
 — the DVR window a joining viewer lands in), with ``interval`` equal to
 the chunk duration by default: real-time encoding.
+
+The dynamics are not reimplemented here: :func:`run_live_session` runs
+the simulator's own Eq. (1)-(4) loop (:mod:`repro.sim.session`) with
+this schedule.  With a backlog covering the whole manifest every chunk
+exists at ``t = 0``, and the session equals the on-demand one.
 """
 
 from __future__ import annotations
 
 import math
-import time
+import numbers
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
-from ..abr.base import (
-    ABRAlgorithm,
-    DownloadResult,
-    PlayerObservation,
-    SessionConfig,
-)
-from ..obs.events import (
-    ChunkDecision,
-    ChunkDownload,
-    PredictionSpan,
-    Rebuffer,
-    SessionSummary,
-)
+from ..abr.base import ABRAlgorithm, SessionConfig
 from ..obs.tracer import Tracer
-from ..prediction.base import OBSERVATION_FLOOR_KBPS, ThroughputObservation
 from ..traces.trace import Trace
 from ..video.manifest import VideoManifest
-from .session import SessionResult, _bind_trace_aware, _set_wall_time
+from .session import SessionResult, StartupPolicy, _play_session
 
 __all__ = ["LiveConfig", "LiveSessionResult", "run_live_session"]
-
-_INFINITY = math.inf
 
 
 @dataclass(frozen=True)
@@ -70,14 +60,16 @@ class LiveConfig:
     latency_weight: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.interval_s is not None and self.interval_s <= 0:
-            raise ValueError("publish interval must be positive")
+        if self.interval_s is not None and not 0.0 < self.interval_s < math.inf:
+            raise ValueError("publish interval must be a finite number > 0")
+        if not isinstance(self.backlog_chunks, numbers.Integral):
+            raise ValueError("the backlog must be a whole number of chunks")
         if self.backlog_chunks < 1:
             raise ValueError("a live session needs at least one chunk at t=0")
-        if self.latency_target_s < 0:
-            raise ValueError("latency target must be >= 0")
-        if self.latency_weight < 0:
-            raise ValueError("latency weight must be >= 0")
+        if not 0.0 <= self.latency_target_s < math.inf:
+            raise ValueError("latency target must be a finite number >= 0")
+        if not 0.0 <= self.latency_weight < math.inf:
+            raise ValueError("latency weight must be a finite number >= 0")
 
     def publish_interval_s(self, manifest: VideoManifest) -> float:
         if self.interval_s is not None:
@@ -136,252 +128,38 @@ def run_live_session(
     link_faults: Optional[Iterable] = None,
     fault_seed: int = 0,
 ) -> LiveSessionResult:
-    """Play one live session; the dynamics mirror ``simulate_session``.
+    """Play one live session: the simulator's loop under ``live``'s
+    publish schedule.
 
     Eqs. (1)-(4) apply unchanged to each download; on top of them the
     publish schedule gates when a chunk may be requested, and each
     decision sees the published-prefix length via
     ``PlayerObservation.available_chunks``.  Playback uses the
     first-chunk startup policy (a live viewer joins and plays).
+    ``session_id`` defaults to ``"live:<algorithm>:<trace>"``; the other
+    parameters are :func:`~repro.sim.session.simulate_session`'s.
     """
-    config = config if config is not None else SessionConfig()
     live = live if live is not None else LiveConfig()
-    if link_faults:
-        from ..faults.simlink import SimLinkFaults
-
-        injector = SimLinkFaults(link_faults, fault_seed)
-    else:
-        injector = None
-    tracing = tracer is not None and tracer.enabled
-    if tracing and not session_id:
-        session_id = f"live:{algorithm.name}:{trace.name}"
-    if tracing and not tracer.session_id:
-        tracer.session_id = session_id
-    if tracer is not None:
-        algorithm.tracer = tracer
-    algorithm.prepare(manifest, config)
-    _bind_trace_aware(algorithm, trace, manifest)
-
     interval = live.publish_interval_s(manifest)
-    L = manifest.chunk_duration_s
-    bmax = config.buffer_capacity_s
-    t = 0.0
-    buffer_s = 0.0
-    playback_start_s = _INFINITY
-    total_rebuffer = 0.0
-    edge_wait = 0.0
-    edge_rebuffer = 0.0
-    prev_level: Optional[int] = None
-    records: List[DownloadResult] = []
-    latencies: List[float] = []
-    last_transfer_end = 0.0
-    published = 0  # chunks 0 .. published-1 exist at wall time t
-
-    for k in range(manifest.num_chunks):
-        publish = live.publish_time_s(k, interval)
-        if t < publish:
-            # Wait at the live edge.  The buffer keeps draining once
-            # playback has begun; running dry during the wait is a
-            # rebuffer charged to the publish schedule, not the network.
-            wait = publish - t
-            edge_wait += wait
-            if playback_start_s != _INFINITY and publish > playback_start_s:
-                drain = publish - max(t, playback_start_s)
-                stall = max(drain - buffer_s, 0.0)
-                buffer_s = max(buffer_s - drain, 0.0)
-                total_rebuffer += stall
-                edge_rebuffer += stall
-            t = publish
-        # Advance the published prefix by direct comparison against the
-        # schedule (no division — float-exact at publish boundaries).
-        while (
-            published < manifest.num_chunks
-            and live.publish_time_s(published, interval) <= t
-        ):
-            published += 1
-
-        _set_wall_time(algorithm, t)
-        idle_before = t - last_transfer_end
-        observation = PlayerObservation(
-            chunk_index=k,
-            buffer_level_s=buffer_s,
-            prev_level_index=prev_level,
-            wall_time_s=t,
-            playback_started=t >= playback_start_s,
-            available_chunks=published,
-        )
-        if tracing:
-            _decide_t0 = time.perf_counter()
-        level = algorithm.select_bitrate(observation)
-        if not 0 <= level < len(manifest.ladder):
-            raise ValueError(
-                f"{algorithm.name} returned invalid level {level} for chunk {k}"
-            )
-        if tracing:
-            tracer.emit(
-                ChunkDecision(
-                    session_id=session_id,
-                    t_mono=tracer.now(),
-                    chunk_index=k,
-                    buffer_s=observation.buffer_level_s,
-                    prev_level=prev_level,
-                    level=level,
-                    bitrate_kbps=manifest.ladder[level],
-                    wall_time_s=observation.wall_time_s,
-                    decide_wall_s=time.perf_counter() - _decide_t0,
-                )
-            )
-            _pending_predictions = [
-                (p.name, p.predict(1)[0]) for p in algorithm.predictors()
-            ]
-        size = manifest.chunk_size_kilobits(k, level)
-        overhead = injector.overhead_s(t) if injector is not None else 0.0
-        transfer_time, trace_stall = trace.download_time_and_stall(
-            t + overhead, size
-        )
-        download_time = overhead + transfer_time
-        stalled = overhead + trace_stall
-        t_end = t + download_time
-
-        drain = max(0.0, t_end - max(playback_start_s, t))
-        rebuffer = max(drain - buffer_s, 0.0)
-        buffer_s = max(buffer_s - drain, 0.0)
-        total_rebuffer += rebuffer
-        t = t_end
-        last_transfer_end = t
-        buffer_s += L
-        latencies.append(t_end - publish)
-
-        if playback_start_s == _INFINITY:
-            extra = algorithm.select_startup_wait(
-                PlayerObservation(
-                    chunk_index=k,
-                    buffer_level_s=buffer_s,
-                    prev_level_index=level,
-                    wall_time_s=t,
-                    playback_started=False,
-                    available_chunks=max(published, k + 1),
-                )
-            )
-            if extra < 0:
-                raise ValueError("startup wait must be >= 0")
-            t += extra
-            playback_start_s = t
-
-        waited = 0.0
-        threshold = config.pacing_threshold_s
-        if buffer_s > threshold:
-            if t >= playback_start_s or buffer_s > bmax:
-                drain_start = max(t, playback_start_s)
-                waited = (drain_start - t) + (buffer_s - threshold)
-                t = drain_start + (buffer_s - threshold)
-                buffer_s = threshold
-
-        result = DownloadResult(
-            chunk_index=k,
-            level_index=level,
-            bitrate_kbps=manifest.ladder[level],
-            size_kilobits=size,
-            download_time_s=download_time,
-            throughput_kbps=max(
-                size / download_time if download_time > 0 else _INFINITY,
-                OBSERVATION_FLOOR_KBPS,
-            ),
-            rebuffer_s=rebuffer,
-            buffer_after_s=buffer_s,
-            wall_time_end_s=t,
-            waited_s=waited,
-            buffer_before_s=observation.buffer_level_s,
-            stalled_s=stalled,
-            idle_before_s=idle_before,
-        )
-        records.append(result)
-        if tracing:
-            tracer.emit(
-                ChunkDownload(
-                    session_id=session_id,
-                    t_mono=tracer.now(),
-                    chunk_index=k,
-                    level=level,
-                    bitrate_kbps=result.bitrate_kbps,
-                    size_kilobits=size,
-                    download_time_s=download_time,
-                    throughput_kbps=result.throughput_kbps,
-                    rebuffer_s=rebuffer,
-                    buffer_before_s=result.buffer_before_s,
-                    buffer_after_s=buffer_s,
-                    wall_time_end_s=t,
-                    waited_s=waited,
-                )
-            )
-            if rebuffer > 0:
-                tracer.emit(
-                    Rebuffer(
-                        session_id=session_id,
-                        t_mono=tracer.now(),
-                        chunk_index=k,
-                        duration_s=rebuffer,
-                        wall_time_s=t,
-                    )
-                )
-            if _pending_predictions:
-                active = ThroughputObservation(
-                    result.throughput_kbps,
-                    download_time,
-                    idle_s=idle_before,
-                    stall_s=stalled,
-                ).active_kbps
-                for predictor_name, predicted in _pending_predictions:
-                    tracer.emit(
-                        PredictionSpan(
-                            session_id=session_id,
-                            t_mono=tracer.now(),
-                            chunk_index=k,
-                            predictor=predictor_name,
-                            predicted_kbps=predicted,
-                            actual_kbps=result.throughput_kbps,
-                            active_kbps=active,
-                            error=(predicted - active) / active,
-                            duration_s=download_time,
-                            idle_s=idle_before,
-                            stall_s=stalled,
-                        )
-                    )
-        algorithm.on_download_complete(result)
-        prev_level = level
-
-    startup_delay = playback_start_s if playback_start_s != _INFINITY else t
-    session = SessionResult(
-        algorithm_name=algorithm.name,
-        trace_name=trace.name,
-        records=tuple(records),
-        startup_delay_s=startup_delay,
-        total_rebuffer_s=total_rebuffer,
-        total_wall_time_s=t,
-        config=config,
+    session, latencies, edge_wait, edge_rebuffer = _play_session(
+        algorithm,
+        trace,
+        manifest,
+        config,
+        StartupPolicy.FIRST_CHUNK,
+        0.0,
+        tracer,
+        session_id or f"live:{algorithm.name}:{trace.name}",
+        link_faults,
+        fault_seed,
+        publish_times=[
+            live.publish_time_s(k, interval) for k in range(manifest.num_chunks)
+        ],
     )
-    live_result = LiveSessionResult(
+    return LiveSessionResult(
         session=session,
         live=live,
         latencies_s=tuple(latencies),
         edge_wait_s=edge_wait,
         edge_rebuffer_s=edge_rebuffer,
     )
-    if tracing:
-        tracer.emit(
-            SessionSummary(
-                session_id=session_id,
-                t_mono=tracer.now(),
-                algorithm=algorithm.name,
-                trace_name=trace.name,
-                num_chunks=len(records),
-                startup_delay_s=startup_delay,
-                total_rebuffer_s=total_rebuffer,
-                total_wall_time_s=t,
-                qoe_total=session.qoe().total,
-                weight_switching=config.weights.switching,
-                weight_rebuffering=config.weights.rebuffering,
-                weight_startup=config.weights.startup,
-            )
-        )
-    return live_result

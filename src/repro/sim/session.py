@@ -21,6 +21,12 @@ The engine implements Eqs. (1)–(4) exactly:
 Every decision flows through the :class:`~repro.abr.base.ABRAlgorithm`
 interface, so the simulator runs the paper's algorithms and any
 user-supplied one interchangeably.
+
+One private loop implements all of this.  :func:`simulate_session` runs
+it on demand, with every chunk available at ``t = 0``;
+:func:`repro.sim.live.run_live_session` runs the same loop with a
+publish schedule, which adds the wait at the live edge, the published
+prefix each decision sees, and each chunk's fetch latency.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..abr.base import (
     ABRAlgorithm,
@@ -102,18 +108,6 @@ class SessionResult:
         return SessionMetrics.from_session(self)
 
 
-def _bind_trace_aware(algorithm: ABRAlgorithm, trace: Trace, manifest: VideoManifest) -> None:
-    for predictor in algorithm.predictors():
-        if isinstance(predictor, TraceAware):
-            predictor.bind_trace(trace, manifest.chunk_duration_s)
-
-
-def _set_wall_time(algorithm: ABRAlgorithm, t: float) -> None:
-    for predictor in algorithm.predictors():
-        if isinstance(predictor, TraceAware):
-            predictor.set_wall_time(t)
-
-
 def simulate_session(
     algorithm: ABRAlgorithm,
     trace: Trace,
@@ -136,7 +130,8 @@ def simulate_session(
     startup_policy / fixed_startup_delay_s:
         ``FIRST_CHUNK`` starts playback when the first chunk arrives plus
         the algorithm's optional extra wait; ``FIXED`` starts at the given
-        wall-clock delay exactly (Section 7.3's startup experiment).
+        wall-clock delay exactly (Section 7.3's startup experiment), which
+        must be a finite number >= 0.
     tracer / session_id:
         When a :class:`repro.obs.Tracer` is given, the session emits the
         full per-chunk event timeline (decision, download, rebuffer,
@@ -153,7 +148,51 @@ def simulate_session(
         time and the chunk's ``stalled_s``.  Bandwidth faults belong in
         the trace (:func:`~repro.faults.trace.apply_trace_faults`).
     """
+    session, _, _, _ = _play_session(
+        algorithm,
+        trace,
+        manifest,
+        config,
+        startup_policy,
+        fixed_startup_delay_s,
+        tracer,
+        session_id or f"{algorithm.name}:{trace.name}",
+        link_faults,
+        fault_seed,
+    )
+    return session
+
+
+def _play_session(
+    algorithm: ABRAlgorithm,
+    trace: Trace,
+    manifest: VideoManifest,
+    config: Optional[SessionConfig],
+    startup_policy: StartupPolicy,
+    fixed_startup_delay_s: float,
+    tracer: Optional[Tracer],
+    session_id: str,
+    link_faults: Optional[Iterable],
+    fault_seed: int,
+    publish_times: Optional[Sequence[float]] = None,
+) -> Tuple[SessionResult, List[float], float, float]:
+    """The Eq. (1)-(4) loop behind :func:`simulate_session` and
+    :func:`~repro.sim.live.run_live_session`.
+
+    ``publish_times[k]`` is the wall time chunk ``k`` becomes
+    downloadable.  A request for an unpublished chunk first waits at the
+    live edge, and every decision sees the published prefix as
+    ``available_chunks``.  ``None`` is on-demand video: every chunk
+    exists at ``t = 0`` and observations carry ``available_chunks=None``.
+
+    Returns the session, each chunk's fetch latency (download end minus
+    publish time), the total edge wait, and the rebuffer incurred in it.
+    """
     config = config if config is not None else SessionConfig()
+    if startup_policy is StartupPolicy.FIXED and not (
+        0.0 <= fixed_startup_delay_s < _INFINITY
+    ):
+        raise ValueError("fixed startup delay must be a finite number >= 0")
     if link_faults:
         # Imported lazily: the faults package reaches into the emulation
         # layer (FaultyLink), which itself imports this module.
@@ -162,11 +201,7 @@ def simulate_session(
         injector = SimLinkFaults(link_faults, fault_seed)
     else:
         injector = None
-    if startup_policy is StartupPolicy.FIXED and fixed_startup_delay_s < 0:
-        raise ValueError("fixed startup delay must be >= 0")
     tracing = tracer is not None and tracer.enabled
-    if tracing and not session_id:
-        session_id = f"{algorithm.name}:{trace.name}"
     if tracing and not tracer.session_id:
         # Attribute solver/table profiling events (which are emitted with
         # an empty session id) to this session.  Reuse a fresh tracer per
@@ -175,8 +210,11 @@ def simulate_session(
     if tracer is not None:
         algorithm.tracer = tracer
     algorithm.prepare(manifest, config)
-    _bind_trace_aware(algorithm, trace, manifest)
+    for predictor in algorithm.predictors():
+        if isinstance(predictor, TraceAware):
+            predictor.bind_trace(trace, manifest.chunk_duration_s)
 
+    num_chunks = manifest.num_chunks
     L = manifest.chunk_duration_s
     bmax = config.buffer_capacity_s
     t = 0.0
@@ -185,12 +223,42 @@ def simulate_session(
         fixed_startup_delay_s if startup_policy is StartupPolicy.FIXED else _INFINITY
     )
     total_rebuffer = 0.0
+    edge_wait = 0.0
+    edge_rebuffer = 0.0
     prev_level: Optional[int] = None
     records: List[DownloadResult] = []
+    latencies: List[float] = []
     last_transfer_end = 0.0  # wall time the previous download finished
+    publish = 0.0  # on demand, every chunk exists at t = 0
+    published = 0  # live: chunks 0 .. published-1 exist at wall time t
+    available: Optional[int] = None  # what decisions see of that prefix
 
-    for k in range(manifest.num_chunks):
-        _set_wall_time(algorithm, t)
+    for k in range(num_chunks):
+        if publish_times is not None:
+            publish = publish_times[k]
+            if t < publish:
+                # Wait at the live edge.  The buffer keeps draining once
+                # playback has begun; running dry during the wait is a
+                # rebuffer charged to the publish schedule, not the
+                # network.
+                edge_wait += publish - t
+                if playback_start_s != _INFINITY and publish > playback_start_s:
+                    drain = publish - max(t, playback_start_s)
+                    stall = max(drain - buffer_s, 0.0)
+                    buffer_s = max(buffer_s - drain, 0.0)
+                    total_rebuffer += stall
+                    edge_rebuffer += stall
+                t = publish
+            # Advance the published prefix by direct comparison against
+            # the schedule (no division: float-exact at publish
+            # boundaries).
+            while published < num_chunks and publish_times[published] <= t:
+                published += 1
+            available = published
+
+        for predictor in algorithm.predictors():
+            if isinstance(predictor, TraceAware):
+                predictor.set_wall_time(t)
         idle_before = t - last_transfer_end
         observation = PlayerObservation(
             chunk_index=k,
@@ -198,6 +266,7 @@ def simulate_session(
             prev_level_index=prev_level,
             wall_time_s=t,
             playback_started=t >= playback_start_s,
+            available_chunks=available,
         )
         if tracing:
             _decide_t0 = time.perf_counter()
@@ -220,7 +289,6 @@ def simulate_session(
                     decide_wall_s=time.perf_counter() - _decide_t0,
                 )
             )
-        if tracing:
             _pending_predictions = [
                 (p.name, p.predict(1)[0]) for p in algorithm.predictors()
             ]
@@ -246,6 +314,7 @@ def simulate_session(
         t = t_end
         last_transfer_end = t
         buffer_s += L
+        latencies.append(t_end - publish)
 
         if playback_start_s == _INFINITY:
             # FIRST_CHUNK policy: playback begins now, plus any extra wait
@@ -257,25 +326,22 @@ def simulate_session(
                     prev_level_index=level,
                     wall_time_s=t,
                     playback_started=False,
+                    available_chunks=available,
                 )
             )
-            if extra < 0:
-                raise ValueError("startup wait must be >= 0")
+            if not 0.0 <= extra < _INFINITY:
+                raise ValueError("startup wait must be a finite number >= 0")
             t += extra
             playback_start_s = t
 
-        waited = 0.0
-        if buffer_s > bmax and playback_start_s == _INFINITY:
-            # FIRST_CHUNK sessions never overflow before playback, but
-            # a misbehaving startup wait could; begin playback now.
-            playback_start_s = t
         # Eq. (4), generalised by request pacing: pause until the buffer
         # drains to the pacing threshold (Bmax by default).  Under a FIXED
         # startup policy the buffer only drains once playback begins, so
         # the wait spans until then too.  Pre-playback, pacing below Bmax
         # does not apply (players build their pre-roll at full speed).
+        waited = 0.0
         threshold = config.pacing_threshold_s
-        if buffer_s > threshold and playback_start_s != _INFINITY:
+        if buffer_s > threshold:
             if t >= playback_start_s or buffer_s > bmax:
                 drain_start = max(t, playback_start_s)
                 waited = (drain_start - t) + (buffer_s - threshold)
@@ -387,4 +453,4 @@ def simulate_session(
                 weight_startup=config.weights.startup,
             )
         )
-    return session
+    return session, latencies, edge_wait, edge_rebuffer

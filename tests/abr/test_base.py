@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.abr.base import (
@@ -24,6 +26,9 @@ class TestSessionConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SessionConfig(buffer_capacity_s=0.0)
+        for capacity in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SessionConfig(buffer_capacity_s=capacity)
 
 
 class TestPlayerObservation:

@@ -5,8 +5,9 @@ fixed header, and its decisions as run-length records.  Loading must
 check the declared index space against the runs before it builds any
 binning or array, and must adopt the runs instead of expanding them, so
 a 64-byte forged blob cannot make the loader allocate by the counts it
-declares.  A consistent blob can still declare huge binnings or a huge
-``keep_full`` vector; a byte budget refuses those before building them.
+declares.  A consistent blob can still declare huge binnings, a huge
+``keep_full`` vector or many runs; a byte budget refuses those before
+building them.
 Only canonical runs load, so :meth:`same_decisions` still compares one
 encoding per decision vector.
 """
@@ -106,6 +107,25 @@ def test_budget_refuses_before_allocating(counts, keep_full):
     assert peak < 1 * MIB
     # The disk cache loads without a budget, as before.
     assert DecisionTable.from_bytes(blob).num_entries == entries
+
+
+def test_budget_charges_the_parsed_runs():
+    # 40,000 alternating runs over a 200 x 3 x 200 space: a 200 KB blob
+    # whose runs take about 2.5 MB once parsed into Python ints.
+    runs = [(3 * (i + 1), i % 2) for i in range(40_000)]
+    blob = table_blob(200, 3, 200, runs)
+    assert len(blob) == 200_059
+    outcome, peak = traced_peak(
+        functools.partial(DecisionTable.from_bytes, max_bytes=MIB), blob
+    )
+    assert isinstance(outcome, ValueError)
+    assert "budget" in str(outcome)
+    assert peak < MIB
+    # The disk cache loads without a budget, and what the budget charges
+    # covers what the load really takes.
+    table, peak = traced_peak(DecisionTable.from_bytes, blob)
+    assert table.rle.num_runs == 40_000
+    assert MIB < peak < 4 * MIB
 
 
 @pytest.mark.parametrize("load", LOADERS, ids=LOADER_IDS)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.abr import ConstantLevelAlgorithm, SessionConfig
@@ -94,6 +96,32 @@ class TestEmulateSession:
             fixed_startup_delay_s=5.0,
         )
         assert session.startup_delay_s == pytest.approx(5.0)
+
+    def test_fixed_startup_delay_rejected(self, envivio_manifest, constant_trace):
+        """Refused before the first request, not when QoE is scored."""
+        for delay in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="fixed startup delay"):
+                emulate_session(
+                    ConstantLevelAlgorithm(0), constant_trace, envivio_manifest,
+                    network=IDEAL, startup_policy=StartupPolicy.FIXED,
+                    fixed_startup_delay_s=delay,
+                )
+
+    class BadWait(ConstantLevelAlgorithm):
+        def __init__(self, wait):
+            super().__init__(0)
+            self.wait = wait
+
+        def select_startup_wait(self, observation):
+            return self.wait
+
+    def test_bad_startup_wait_rejected(self, envivio_manifest, constant_trace):
+        for wait in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="startup wait"):
+                emulate_session(
+                    self.BadWait(wait), constant_trace, envivio_manifest,
+                    network=IDEAL,
+                )
 
     def test_mpc_runs_in_emulation(self, envivio_manifest, hsdpa_traces):
         session = emulate_session(

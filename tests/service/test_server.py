@@ -194,31 +194,35 @@ class TestTableSwap:
         run(with_server(service, inner))
 
     @pytest.mark.parametrize(
-        "counts, keep_full, max_table_bytes",
+        "counts, keep_full, max_table_bytes, num_runs",
         [
-            ((2_000_000, 1, 1, 1), 0, None),
-            ((65535, 1, 65535, 65535 * 65535), 0, None),
-            ((4096, 3, 1366, 4096 * 3 * 1366), 1, 1 << 20),
-            ((1, 3, 350_000, 3 * 350_000), 0, 1 << 20),
+            ((2_000_000, 1, 1, 1), 0, None, 1),
+            ((65535, 1, 65535, 65535 * 65535), 0, None, 1),
+            ((4096, 3, 1366, 4096 * 3 * 1366), 1, 1 << 20, 1),
+            ((1, 3, 350_000, 3 * 350_000), 0, 1 << 20, 1),
+            ((200, 3, 200, 200 * 3 * 200), 0, 1 << 20, 40_000),
         ],
         ids=[
             "forged-bin-count",
             "huge-one-level-space",
             "keep-full-over-budget",
             "bin-count-over-budget",
+            "runs-over-budget",
         ],
     )
     def test_forged_table_sizes_rejected(
-        self, test_table, counts, keep_full, max_table_bytes
+        self, test_table, counts, keep_full, max_table_bytes, num_runs
     ):
         """A 64-byte blob is refused by what it holds, not by what its
         header declares: a bin count the runs do not fill, and a space
         of 2^32 - 131071 entries for a one-level ladder.  Neither is
         expanded, so neither can raise MemoryError past the handler.
-        Two consistent blobs for the server's own ladder declare about
-        16 MiB against a 1 MiB ``max_table_bytes``: a full vector of
-        16 Mi entries, and a binning of 350,000 bins.  The budget
-        refuses both before building either."""
+        Three consistent blobs for the server's own ladder hold more
+        than a 1 MiB ``max_table_bytes``: a full vector of 16 Mi
+        entries and a binning of 350,000 bins, each declared in 64
+        bytes, and a 200 KB blob of 40,000 alternating runs that take
+        about 2.5 MB once parsed.  The budget refuses all three before
+        building any."""
         buffer_count, num_levels, throughput_count, end = counts
         blob = b"".join(
             [
@@ -226,11 +230,14 @@ class TestTableSwap:
                 struct.pack("<ddIB", 0.0, 30.0, buffer_count, 0),
                 struct.pack("<ddIB", 10.0, 6000.0, throughput_count, 1),
                 struct.pack("<IB", num_levels, keep_full),
-                struct.pack("<I", 1),
-                struct.pack("<IB", end, 0),
+                struct.pack("<I", num_runs),
+            ]
+            + [
+                struct.pack("<IB", end * (run + 1) // num_runs, run % 2)
+                for run in range(num_runs)
             ]
         )
-        assert len(blob) == 64
+        assert len(blob) == 59 + 5 * num_runs
         config = (
             ServiceConfig()
             if max_table_bytes is None

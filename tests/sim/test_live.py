@@ -3,20 +3,37 @@
 The keystone conformance check: a live session whose backlog covers the
 whole manifest has every chunk published at ``t = 0``, so it must
 reproduce the on-demand simulator *bit for bit* — same records, same
-rebuffer, same startup.  The live machinery is pure addition, never a
-reinterpretation of Eqs. (1)-(4).
+rebuffer, same startup, same traced timeline.  Both run one Eq. (1)-(4)
+loop; the live schedule is pure addition, never a reinterpretation of
+the dynamics, and the check fails if a live-only line alters a session
+whose chunks all exist at ``t = 0``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import math
+
 import pytest
 
-from repro.abr.base import ABRAlgorithm, PlayerObservation
-from repro.abr.registry import create
+from repro.abr.base import ABRAlgorithm, PlayerObservation, SessionConfig
+from repro.abr.registry import available, create
+from repro.faults import ChunkFailure, LatencySpike
+from repro.obs import RingBufferSink, Tracer
 from repro.sim.live import LiveConfig, run_live_session
 from repro.sim.session import simulate_session
 from repro.traces import FCCTraceGenerator, Trace
-from repro.video.presets import envivio
+from repro.video.presets import envivio, short_test_video
+
+#: Per-transfer faults for the keystone, drawn with a fixed seed: a
+#: latency spike over part of the session and random chunk failures.
+LINK_FAULTS = [
+    LatencySpike(start_s=20.0, duration_s=60.0, extra_delay_s=0.7),
+    ChunkFailure(rate=0.15, detect_delay_s=0.8),
+]
+#: Event fields that read the real clock instead of the session's.
+WALL_CLOCK_FIELDS = ("decide_wall_s", "wall_s")
 
 
 class SpyAlgorithm(ABRAlgorithm):
@@ -34,6 +51,33 @@ class SpyAlgorithm(ABRAlgorithm):
 
 def fast_trace(duration_s=600.0):
     return Trace.constant(50_000.0, duration_s, name="fast")
+
+
+def recorded_observations(algorithm):
+    """Make ``algorithm`` keep every observation it decides on."""
+    seen = []
+    decide = algorithm.select_bitrate
+
+    def select_bitrate(observation):
+        seen.append(observation)
+        return decide(observation)
+
+    algorithm.select_bitrate = select_bitrate
+    return seen
+
+
+def timeline(play, name, trace, manifest, **kwargs):
+    """One traced session's events on a counting clock, with the session
+    id and the wall-clock fields cleared."""
+    sink = RingBufferSink(capacity=100_000)
+    ticks = itertools.count()
+    tracer = Tracer([sink], clock=lambda: float(next(ticks)))
+    play(create(name), trace, manifest, tracer=tracer, **kwargs)
+    events = []
+    for event in sink.events():
+        clocks = {f: 0.0 for f in WALL_CLOCK_FIELDS if hasattr(event, f)}
+        events.append(dataclasses.replace(event, session_id="", **clocks))
+    return events
 
 
 class TestLiveConfig:
@@ -58,26 +102,67 @@ class TestLiveConfig:
             LiveConfig(latency_target_s=-1.0)
         with pytest.raises(ValueError):
             LiveConfig(latency_weight=-1.0)
+        for bad in (
+            dict(interval_s=math.nan),
+            dict(interval_s=math.inf),
+            dict(latency_target_s=math.nan),
+            dict(latency_target_s=math.inf),
+            dict(latency_weight=math.nan),
+            dict(latency_weight=math.inf),
+            dict(backlog_chunks=2.5),
+        ):
+            with pytest.raises(ValueError):
+                LiveConfig(**bad)
 
 
 class TestLiveSession:
-    def test_full_backlog_reproduces_vod_exactly(self):
+    @pytest.mark.parametrize("faults", [None, LINK_FAULTS], ids=["clean", "faults"])
+    @pytest.mark.parametrize("target", [None, 12.0], ids=["bmax", "target-12"])
+    @pytest.mark.parametrize("name", available())
+    def test_full_backlog_reproduces_vod_exactly(self, name, target, faults):
         """Everything published at t=0 -> the on-demand session, bit for
-        bit."""
+        bit, for every controller, paced or not, with or without link
+        faults.  Traced, both emit the same timeline."""
         trace = FCCTraceGenerator(seed=3).generate_many(1, 300.0)[0]
         manifest = envivio()
-        vod = simulate_session(create("fastmpc"), trace, manifest)
+        config = SessionConfig(request_target_buffer_s=target)
+        faulted = dict(link_faults=faults, fault_seed=7)
+        vod_algorithm = create(name)
+        vod_seen = recorded_observations(vod_algorithm)
+        vod = simulate_session(vod_algorithm, trace, manifest, config, **faulted)
+        live_algorithm = create(name)
+        live_seen = recorded_observations(live_algorithm)
         live = run_live_session(
-            create("fastmpc"),
+            live_algorithm,
             trace,
             manifest,
+            config,
             live=LiveConfig(backlog_chunks=manifest.num_chunks),
+            **faulted,
         )
         assert live.session.records == vod.records
         assert live.session.total_rebuffer_s == vod.total_rebuffer_s
         assert live.session.startup_delay_s == vod.startup_delay_s
         assert live.edge_wait_s == 0.0
         assert live.edge_rebuffer_s == 0.0
+        assert all(o.available_chunks is None for o in vod_seen)
+        assert all(o.available_chunks == manifest.num_chunks for o in live_seen)
+
+        # The timelines, on a 12-chunk video to keep the sweep short.
+        short = short_test_video(num_chunks=12, num_levels=3)
+        vod_events = timeline(
+            simulate_session, name, trace, short, config=config, **faulted
+        )
+        live_events = timeline(
+            run_live_session,
+            name,
+            trace,
+            short,
+            config=config,
+            live=LiveConfig(backlog_chunks=short.num_chunks),
+            **faulted,
+        )
+        assert live_events == vod_events
 
     def test_bounded_lookahead_exposed_to_decisions(self):
         """Decisions see the published prefix, which gates lookahead

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.abr import ConstantLevelAlgorithm, SessionConfig
@@ -33,6 +35,9 @@ class TestPacingConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SessionConfig(request_target_buffer_s=0.0)
+        for target in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SessionConfig(request_target_buffer_s=target)
 
 
 class TestPacingBehaviour:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -11,7 +12,12 @@ from hypothesis import strategies as st
 from repro.abr import ConstantLevelAlgorithm, FixedPlanAlgorithm, SessionConfig
 from repro.abr.base import ABRAlgorithm
 from repro.core.mpc import MPCController
-from repro.sim import SessionResult, StartupPolicy, simulate_session
+from repro.sim import (
+    SessionResult,
+    StartupPolicy,
+    run_live_session,
+    simulate_session,
+)
 from repro.traces import Trace
 from repro.video import envivio, short_test_video
 
@@ -103,11 +109,12 @@ class TestStartupPolicies:
         assert stalls[1] <= stalls[0]
 
     def test_fixed_startup_negative_rejected(self, envivio_manifest, constant_trace):
-        with pytest.raises(ValueError):
-            simulate_session(
-                ConstantLevelAlgorithm(0), constant_trace, envivio_manifest,
-                startup_policy=StartupPolicy.FIXED, fixed_startup_delay_s=-1.0,
-            )
+        for delay in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                simulate_session(
+                    ConstantLevelAlgorithm(0), constant_trace, envivio_manifest,
+                    startup_policy=StartupPolicy.FIXED, fixed_startup_delay_s=delay,
+                )
 
     def test_mpc_startup_wait_applied(self, envivio_manifest):
         """On a slow link the MPC startup problem asks for extra pre-roll
@@ -191,18 +198,23 @@ class TestAlgorithmContract:
         with pytest.raises(ValueError, match="invalid level"):
             simulate_session(self.Rogue(), constant_trace, envivio_manifest)
 
-    class NegativeWait(ABRAlgorithm):
-        name = "negative-wait"
+    class BadWait(ABRAlgorithm):
+        name = "bad-wait"
+
+        def __init__(self, wait):
+            self.wait = wait
 
         def select_bitrate(self, observation):
             return 0
 
         def select_startup_wait(self, observation):
-            return -1.0
+            return self.wait
 
     def test_negative_startup_wait_rejected(self, envivio_manifest, constant_trace):
-        with pytest.raises(ValueError, match="startup wait"):
-            simulate_session(self.NegativeWait(), constant_trace, envivio_manifest)
+        for wait in (-1.0, math.nan, math.inf):
+            for play in (simulate_session, run_live_session):
+                with pytest.raises(ValueError, match="startup wait"):
+                    play(self.BadWait(wait), constant_trace, envivio_manifest)
 
 
 class TestSessionResult:
