@@ -3,7 +3,7 @@ tail latency, and crash-recovery time.
 
 Runs the closed-loop load generator against a real multi-process
 :class:`~repro.service.cluster.ClusterSupervisor` (forked workers, one
-published mmap-backed table, ``SO_REUSEPORT`` sharding) at 1, 2, and 4
+published table file, ``SO_REUSEPORT`` sharding) at 1, 2, and 4
 workers, then measures how long the supervisor takes to detect and
 replace a SIGKILLed worker.
 

@@ -207,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help=(
             "worker processes; >1 runs the sharded cluster: one published"
-            " mmap-backed table, SO_REUSEPORT (or a round-robin frontend),"
+            " table file, SO_REUSEPORT (or a round-robin frontend),"
             " supervised restarts, aggregated /metrics (docs/scaling.md)"
         ),
     )
@@ -862,7 +862,7 @@ def _serve_cluster(args, manifest, table, experiment=None) -> int:
     table_path = None
     tmpdir = None
     if table is not None:
-        # Published once; every worker maps it read-only (zero copies).
+        # Published once; every worker loads its own copy of the runs.
         tmpdir = tempfile.TemporaryDirectory(prefix="repro-cluster-")
         table_path = str(Path(tmpdir.name) / "decision-table.rprotbl")
         publish_table(table, table_path)

@@ -30,7 +30,7 @@ from ..prediction.errors import PredictionErrorTracker
 from ..prediction.harmonic import HarmonicMeanPredictor
 from .kernel import build_table_decisions
 from .qoe import QoEWeights
-from .table import Binning, DecisionTable, TableSizeReport
+from .table import Binning, DecisionTable, TableSizeReport, check_num_levels
 
 __all__ = [
     "FastMPCConfig",
@@ -56,7 +56,6 @@ class FastMPCConfig:
     throughput_low_kbps: Optional[float] = None  # default: 0.2 * min ladder rate
     throughput_high_kbps: Optional[float] = None  # default: 2.0 * max ladder rate
     throughput_spacing: str = "log"
-    keep_full_table: bool = False
 
     def __post_init__(self) -> None:
         if self.buffer_bins < 1 or self.throughput_bins < 1:
@@ -109,7 +108,6 @@ def _cache_key(
             config.throughput_low_kbps,
             config.throughput_high_kbps,
             config.throughput_spacing,
-            config.keep_full_table,
         ),
     )
 
@@ -140,6 +138,7 @@ def build_decision_table(
     ladder = tuple(float(r) for r in ladder_kbps)
     if not ladder or list(ladder) != sorted(ladder):
         raise ValueError("ladder must be non-empty and ascending")
+    check_num_levels(len(ladder))
     for name, value in (
         ("chunk duration", chunk_duration_s),
         ("buffer capacity", buffer_capacity_s),
@@ -192,7 +191,6 @@ def build_decision_table(
         len(ladder),
         throughput_binning,
         decisions.reshape(-1),
-        keep_full=config.keep_full_table,
     )
     if use_cache:
         _TABLE_CACHE[key] = table

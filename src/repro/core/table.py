@@ -22,13 +22,10 @@ optimisations from Section 5.2 live here:
   per-value bisect with one vectorized ``searchsorted`` over the run
   ends — identical answers, amortised cost.
 
-A third, deployment-facing representation backs the sharded decision
-service: :meth:`DecisionTable.from_buffer` wraps a *serialized* table —
-typically an ``mmap`` of a published table file — without decoding it.
-The run records are binary-searched in place (:class:`MappedRunLengthTable`),
-so many worker processes can serve one read-only table file with zero
-per-process copies; the serialized form is position-independent, which
-is what makes that sharing safe.
+Deployment reads the same structure back: :meth:`DecisionTable.from_bytes`
+loads a serialized table — a disk-cache entry, a published table file, a
+``POST /v1/table`` body — with one ``np.frombuffer`` read of its run
+records into the table's own arrays, about 9 bytes per run.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +44,6 @@ from ..obs.events import TableLookup
 __all__ = [
     "Binning",
     "RunLengthEncodedTable",
-    "MappedRunLengthTable",
     "DecisionTable",
     "TableSizeReport",
 ]
@@ -209,30 +205,46 @@ class Binning:
 class RunLengthEncodedTable:
     """Lossless RLE of a flat decision vector with binary-search lookup.
 
-    Storage is two parallel arrays: the *exclusive end index* of each run
-    and the run's value.  ``lookup(i)`` binary-searches the end-index array
-    — exactly the online procedure Section 5.2 describes.
-    ``lookup_batch`` answers many indices with one ``searchsorted`` over
-    the same run ends (bitwise-identical results).
+    Storage is two contiguous arrays: the *exclusive end index* of each
+    run (``int64``) and the run's value (``uint8``, the serialized
+    width).  ``lookup(i)`` binary-searches the end-index array — exactly
+    the online procedure Section 5.2 describes.  ``lookup_batch`` answers
+    many indices with one ``searchsorted`` over the same run ends
+    (bitwise-identical results).
+
+    Every table is canonical — the one :meth:`encode` produces: ends
+    strictly increasing, adjacent runs holding different values — so
+    :meth:`to_bytes` is one encoding per decision vector.
     """
 
-    __slots__ = ("_run_ends", "_run_values", "_length", "_ends_arr", "_values_arr")
+    __slots__ = ("_ends", "_values", "_ends_view", "_values_view", "_length")
 
     def __init__(self, run_ends: Sequence[int], run_values: Sequence[int]) -> None:
-        if len(run_ends) != len(run_values):
+        ends = np.array(run_ends, dtype=np.int64)  # a copy: no reference to a blob
+        values = np.asarray(run_values)
+        if ends.ndim != 1 or values.shape != ends.shape:
             raise ValueError("run arrays must have equal length")
-        if not run_ends:
+        if not ends.size:
             raise ValueError("table must not be empty")
-        prev = 0
-        for end in run_ends:
-            if end <= prev:
-                raise ValueError("run ends must be strictly increasing and positive")
-            prev = end
-        self._run_ends = list(int(e) for e in run_ends)
-        self._run_values = list(int(v) for v in run_values)
-        self._length = self._run_ends[-1]
-        self._ends_arr = None  # lazy batch-lookup arrays (immutable table)
-        self._values_arr = None
+        if ends[0] <= 0 or (ends[1:] <= ends[:-1]).any():
+            raise ValueError("run ends must be strictly increasing and positive")
+        if ends[-1] > _MAX_RUN_END:
+            raise ValueError(f"run ends must fit the u32 record, got {ends[-1]}")
+        if values.min() < 0 or values.max() > 255:
+            raise ValueError("run values must fit the u8 record")
+        if (values[1:] == values[:-1]).any():
+            raise ValueError(_SPLIT_RUN)
+        self._ends = ends
+        self._values = values.astype(np.uint8)
+        self._length = int(ends[-1])
+        # Scalar lookups index memoryviews, which yield plain ints where
+        # indexing the arrays would box a NumPy scalar per probe.
+        self._ends_view = memoryview(self._ends)
+        self._values_view = memoryview(self._values)
+
+    def __reduce__(self):
+        # Memoryviews do not pickle; copies and pickles rebuild them.
+        return type(self), (self._ends, self._values)
 
     @classmethod
     def encode(cls, values: Sequence[int]) -> "RunLengthEncodedTable":
@@ -242,43 +254,33 @@ class RunLengthEncodedTable:
         arr = np.asarray(values)
         if arr.ndim != 1:
             raise ValueError("values must be one-dimensional")
-        change = np.flatnonzero(np.diff(arr)) + 1
-        starts = np.concatenate(([0], change))
-        ends = np.concatenate((change, [len(arr)]))
-        return cls(ends.tolist(), arr[starts].tolist())
+        ends = np.append(np.flatnonzero(arr[1:] != arr[:-1]) + 1, len(arr))
+        return cls(ends, arr[ends - 1])
 
     def decode(self):
-        """Expand back to the full vector (tests / full-table mode)."""
-        out = np.empty(self._length, dtype=np.int64)
-        start = 0
-        for end, value in zip(self._run_ends, self._run_values):
-            out[start:end] = value
-            start = end
-        return out
+        """Expand back to the full ``int64`` vector (tests, examples)."""
+        lengths = np.diff(self._ends, prepend=0)
+        return np.repeat(self._values.astype(np.int64), lengths)
 
     def lookup(self, index: int) -> int:
         """Value at a flat index via binary search over run ends."""
         if not 0 <= index < self._length:
             raise IndexError(f"index {index} out of range 0..{self._length - 1}")
-        run = bisect.bisect_right(self._run_ends, index)
-        return self._run_values[run]
+        return self._values_view[bisect.bisect_right(self._ends_view, index)]
 
     def lookup_batch(self, indices):
         """Values at many flat indices — one vectorized ``searchsorted``.
 
         ``side='right'`` over the run ends is exactly the scalar
         ``bisect_right`` recurrence, so batch and scalar answers are
-        identical on every index.  Raises ``IndexError`` when any index
-        is out of range.
+        identical on every index.  Returns ``int64``; raises
+        ``IndexError`` when any index is out of range.
         """
         flat = np.asarray(indices, dtype=np.int64)
         if flat.size and (flat.min() < 0 or flat.max() >= self._length):
             raise IndexError(f"batch index out of range 0..{self._length - 1}")
-        if self._ends_arr is None:
-            self._ends_arr = np.asarray(self._run_ends, dtype=np.int64)
-            self._values_arr = np.asarray(self._run_values, dtype=np.int64)
-        runs = np.searchsorted(self._ends_arr, flat, side="right")
-        return self._values_arr[runs]
+        runs = np.searchsorted(self._ends, flat, side="right")
+        return self._values[runs].astype(np.int64)
 
     def lookup_profiled(self, index: int) -> Tuple[int, int]:
         """Like :meth:`lookup` but also counts binary-search probes.
@@ -290,8 +292,8 @@ class RunLengthEncodedTable:
         """
         if not 0 <= index < self._length:
             raise IndexError(f"index {index} out of range 0..{self._length - 1}")
-        lo, hi, depth = 0, len(self._run_ends), 0
-        ends = self._run_ends
+        ends = self._ends_view
+        lo, hi, depth = 0, len(ends), 0
         while lo < hi:
             mid = (lo + hi) // 2
             depth += 1
@@ -299,14 +301,14 @@ class RunLengthEncodedTable:
                 hi = mid
             else:
                 lo = mid + 1
-        return self._run_values[lo], depth
+        return self._values_view[lo], depth
 
     def __len__(self) -> int:
         return self._length
 
     @property
     def num_runs(self) -> int:
-        return len(self._run_ends)
+        return len(self._ends)
 
     def size_bytes(self, index_bytes: int = 4, value_bytes: int = 1) -> int:
         """Serialized size: one (end, value) record per run."""
@@ -314,216 +316,73 @@ class RunLengthEncodedTable:
 
     def to_bytes(self) -> bytes:
         """Portable serialization: u32 run count, then (u32 end, u8 value)."""
-        parts = [struct.pack("<I", self.num_runs)]
-        for end, value in zip(self._run_ends, self._run_values):
-            parts.append(struct.pack("<IB", end, value))
-        return b"".join(parts)
+        records = np.empty(self.num_runs, dtype=_RLE_RECORD)
+        records["end"] = self._ends
+        records["value"] = self._values
+        return _RLE_HEADER.pack(self.num_runs) + records.tobytes()
 
     @property
     def max_value(self) -> int:
         """Largest decision value across all runs."""
-        return max(self._run_values)
+        return int(self._values.max())
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "RunLengthEncodedTable":
-        """Inverse of :meth:`to_bytes`, in O(runs) time and memory.
+    def from_bytes(cls, blob) -> "RunLengthEncodedTable":
+        """Inverse of :meth:`to_bytes`: one ``np.frombuffer`` read of the
+        records, copied into the table's own arrays.
 
-        Only the canonical (:meth:`encode`) form loads: adjacent runs
-        with equal values are refused, so :meth:`DecisionTable.
-        same_decisions` can compare encodings byte for byte.
+        ``blob`` is any bytes-like object.  A blob shorter than the
+        records its run count declares raises ``ValueError``, and so does
+        a non-canonical one (see the class docstring).
         """
-        (count,) = _RLE_HEADER.unpack_from(blob, 0)
-        ends: List[int] = []
-        values: List[int] = []
-        offset = _RLE_HEADER.size
-        for _ in range(count):
-            end, value = _RLE_RECORD.unpack_from(blob, offset)
-            offset += _RLE_RECORD.size
-            if values and value == values[-1]:
-                raise ValueError(_SPLIT_RUN)
-            ends.append(end)
-            values.append(value)
-        return cls(ends, values)
-
-    def full_vector(self):
-        """The decisions one byte per entry: a ``uint8`` array built
-        straight from the runs."""
-        lengths = np.diff(np.asarray(self._run_ends, dtype=np.int64), prepend=0)
-        return np.repeat(np.asarray(self._run_values, dtype=np.uint8), lengths)
+        view = memoryview(blob).cast("B")
+        if len(view) < _RLE_HEADER.size:
+            raise ValueError(f"truncated RLE blob: {len(view)} bytes, no run count")
+        (count,) = _RLE_HEADER.unpack_from(view, 0)
+        need = _RLE_HEADER.size + _RLE_RECORD.itemsize * count
+        if len(view) < need:
+            raise ValueError(
+                f"truncated RLE blob: {len(view)} bytes, {count} runs need {need}"
+            )
+        records = np.frombuffer(
+            view, dtype=_RLE_RECORD, count=count, offset=_RLE_HEADER.size
+        )
+        return cls(records["end"], records["value"])
 
 
 #: Serialized RLE layout: ``u32 run count`` then one ``(u32 end, u8 value)``
 #: record per run — 5 bytes, unaligned, little-endian.
 _RLE_HEADER = struct.Struct("<I")
-_RLE_RECORD = struct.Struct("<IB")
+_RLE_RECORD = np.dtype([("end", "<u4"), ("value", "u1")])
+_MAX_RUN_END = 2**32 - 1
 _SPLIT_RUN = "adjacent runs must hold different values"
 #: Serialized table header after the magic: two ``(f64 low, f64 high,
 #: u32 count, u8 spacing)`` binnings, then ``(u32 levels, u8 keep_full)``.
+#: The keep-full byte is written as 0 and ignored on load.
 _BINNING_HEADER = struct.Struct("<ddIB")
 _SHAPE_HEADER = struct.Struct("<IB")
 #: Bytes a :class:`Binning` holds per bin: its edge and centre arrays and
 #: the edge list of the scalar path (48 under tracemalloc, also at peak).
 _BINNING_BYTES_PER_BIN = 48
-#: Bytes :meth:`RunLengthEncodedTable.from_bytes` takes per run: an int
-#: object for the end and a slot in each run list, twice while
-#: ``__init__`` copies the lists.  Under tracemalloc (CPython 3.11) the
-#: peak was 60-63 bytes per run for ends below 2**30 and 64-67 above
-#: (larger ints), and 44-50 stay held after the load.
-_RLE_BYTES_PER_RUN = 68
+#: Bytes :meth:`RunLengthEncodedTable.from_bytes` takes per run at its
+#: peak: the ``int64`` end and ``uint8`` value it keeps, plus a one-byte
+#: mask while it checks the runs.  Under tracemalloc (CPython 3.11.7,
+#: NumPy 2.4.6, x86-64) loads of 40,000-200,000 runs peaked at 9.0-9.1
+#: bytes per run, and the 100x100x5 table's 7,323 runs at 10.9 with its
+#: binnings and fixed objects counted in.
+_RLE_BYTES_PER_RUN = 12
+#: Run values serialize as a u8, so a table holds at most 256 levels.
+MAX_LEVELS = 256
 
 
-class MappedRunLengthTable:
-    """Zero-copy lookups over a *serialized* RLE blob (mmap-friendly).
-
-    Wraps the exact byte layout :meth:`RunLengthEncodedTable.to_bytes`
-    produces — a ``u32`` run count followed by ``(u32 end, u8 value)``
-    records — and binary-searches the records in place with
-    ``struct.unpack_from``, so the backing buffer (typically an ``mmap``
-    of a published table file) is never decoded or copied.  The layout is
-    position-independent: any process that can see the bytes can serve
-    lookups from them, which is what lets a cluster of worker processes
-    share one read-only table file.
-
-    Batch lookups read the run records *once* into two small arrays (runs
-    number in the thousands where entries number in the millions) and
-    then answer every batch with one ``searchsorted`` — the big mmap'd
-    decision vector itself is still never expanded.
-
-    Construction validates the run structure (strictly increasing ends,
-    adjacent runs holding different values) in one O(runs) scan — the
-    scan does not compromise the zero-copy story.  The memoryview held
-    here keeps the underlying buffer (and any ``mmap`` behind it) alive.
-    """
-
-    __slots__ = ("_view", "_num_runs", "_length", "_max_value", "_ends_arr", "_values_arr")
-
-    def __init__(self, buffer) -> None:
-        view = memoryview(buffer)
-        if view.ndim != 1 or view.itemsize != 1:
-            view = view.cast("B")
-        if len(view) < _RLE_HEADER.size:
-            raise ValueError("buffer too small for an RLE header")
-        (count,) = _RLE_HEADER.unpack_from(view, 0)
-        if count < 1:
-            raise ValueError("table must not be empty")
-        need = _RLE_HEADER.size + _RLE_RECORD.size * count
-        if len(view) < need:
-            raise ValueError(
-                f"truncated RLE blob: {len(view)} bytes, {count} runs need {need}"
-            )
-        self._view = view[:need]
-        prev = 0
-        prev_value = -1
-        max_value = 0
-        for run in range(count):
-            end, value = _RLE_RECORD.unpack_from(
-                view, _RLE_HEADER.size + _RLE_RECORD.size * run
-            )
-            if end <= prev:
-                raise ValueError("run ends must be strictly increasing and positive")
-            if value == prev_value:
-                raise ValueError(_SPLIT_RUN)
-            prev, prev_value = end, value
-            if value > max_value:
-                max_value = value
-        self._num_runs = count
-        self._length = prev
-        self._max_value = max_value
-        self._ends_arr = None  # lazy batch-lookup arrays
-        self._values_arr = None
-
-    def _run_at(self, run: int) -> Tuple[int, int]:
-        return _RLE_RECORD.unpack_from(
-            self._view, _RLE_HEADER.size + _RLE_RECORD.size * run
+def check_num_levels(num_levels: int) -> None:
+    """Refuse a ladder no decision table can hold, naming the limit."""
+    if num_levels < 1:
+        raise ValueError("need at least one ladder level")
+    if num_levels > MAX_LEVELS:
+        raise ValueError(
+            f"{num_levels} ladder levels; a decision table holds at most {MAX_LEVELS}"
         )
-
-    def lookup(self, index: int) -> int:
-        """Value at a flat index via in-place binary search over run ends."""
-        if not 0 <= index < self._length:
-            raise IndexError(f"index {index} out of range 0..{self._length - 1}")
-        lo, hi = 0, self._num_runs
-        view = self._view
-        header, record = _RLE_HEADER.size, _RLE_RECORD.size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            (end,) = _RLE_HEADER.unpack_from(view, header + record * mid)
-            if index < end:
-                hi = mid
-            else:
-                lo = mid + 1
-        return self._run_at(lo)[1]
-
-    def _ensure_arrays(self) -> None:
-        # One zero-copy structured read of the packed (u32 end, u8 value)
-        # records; `end` is widened for searchsorted, `value` copied out
-        # of the view so the arrays are standalone.
-        records = np.frombuffer(
-            self._view,
-            dtype=np.dtype([("end", "<u4"), ("value", "u1")]),
-            count=self._num_runs,
-            offset=_RLE_HEADER.size,
-        )
-        self._ends_arr = records["end"].astype(np.int64)
-        self._values_arr = records["value"].astype(np.int64)
-
-    def lookup_batch(self, indices):
-        """Batch variant of :meth:`lookup` — same answers, one
-        ``searchsorted`` over the (cached) run-end array."""
-        flat = np.asarray(indices, dtype=np.int64)
-        if flat.size and (flat.min() < 0 or flat.max() >= self._length):
-            raise IndexError(f"batch index out of range 0..{self._length - 1}")
-        if self._ends_arr is None:
-            self._ensure_arrays()
-        runs = np.searchsorted(self._ends_arr, flat, side="right")
-        return self._values_arr[runs]
-
-    def lookup_profiled(self, index: int) -> Tuple[int, int]:
-        """Like :meth:`lookup` but also counts binary-search probes —
-        the same ``(value, depth)`` contract as
-        :meth:`RunLengthEncodedTable.lookup_profiled`."""
-        if not 0 <= index < self._length:
-            raise IndexError(f"index {index} out of range 0..{self._length - 1}")
-        lo, hi, depth = 0, self._num_runs, 0
-        view = self._view
-        header, record = _RLE_HEADER.size, _RLE_RECORD.size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            depth += 1
-            (end,) = _RLE_HEADER.unpack_from(view, header + record * mid)
-            if index < end:
-                hi = mid
-            else:
-                lo = mid + 1
-        return self._run_at(lo)[1], depth
-
-    def decode(self):
-        """Expand to the full vector (parity checks / tests only)."""
-        out = np.empty(self._length, dtype=np.int64)
-        start = 0
-        for run in range(self._num_runs):
-            end, value = self._run_at(run)
-            out[start:end] = value
-            start = end
-        return out
-
-    def __len__(self) -> int:
-        return self._length
-
-    @property
-    def num_runs(self) -> int:
-        return self._num_runs
-
-    @property
-    def max_value(self) -> int:
-        """Largest decision value across all runs (scanned at init)."""
-        return self._max_value
-
-    def size_bytes(self, index_bytes: int = 4, value_bytes: int = 1) -> int:
-        return self._num_runs * (index_bytes + value_bytes)
-
-    def to_bytes(self) -> bytes:
-        """The wrapped serialization — a copy of the viewed bytes."""
-        return bytes(self._view)
 
 
 @dataclass(frozen=True)
@@ -557,7 +416,7 @@ class DecisionTable:
     always share a decision, which is what makes the RLE effective.
     """
 
-    __slots__ = ("buffer_bins", "num_levels", "throughput_bins", "_rle", "_full")
+    __slots__ = ("buffer_bins", "num_levels", "throughput_bins", "_rle")
 
     def __init__(
         self,
@@ -565,10 +424,8 @@ class DecisionTable:
         num_levels: int,
         throughput_bins: Binning,
         decisions_flat: Sequence[int],
-        keep_full: bool = False,
     ) -> None:
-        if num_levels < 1:
-            raise ValueError("need at least one ladder level")
+        check_num_levels(num_levels)
         expected = buffer_bins.count * num_levels * throughput_bins.count
         if len(decisions_flat) != expected:
             raise ValueError(
@@ -581,7 +438,6 @@ class DecisionTable:
         if arr.min() < 0 or arr.max() >= num_levels:
             raise ValueError("decisions must be valid ladder level indices")
         self._rle = RunLengthEncodedTable.encode(arr)
-        self._full = arr.astype(np.uint8) if keep_full else None
 
     # ------------------------------------------------------------------
 
@@ -598,10 +454,7 @@ class DecisionTable:
         """The online step: quantize the state, then one run lookup."""
         b = self.buffer_bins.index_of(buffer_level_s)
         c = self.throughput_bins.index_of(predicted_kbps)
-        flat = self._flat_index(b, prev_level, c)
-        if self._full is not None:
-            return int(self._full[flat])
-        return self._rle.lookup(flat)
+        return self._rle.lookup(self._flat_index(b, prev_level, c))
 
     def lookup_batch(self, buffer_levels_s, prev_levels, predicted_kbps):
         """Vectorized :meth:`lookup` over equal-length state arrays.
@@ -619,8 +472,6 @@ class DecisionTable:
         if prev.size and (prev.min() < 0 or prev.max() >= self.num_levels):
             raise IndexError("prev level out of range")
         flat = (b * self.num_levels + prev) * self.throughput_bins.count + c
-        if self._full is not None:
-            return self._full[flat].astype(np.int64)
         return self._rle.lookup_batch(flat)
 
     def lookup_traced(
@@ -634,17 +485,13 @@ class DecisionTable:
         """:meth:`lookup` plus a :class:`repro.obs.TableLookup` event.
 
         Returns the same level as :meth:`lookup` on the same inputs; the
-        event records the quantized bins, the RLE search depth (0 when
-        the full table answered), and the lookup wall time.
+        event records the quantized bins, the RLE search depth, and the
+        lookup wall time.
         """
         t0 = time.perf_counter()
         b = self.buffer_bins.index_of(buffer_level_s)
         c = self.throughput_bins.index_of(predicted_kbps)
-        flat = self._flat_index(b, prev_level, c)
-        if self._full is not None:
-            level, depth = int(self._full[flat]), 0
-        else:
-            level, depth = self._rle.lookup_profiled(flat)
+        level, depth = self._rle.lookup_profiled(self._flat_index(b, prev_level, c))
         tracer.emit(
             TableLookup(
                 session_id=session_id,
@@ -682,7 +529,7 @@ class DecisionTable:
         )
 
     # ------------------------------------------------------------------
-    # Portable serialization (the persistent on-disk table cache)
+    # Portable serialization (disk cache, published files, table uploads)
     # ------------------------------------------------------------------
 
     _MAGIC = b"RPROTBL1"
@@ -708,7 +555,7 @@ class DecisionTable:
         return (low, high, count, spacing), offset + _BINNING_HEADER.size
 
     def to_bytes(self) -> bytes:
-        """Lossless serialization: binnings, shape flags, then the RLE.
+        """Lossless serialization: binnings, ladder size, then the RLE.
 
         ``from_bytes(to_bytes())`` reproduces a bitwise-identical table
         (same binnings, same runs, same lookups).
@@ -718,57 +565,55 @@ class DecisionTable:
                 self._MAGIC,
                 self._pack_binning(self.buffer_bins),
                 self._pack_binning(self.throughput_bins),
-                _SHAPE_HEADER.pack(self.num_levels, int(self._full is not None)),
+                _SHAPE_HEADER.pack(self.num_levels, 0),
                 self._rle.to_bytes(),
             ]
         )
 
     @classmethod
-    def _deserialize(
-        cls, buffer, mapped: bool, max_bytes: Optional[int] = None
+    def from_bytes(
+        cls, blob, *, max_bytes: Optional[int] = None
     ) -> "DecisionTable":
-        """Header first, then the runs, then the binnings.
+        """Inverse of :meth:`to_bytes`, from any bytes-like ``blob``.
 
-        Nothing the header sizes — no :class:`Binning`, no decision
-        array — is built until the runs' last end equals the declared
-        index space and every run value is a ladder index, so a forged
-        header costs time and memory in proportion to the blob, not to
-        the counts it declares.  A consistent header can still declare
-        huge binnings, a huge ``keep_full`` vector or many runs; with
-        ``max_bytes``, what those would hold is charged first, and a table
-        over the budget raises ``ValueError`` before any of it is built.
+        Header first, then the runs, then the binnings.  A blob shorter
+        than the fixed header or than the run records it declares raises
+        ``ValueError``.  Nothing the header sizes — no :class:`Binning`,
+        no run array — is built until the runs' last end equals the
+        declared index space and every run value is a ladder index, so a
+        forged header costs time and memory in proportion to the blob,
+        not to the counts it declares.  A consistent header can still
+        declare huge binnings or many runs; with ``max_bytes``, what
+        those would hold is charged first, and a table over the budget
+        raises ``ValueError`` before any of it is built.  The table keeps
+        its own copy of the runs and no reference to ``blob``.
         """
-        view = memoryview(buffer)
-        if view.ndim != 1 or view.itemsize != 1:
-            view = view.cast("B")
+        view = memoryview(blob).cast("B")
         magic_len = len(cls._MAGIC)
         if bytes(view[:magic_len]) != cls._MAGIC:
             raise ValueError("not a serialized DecisionTable")
+        header = (
+            magic_len + 2 * _BINNING_HEADER.size + _SHAPE_HEADER.size + _RLE_HEADER.size
+        )
+        if len(view) < header:
+            raise ValueError(
+                f"truncated table blob: {len(view)} bytes, the header needs {header}"
+            )
         buffer_spec, offset = cls._unpack_binning(view, magic_len)
         throughput_spec, offset = cls._unpack_binning(view, offset)
-        num_levels, keep_full = _SHAPE_HEADER.unpack_from(view, offset)
+        num_levels, _ = _SHAPE_HEADER.unpack_from(view, offset)  # keep-full byte ignored
         offset += _SHAPE_HEADER.size
-        if num_levels < 1:
-            raise ValueError("need at least one ladder level")
+        check_num_levels(num_levels)
         expected = buffer_spec[2] * num_levels * throughput_spec[2]
-        keep_full = bool(keep_full) and not mapped
         if max_bytes is not None:
+            (num_runs,) = _RLE_HEADER.unpack_from(view, offset)
             cost = _BINNING_BYTES_PER_BIN * (buffer_spec[2] + throughput_spec[2])
-            if keep_full:
-                cost += expected  # one byte per entry
-            if not mapped:
-                # Parsed runs are Python ints in lists, charged by the
-                # run count the RLE header declares.
-                (num_runs,) = _RLE_HEADER.unpack_from(view, offset)
-                cost += _RLE_BYTES_PER_RUN * num_runs
+            cost += _RLE_BYTES_PER_RUN * num_runs
             if cost > max_bytes:
                 raise ValueError(
                     f"table would hold {cost} bytes, over the {max_bytes}-byte budget"
                 )
-        if mapped:
-            rle = MappedRunLengthTable(view[offset:])
-        else:
-            rle = RunLengthEncodedTable.from_bytes(view[offset:])
+        rle = RunLengthEncodedTable.from_bytes(view[offset:])
         if len(rle) != expected:
             raise ValueError(
                 f"{len(rle)} decisions but the index space has {expected}"
@@ -780,50 +625,14 @@ class DecisionTable:
         table.num_levels = num_levels
         table.throughput_bins = Binning(*throughput_spec)
         table._rle = rle
-        table._full = rle.full_vector() if keep_full else None
         return table
-
-    @classmethod
-    def from_bytes(
-        cls, blob: bytes, *, max_bytes: Optional[int] = None
-    ) -> "DecisionTable":
-        """Inverse of :meth:`to_bytes`.
-
-        Adopts the validated runs as they are instead of expanding them
-        to the full vector.  ``max_bytes`` bounds what the headers make
-        the load build — both binnings, the parsed runs, and the
-        one-byte-per-entry vector of a ``keep_full`` table; over it,
-        ``ValueError``.
-        """
-        return cls._deserialize(blob, mapped=False, max_bytes=max_bytes)
-
-    @classmethod
-    def from_buffer(cls, buffer) -> "DecisionTable":
-        """Zero-copy view over a serialized table (the :meth:`to_bytes`
-        layout), typically an ``mmap`` of a published table file.
-
-        Unlike :meth:`from_bytes`, the runs are not even parsed: lookups
-        binary-search the serialized run records in place through a
-        :class:`MappedRunLengthTable`, so N worker processes mapping the
-        same file share one copy of the table in page cache.  Only the
-        fixed-size header (binnings, ladder size) and the O(runs)
-        structure validation read the buffer up front, and the
-        ``keep_full`` flag is ignored.
-
-        ``lookup``/``lookup_traced`` answers are identical to the
-        in-memory table's — :meth:`same_decisions` (or the Hypothesis
-        parity suite) checks that end to end.
-        """
-        return cls._deserialize(buffer, mapped=True)
 
     def same_decisions(self, other: "DecisionTable") -> bool:
         """True when ``other`` answers every lookup identically.
 
         Compares the binnings, ladder size, and the run-length encoding
         byte for byte (the RLE is canonical: one encoding per decision
-        vector), ignoring storage details like ``keep_full`` or whether
-        either side is buffer-backed.  This is the parity check the
-        cluster runs after mapping a published table file.
+        vector).
         """
         return (
             self.num_levels == other.num_levels

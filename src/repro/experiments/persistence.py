@@ -42,7 +42,7 @@ __all__ = [
     "save_cached_table",
     "load_cached_table",
     "publish_table",
-    "map_published_table",
+    "load_published_table",
     "cached_fluid_upper_bound",
     "clear_disk_cache",
 ]
@@ -335,19 +335,19 @@ def load_cached_table(
 
 
 # ---------------------------------------------------------------------------
-# Table publication: the read-only file worker processes mmap
+# Table publication: the file worker processes load
 # ---------------------------------------------------------------------------
 #
 # The cluster's scale-out story (docs/scaling.md): the supervisor writes
-# the decision table to disk exactly once, and every worker maps the file
-# read-only with DecisionTable.from_buffer — zero copies, one page-cache
-# residency shared by all workers.  Unlike the content-addressed cache
-# above, publication is *not* best-effort: a worker that cannot see the
-# table must fail loudly, not silently degrade every decision.
+# the decision table to disk exactly once, and every worker loads the
+# file with DecisionTable.from_bytes into its own copy of the runs.
+# Unlike the content-addressed cache above, publication is *not*
+# best-effort: a worker that cannot read the table must fail loudly, not
+# silently degrade every decision.
 
 
 def publish_table(table: DecisionTable, path: PathLike) -> Path:
-    """Atomically write a decision table for read-only worker mapping.
+    """Atomically write a decision table for worker processes to load.
 
     Same-directory temp file + ``os.replace``, so a worker that races the
     publication sees either the complete previous file or the complete
@@ -362,31 +362,17 @@ def publish_table(table: DecisionTable, path: PathLike) -> Path:
     return path
 
 
-def map_published_table(
-    path: PathLike, expect: Optional[DecisionTable] = None
-) -> DecisionTable:
-    """Map a published table file read-only, zero-copy.
+def load_published_table(path: PathLike) -> DecisionTable:
+    """Load a published table file through :meth:`DecisionTable.from_bytes`.
 
-    Returns a :class:`~repro.core.table.DecisionTable` whose lookups
-    binary-search the mapped bytes in place; the mapping stays alive for
-    the table's lifetime (the buffer view pins it).  With ``expect``,
-    the mapped table is parity-checked against the in-memory table it
-    was published from and a mismatch (torn/corrupt/wrong file) raises
-    instead of serving wrong decisions.
+    The table holds its own copy of the runs, not the file or its bytes.
+    A file that is not a valid table raises ``ValueError`` naming it.
     """
-    import mmap
-
     path = Path(path)
-    with path.open("rb") as fh:
-        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     try:
-        table = DecisionTable.from_buffer(mapped)
-    except (ValueError, IndexError, struct.error) as exc:
-        mapped.close()
+        return DecisionTable.from_bytes(path.read_bytes())
+    except ValueError as exc:
         raise ValueError(f"{path}: not a valid published table: {exc}") from None
-    if expect is not None and not table.same_decisions(expect):
-        raise ValueError(f"{path}: mapped table does not match the published one")
-    return table
 
 
 def _quality_key(quality) -> Optional[str]:

@@ -24,7 +24,7 @@ step the ROADMAP asks for and puts the table behind a serving boundary:
 * :mod:`loadgen` — a closed-loop, trace-driven load generator that
   replays virtual player sessions against a running server.
 * :mod:`cluster` — :class:`ClusterSupervisor`, the multi-process
-  scale-out tier: N workers share one published (mmap-backed) table and
+  scale-out tier: N workers load one published table file and share
   one ``SO_REUSEPORT`` port, supervised with restart backoff and
   cluster-wide aggregated ``/metrics`` (see ``docs/scaling.md``).
 

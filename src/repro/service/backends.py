@@ -1,6 +1,6 @@
 """Stateful controller backends behind the decision service.
 
-The mmap FastMPC table is stateless per request — one lookup, no memory
+The FastMPC table is stateless per request — one lookup, no memory
 — so the service can treat every query independently.  Everything else
 in the zoo (:mod:`repro.abr.registry`) is a *session*: BOLA carries its
 prepared utilities, rate-based controllers carry their predictor

@@ -8,10 +8,11 @@ way CDN-scale table-serving deployments do:
 
 * **One table file, N readers.**  The supervisor publishes the decision
   table to disk once (:func:`repro.experiments.persistence.publish_table`)
-  and every worker maps it read-only through
-  :meth:`~repro.core.table.DecisionTable.from_buffer` — zero copies, one
-  page-cache residency, no coordination.  Each worker parity-checks its
-  mapping before serving.
+  and every worker loads it through
+  :meth:`~repro.core.table.DecisionTable.from_bytes` into its own copy of
+  the runs (about 9 bytes per run), with no coordination.  The load
+  checks the blob's structure — lengths, run order, index space, ladder
+  indices — so a corrupt file stops the worker before it serves.
 
 * **Kernel-level sharding.**  Workers bind the same host:port with
   ``SO_REUSEPORT`` and the kernel spreads incoming connections across
@@ -177,14 +178,14 @@ class WorkerSpec:
 
 
 async def _worker_serve(spec: WorkerSpec, conn) -> None:
-    """One worker: map the table, serve, answer the control pipe."""
+    """One worker: load the table, serve, answer the control pipe."""
     table = None
     if spec.table_path is not None:
         # Imported lazily: the service package must not drag the whole
         # experiments pipeline in just because the cluster exists.
-        from ..experiments.persistence import map_published_table
+        from ..experiments.persistence import load_published_table
 
-        table = map_published_table(spec.table_path)
+        table = load_published_table(spec.table_path)
     service = DecisionService(
         spec.ladder_kbps,
         table=table,

@@ -25,7 +25,7 @@ __all__ = [
     "parse_arms_spec",
 ]
 
-#: The reserved controller name for the mmap/FastMPC table fast path —
+#: The reserved controller name for the FastMPC table fast path —
 #: arms on this controller keep the vectorized ``decide_batch`` lookup.
 CONTROLLER_TABLE = "table"
 

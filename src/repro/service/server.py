@@ -303,7 +303,7 @@ class DecisionService:
         """Answer one well-formed request; never raises.
 
         With an experiment installed the session's arm picks the path:
-        table arms run the mmap lookup below, controller arms run their
+        table arms run the table lookup below, controller arms run their
         stateful backend.  Both inherit the same degradation policy —
         any failure or budget overrun falls back to the rate-based rule,
         still labelled with the session's arm.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.abr.base import DownloadResult, PlayerObservation, SessionConfig
+from repro.core import fastmpc
 from repro.core.fastmpc import (
     FastMPCConfig,
     FastMPCController,
@@ -100,6 +101,26 @@ class TestBuild:
                                  quality_values=(1.0, 2.0))
         with pytest.raises(ValueError):
             FastMPCConfig(buffer_bins=0)
+
+    @pytest.mark.parametrize("disk_cache", [False, True], ids=["memo", "disk-cache"])
+    def test_ladder_over_256_levels_is_refused(
+        self, disk_cache, tmp_path, monkeypatch
+    ):
+        # Run values serialize as one byte, so a 300-level ladder is
+        # refused before the enumeration starts, with or without a disk
+        # cache, and nothing is written to it.
+        def enumerate_nothing(**kwargs):
+            raise AssertionError("the table build started")
+
+        monkeypatch.setattr(fastmpc, "build_table_decisions", enumerate_nothing)
+        ladder = [100.0 + 10.0 * i for i in range(300)]
+        config = FastMPCConfig(buffer_bins=2, throughput_bins=2, horizon=1)
+        with pytest.raises(ValueError, match="at most 256"):
+            build_decision_table(
+                ladder, 4.0, 30.0, QoEWeights.balanced(), config=config,
+                cache_dir=str(tmp_path) if disk_cache else None,
+            )
+        assert not any(tmp_path.iterdir())
 
 
 class TestTableSizeSweep:

@@ -58,8 +58,6 @@ def test_forged_table_with_infinite_edge_is_rejected():
     blob = bytes(blob)
     with pytest.raises(ValueError, match="finite"):
         DecisionTable.from_bytes(blob)
-    with pytest.raises(ValueError, match="finite"):
-        DecisionTable.from_buffer(blob)
 
 
 def test_forged_table_with_unknown_spacing_is_rejected():
@@ -69,8 +67,6 @@ def test_forged_table_with_unknown_spacing_is_rejected():
     blob[len(DecisionTable._MAGIC) + struct.calcsize("<ddI")] = 9
     with pytest.raises(ValueError, match="spacing"):
         DecisionTable.from_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="spacing"):
-        DecisionTable.from_buffer(bytes(blob))
 
 
 @pytest.mark.parametrize(

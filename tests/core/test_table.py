@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -148,11 +152,20 @@ class TestRLE:
         with pytest.raises(ValueError):
             RunLengthEncodedTable.encode([])
 
+    def test_pickle_and_deepcopy_round_trip(self):
+        values = [(i // 3) % 5 for i in range(35)]
+        table = DecisionTable(Binning(0.0, 30.0, 1), 5, Binning(1.0, 9.0, 7), values)
+        for copied in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+            assert copied.same_decisions(table)
+            assert [copied.rle.lookup(i) for i in range(35)] == values
+
     def test_invalid_runs_rejected(self):
         with pytest.raises(ValueError):
             RunLengthEncodedTable([3, 2], [0, 1])
         with pytest.raises(ValueError):
             RunLengthEncodedTable([1], [0, 1])
+        with pytest.raises(ValueError, match="u32"):
+            RunLengthEncodedTable([2**32], [0])
 
     @given(values=st.lists(st.integers(0, 7), min_size=1, max_size=300))
     def test_roundtrip_property(self, values):
@@ -178,18 +191,24 @@ class TestRLE:
         assert list(back.decode()) == values
         assert back.num_runs == rle.num_runs
         assert back.to_bytes() == rle.to_bytes()
+        # The layout, packed record by record from the values.
+        records = [
+            struct.pack("<IB", end, values[end - 1])
+            for end in range(1, len(values) + 1)
+            if end == len(values) or values[end] != values[end - 1]
+        ]
+        assert rle.to_bytes() == struct.pack("<I", len(records)) + b"".join(records)
         for i in range(0, len(values), max(1, len(values) // 7)):
             assert back.lookup(i) == values[i]
 
 
 class TestDecisionTable:
-    def make_table(self, keep_full=False):
+    def make_table(self):
         buffer_bins = Binning(0.0, 30.0, 4)
         throughput_bins = Binning(100.0, 4000.0, 6, spacing="log")
         n = 4 * 3 * 6
         decisions = [(i // 6) % 3 for i in range(n)]  # varies by prev level
-        return DecisionTable(buffer_bins, 3, throughput_bins, decisions,
-                             keep_full=keep_full), decisions
+        return DecisionTable(buffer_bins, 3, throughput_bins, decisions), decisions
 
     def test_lookup_layout(self):
         table, decisions = self.make_table()
@@ -197,15 +216,6 @@ class TestDecisionTable:
         assert table.lookup(1.0, 0, 150.0) == 0
         assert table.lookup(1.0, 1, 150.0) == 1
         assert table.lookup(29.0, 2, 3900.0) == 2
-
-    def test_full_and_rle_lookup_agree(self):
-        table_rle, _ = self.make_table(keep_full=False)
-        table_full, _ = self.make_table(keep_full=True)
-        for buffer_s in (0.0, 7.5, 29.9, 100.0):
-            for prev in range(3):
-                for kbps in (50.0, 800.0, 3900.0, 9000.0):
-                    assert table_rle.lookup(buffer_s, prev, kbps) == \
-                        table_full.lookup(buffer_s, prev, kbps)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):

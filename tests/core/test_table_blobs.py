@@ -5,11 +5,16 @@ fixed header, and its decisions as run-length records.  Loading must
 check the declared index space against the runs before it builds any
 binning or array, and must adopt the runs instead of expanding them, so
 a 64-byte forged blob cannot make the loader allocate by the counts it
-declares.  A consistent blob can still declare huge binnings, a huge
-``keep_full`` vector or many runs; a byte budget refuses those before
-building them.
+declares.  A consistent blob can still declare huge binnings or many
+runs; a byte budget refuses those before building them.  A blob shorter
+than its header or its declared runs raises ``ValueError``.
 Only canonical runs load, so :meth:`same_decisions` still compares one
 encoding per decision vector.
+
+``from_bytes`` takes any bytes-like object.  The loader cases run it on
+``bytes`` (id ``from_bytes``) and on a ``memoryview`` of a ``bytearray``
+(id ``from_buffer``), the kind of buffer a file read or a socket hands
+over.
 """
 
 from __future__ import annotations
@@ -20,9 +25,20 @@ import tracemalloc
 
 import pytest
 
-from repro.core.table import Binning, DecisionTable, RunLengthEncodedTable
+from repro.core.table import (
+    _BINNING_BYTES_PER_BIN,
+    _RLE_BYTES_PER_RUN,
+    Binning,
+    DecisionTable,
+    RunLengthEncodedTable,
+)
 
-LOADERS = [DecisionTable.from_bytes, DecisionTable.from_buffer]
+
+def from_buffer(blob, **kwargs):
+    return DecisionTable.from_bytes(memoryview(bytearray(blob)), **kwargs)
+
+
+LOADERS = [DecisionTable.from_bytes, from_buffer]
 LOADER_IDS = ["from_bytes", "from_buffer"]
 
 
@@ -88,16 +104,12 @@ def test_huge_declared_space_loads_from_its_runs():
     assert peak < 32 * MIB
 
 
-@pytest.mark.parametrize(
-    "counts, keep_full",
-    [((4096, 1, 4096), 1), ((1, 1, 350_000), 0)],
-    ids=["keep-full", "bin-count"],
-)
-def test_budget_refuses_before_allocating(counts, keep_full):
-    # Consistent blobs that declare about 16 MiB: a full vector of 16 Mi
-    # entries, or 350,000 bins.  Only the budget stops them.
+@pytest.mark.parametrize("counts", [(1, 1, 350_000)], ids=["bin-count"])
+def test_budget_refuses_before_allocating(counts):
+    # A consistent blob that declares about 16 MiB of bins.  Only the
+    # budget stops it.
     entries = counts[0] * counts[1] * counts[2]
-    blob = table_blob(*counts, [(entries, 0)], keep_full=keep_full)
+    blob = table_blob(*counts, [(entries, 0)])
     assert len(blob) == 64
     outcome, peak = traced_peak(
         functools.partial(DecisionTable.from_bytes, max_bytes=MIB), blob
@@ -109,12 +121,25 @@ def test_budget_refuses_before_allocating(counts, keep_full):
     assert DecisionTable.from_bytes(blob).num_entries == entries
 
 
+def test_keep_full_flag_is_ignored():
+    # The header's keep-full byte is ignored on load and written as 0,
+    # so 16 Mi entries declared in 64 bytes stay one run.
+    blob = table_blob(4096, 1, 4096, [(4096 * 4096, 0)], keep_full=1)
+    assert len(blob) == 64
+    table, peak = traced_peak(
+        functools.partial(DecisionTable.from_bytes, max_bytes=MIB), blob
+    )
+    assert table.num_entries == 4096 * 4096
+    assert peak < 1 * MIB
+    assert table.to_bytes() == table_blob(4096, 1, 4096, [(4096 * 4096, 0)])
+
+
 def test_budget_charges_the_parsed_runs():
-    # 40,000 alternating runs over a 200 x 3 x 200 space: a 200 KB blob
-    # whose runs take about 2.5 MB once parsed into Python ints.
-    runs = [(3 * (i + 1), i % 2) for i in range(40_000)]
-    blob = table_blob(200, 3, 200, runs)
-    assert len(blob) == 200_059
+    # 200,000 alternating runs over a 1000 x 3 x 200 space: a 1 MB blob
+    # whose runs take about 1.8 MB once parsed (9 bytes a run).
+    runs = [(3 * (i + 1), i % 2) for i in range(200_000)]
+    blob = table_blob(1000, 3, 200, runs)
+    assert len(blob) == 1_000_059
     outcome, peak = traced_peak(
         functools.partial(DecisionTable.from_bytes, max_bytes=MIB), blob
     )
@@ -124,8 +149,11 @@ def test_budget_charges_the_parsed_runs():
     # The disk cache loads without a budget, and what the budget charges
     # covers what the load really takes.
     table, peak = traced_peak(DecisionTable.from_bytes, blob)
-    assert table.rle.num_runs == 40_000
+    assert table.rle.num_runs == 200_000
     assert MIB < peak < 4 * MIB
+    charge = _BINNING_BYTES_PER_BIN * (1000 + 200) + _RLE_BYTES_PER_RUN * 200_000
+    assert peak <= charge
+    assert peak < 16 * 200_000
 
 
 @pytest.mark.parametrize("load", LOADERS, ids=LOADER_IDS)
@@ -157,27 +185,58 @@ def test_split_runs_are_refused(load):
 
 @pytest.mark.parametrize("keep_full", [False, True])
 def test_round_trip_is_byte_identical(keep_full):
+    # A blob whose keep-full byte is set loads to the same table, and
+    # to_bytes writes the byte as 0.
     decisions = [(i // 3) % 3 for i in range(4 * 3 * 5)]
     table = DecisionTable(
-        Binning(0.0, 30.0, 4),
-        3,
-        Binning(100.0, 4000.0, 5, "log"),
-        decisions,
-        keep_full=keep_full,
+        Binning(0.0, 30.0, 4), 3, Binning(100.0, 4000.0, 5, "log"), decisions
     )
     blob = table.to_bytes()
-    back = DecisionTable.from_bytes(blob)
+    flag_at = len(DecisionTable._MAGIC) + 2 * struct.calcsize("<ddIB") + 4
+    assert blob[flag_at] == 0
+    sent = bytearray(blob)
+    sent[flag_at] = int(keep_full)
+    back = DecisionTable.from_bytes(bytes(sent))
     assert back.to_bytes() == blob
     assert back.same_decisions(table)
-    if keep_full:
-        assert list(back._full) == decisions
-    else:
-        assert back._full is None
+    assert back.rle.decode().tolist() == decisions
 
 
-def test_full_vector_is_the_decoded_runs_one_byte_each():
+@pytest.mark.parametrize("load", LOADERS, ids=LOADER_IDS)
+def test_every_short_blob_raises_value_error(load):
+    # Cuts inside the 59-byte header and inside the run records alike.
+    blob = table_blob(2, 2, 2, [(3, 0), (5, 1), (8, 0)])
+    assert len(blob) == 59 + 3 * 5
+    for size in range(len(blob)):
+        with pytest.raises(ValueError, match="truncated|not a serialized"):
+            load(blob[:size])
+
+
+def test_loaded_table_holds_no_reference_to_the_blob():
+    decisions = [(i // 5) % 2 for i in range(3 * 2 * 7)]
+    table = DecisionTable(Binning(0.0, 30.0, 3), 2, Binning(10.0, 900.0, 7), decisions)
+    buffer = bytearray(table.to_bytes())
+    back = DecisionTable.from_bytes(buffer)
+    buffer.clear()  # BufferError while anything still exports the bytes
+    assert back.same_decisions(table)
+
+
+def test_run_values_must_fit_the_u8_record():
     values = [3, 3, 0, 1, 1, 1, 255, 2]
     rle = RunLengthEncodedTable.encode(values)
-    full = rle.full_vector()
-    assert bytes(full) == bytes(values)
     assert rle.max_value == 255
+    assert RunLengthEncodedTable.from_bytes(rle.to_bytes()).decode().tolist() == values
+    for bad in ([0, 256], [-1, 0]):
+        with pytest.raises(ValueError, match="u8"):
+            RunLengthEncodedTable.encode(bad)
+
+
+def test_ladders_over_256_levels_are_refused():
+    buffers, throughputs = Binning(0.0, 30.0, 2), Binning(10.0, 900.0, 2)
+    with pytest.raises(ValueError, match="at most 256"):
+        DecisionTable(buffers, 257, throughputs, [0] * (2 * 257 * 2))
+    widest = DecisionTable(buffers, 256, throughputs, [255] * (2 * 256 * 2))
+    assert widest.lookup(1.0, 0, 100.0) == 255
+    assert DecisionTable.from_bytes(widest.to_bytes()).same_decisions(widest)
+    with pytest.raises(ValueError, match="at most 256"):
+        DecisionTable.from_bytes(table_blob(2, 300, 2, [(1200, 0)]))

@@ -117,11 +117,8 @@ class TestBatchMatchesScalar:
             rle.lookup_batch([-1])
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31),
-        keep_full=st.booleans(),
-    )
-    def test_decision_table_lookup_batch(self, seed, keep_full):
+    @given(seed=st.integers(0, 2**31))
+    def test_decision_table_lookup_batch(self, seed):
         import random
 
         rng = random.Random(seed)
@@ -132,7 +129,7 @@ class TestBatchMatchesScalar:
             rng.randint(0, levels - 1)
             for _ in range(buffers.count * levels * throughputs.count)
         ]
-        table = DecisionTable(buffers, levels, throughputs, flat, keep_full=keep_full)
+        table = DecisionTable(buffers, levels, throughputs, flat)
         states = [
             (rng.uniform(-2, 35), rng.randrange(levels), rng.uniform(1, 10_000))
             for _ in range(50)

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.table import Binning, DecisionTable
-from repro.experiments import publish_table
+from repro.experiments import load_published_table, publish_table
 from repro.faults import ChaosConfig
 from repro.service import (
     ClusterConfig,
@@ -50,7 +50,7 @@ def run(coro):
 
 def make_varied_table() -> DecisionTable:
     """A table whose decision depends on all three coordinates, so any
-    routing or mapping mistake shows up as a wrong level."""
+    routing or loading mistake shows up as a wrong level."""
     buffer_bins = Binning(0.0, 30.0, 7)
     throughput_bins = Binning(100.0, 4000.0, 9, spacing="log")
     n = buffer_bins.count * len(LADDER) * throughput_bins.count
@@ -185,8 +185,8 @@ class TestClusterParity:
         assert metrics["cluster"]["alive"] == 3
 
     def test_mapped_table_parity_is_checked_at_worker_startup(self, tmp_path):
-        # A worker that maps a table disagreeing with nothing still
-        # parity-checks structurally: corrupt bytes must not come up.
+        # A worker checks the published file's structure as it loads it:
+        # corrupt bytes must not come up.
         path = tmp_path / "table.rprotbl"
         publish_table(make_varied_table(), path)
         blob = bytearray(path.read_bytes())
@@ -203,6 +203,17 @@ class TestClusterParity:
 
         excinfo = run(attempt())
         assert "before ready" in str(excinfo.value)
+
+    def test_loaded_table_holds_no_reference_to_the_file(self, tmp_path):
+        # A loaded table keeps its own copy of the runs: rewriting the
+        # file changes none of its answers.
+        table = make_varied_table()
+        path = publish_table(table, tmp_path / "table.rprotbl")
+        loaded = load_published_table(path)
+        path.write_bytes(b"overwritten")
+        assert loaded.same_decisions(table)
+        with pytest.raises(ValueError, match="not a valid published table"):
+            load_published_table(path)
 
 
 class TestSupervision:

@@ -1,8 +1,9 @@
 """Property tests for the cluster's two lossless invariants.
 
-1.  A buffer-mapped table is indistinguishable from the in-memory one:
-    ``DecisionTable.from_buffer(table.to_bytes())`` answers every lookup
-    identically — the zero-copy serving path the workers rely on.
+1.  A table loaded from a buffer is indistinguishable from the
+    in-memory one: ``DecisionTable.from_bytes`` over a ``memoryview`` of
+    ``table.to_bytes()`` answers every lookup identically — the loading
+    path the workers rely on — and a cut blob never parses.
 
 2.  Histogram and snapshot merging is exact on the integer state:
     bucket counts, totals, and maxima merge associatively and
@@ -27,7 +28,7 @@ from repro.service.metrics import (
 )
 
 # ---------------------------------------------------------------------------
-# from_buffer vs in-memory lookups
+# Buffer-loaded vs in-memory lookups
 # ---------------------------------------------------------------------------
 
 tables = st.builds(
@@ -58,25 +59,27 @@ class TestFromBufferParity:
     def test_lookup_parity_on_random_inputs(
         self, table, buffer_s, prev_level, predicted_kbps
     ):
-        mapped = DecisionTable.from_buffer(table.to_bytes())
+        loaded = DecisionTable.from_bytes(memoryview(table.to_bytes()))
         prev = min(prev_level, table.num_levels - 1)
-        assert mapped.lookup(buffer_s, prev, predicted_kbps) == table.lookup(
+        assert loaded.lookup(buffer_s, prev, predicted_kbps) == table.lookup(
             buffer_s, prev, predicted_kbps
         )
 
     @given(table=tables)
     @settings(max_examples=40, deadline=None)
     def test_exhaustive_decode_parity(self, table):
-        mapped = DecisionTable.from_buffer(table.to_bytes())
-        assert mapped.same_decisions(table)
-        assert mapped.to_bytes() == table.to_bytes()
+        loaded = DecisionTable.from_bytes(memoryview(table.to_bytes()))
+        assert loaded.same_decisions(table)
+        assert loaded.to_bytes() == table.to_bytes()
 
     @given(table=tables, cut=st.integers(1, 12))
     @settings(max_examples=30, deadline=None)
     def test_truncation_never_parses(self, table, cut):
-        blob = table.to_bytes()
-        with pytest.raises((ValueError, Exception)):
-            DecisionTable.from_buffer(blob[: len(blob) - cut])
+        blob = table.to_bytes()[:-cut]
+        with pytest.raises(ValueError, match="truncated"):
+            DecisionTable.from_bytes(blob)
+        with pytest.raises(ValueError, match="truncated"):
+            DecisionTable.from_bytes(memoryview(blob))
 
 
 # ---------------------------------------------------------------------------

@@ -193,36 +193,9 @@ class TestTableSwap:
 
         run(with_server(service, inner))
 
-    @pytest.mark.parametrize(
-        "counts, keep_full, max_table_bytes, num_runs",
-        [
-            ((2_000_000, 1, 1, 1), 0, None, 1),
-            ((65535, 1, 65535, 65535 * 65535), 0, None, 1),
-            ((4096, 3, 1366, 4096 * 3 * 1366), 1, 1 << 20, 1),
-            ((1, 3, 350_000, 3 * 350_000), 0, 1 << 20, 1),
-            ((200, 3, 200, 200 * 3 * 200), 0, 1 << 20, 40_000),
-        ],
-        ids=[
-            "forged-bin-count",
-            "huge-one-level-space",
-            "keep-full-over-budget",
-            "bin-count-over-budget",
-            "runs-over-budget",
-        ],
-    )
-    def test_forged_table_sizes_rejected(
-        self, test_table, counts, keep_full, max_table_bytes, num_runs
-    ):
-        """A 64-byte blob is refused by what it holds, not by what its
-        header declares: a bin count the runs do not fill, and a space
-        of 2^32 - 131071 entries for a one-level ladder.  Neither is
-        expanded, so neither can raise MemoryError past the handler.
-        Three consistent blobs for the server's own ladder hold more
-        than a 1 MiB ``max_table_bytes``: a full vector of 16 Mi
-        entries and a binning of 350,000 bins, each declared in 64
-        bytes, and a 200 KB blob of 40,000 alternating runs that take
-        about 2.5 MB once parsed.  The budget refuses all three before
-        building any."""
+    @staticmethod
+    def forged_blob(counts, num_runs, keep_full=0):
+        """A consistent-looking blob of ``num_runs`` alternating runs."""
         buffer_count, num_levels, throughput_count, end = counts
         blob = b"".join(
             [
@@ -238,6 +211,36 @@ class TestTableSwap:
             ]
         )
         assert len(blob) == 59 + 5 * num_runs
+        return blob
+
+    @pytest.mark.parametrize(
+        "counts, max_table_bytes, num_runs",
+        [
+            ((2_000_000, 1, 1, 1), None, 1),
+            ((65535, 1, 65535, 65535 * 65535), None, 1),
+            ((1, 3, 350_000, 3 * 350_000), 1 << 20, 1),
+            ((1000, 3, 200, 1000 * 3 * 200), 1 << 20, 200_000),
+        ],
+        ids=[
+            "forged-bin-count",
+            "huge-one-level-space",
+            "bin-count-over-budget",
+            "runs-over-budget",
+        ],
+    )
+    def test_forged_table_sizes_rejected(
+        self, test_table, counts, max_table_bytes, num_runs
+    ):
+        """A 64-byte blob is refused by what it holds, not by what its
+        header declares: a bin count the runs do not fill, and a space
+        of 2^32 - 131071 entries for a one-level ladder.  Neither is
+        expanded, so neither can raise MemoryError past the handler.
+        Two consistent blobs for the server's own ladder hold more than
+        a 1 MiB ``max_table_bytes``: a binning of 350,000 bins declared
+        in 64 bytes, and a 1 MB blob of 200,000 alternating runs that
+        take about 1.8 MB once parsed.  The budget refuses both before
+        building either."""
+        blob = self.forged_blob(counts, num_runs)
         config = (
             ServiceConfig()
             if max_table_bytes is None
@@ -252,6 +255,26 @@ class TestTableSwap:
                 response = await client.decide(make_request())
                 assert response.source == SOURCE_TABLE
                 assert response.level_index == test_table.lookup(10.0, 2, 1500.0)
+
+        run(with_server(service, inner))
+
+    def test_keep_full_flag_is_ignored(self, test_table):
+        """The header's keep-full byte is ignored: a 64-byte blob of
+        4096 x 3 x 1366 entries with the byte set installs under a 1 MiB
+        ``max_table_bytes`` and answers from its one run."""
+        blob = self.forged_blob((4096, 3, 1366, 4096 * 3 * 1366), 1, keep_full=1)
+        assert len(blob) == 64
+        config = ServiceConfig(max_table_bytes=1 << 20)
+        service = DecisionService(LADDER, table=test_table, config=config)
+
+        async def inner(server):
+            async with ServiceClient("127.0.0.1", server.bound_port) as client:
+                swap = await client.swap_table(blob)
+                assert swap["swapped"] is True
+                response = await client.decide(make_request())
+                assert response.source == SOURCE_TABLE
+                assert response.level_index == 0
+                assert test_table.lookup(10.0, 2, 1500.0) == 2
 
         run(with_server(service, inner))
 
