@@ -20,7 +20,9 @@ optimisations from Section 5.2 live here:
   reports the resulting sizes; :class:`TableSizeReport` reproduces them.
   Batch lookups (:meth:`RunLengthEncodedTable.lookup_batch`) replace the
   per-value bisect with one vectorized ``searchsorted`` over the run
-  ends — identical answers, amortised cost.
+  ends — identical answers, amortised cost.  Tables that share one
+  layout (the QoE presets' tables of one ladder) stack into one such
+  search (:class:`DecisionTableStack`).
 
 Deployment reads the same structure back: :meth:`DecisionTable.from_bytes`
 loads a serialized table — a disk-cache entry, a published table file, a
@@ -45,6 +47,7 @@ __all__ = [
     "Binning",
     "RunLengthEncodedTable",
     "DecisionTable",
+    "DecisionTableStack",
     "TableSizeReport",
 ]
 
@@ -466,13 +469,22 @@ class DecisionTable:
         :meth:`lookup` calls: both paths share the binnings' index
         arithmetic and the RLE run search.
         """
+        return self._rle.lookup_batch(
+            self._flat_indices(buffer_levels_s, prev_levels, predicted_kbps)
+        )
+
+    def _flat_indices(self, buffer_levels_s, prev_levels, predicted_kbps):
+        """Quantize a batch of states to flat indices into this layout.
+
+        NaN raises ``ValueError`` (from the binnings) and a previous
+        level outside the ladder ``IndexError``.
+        """
         b = self.buffer_bins.index_of_batch(buffer_levels_s)
         c = self.throughput_bins.index_of_batch(predicted_kbps)
         prev = np.asarray(prev_levels, dtype=np.int64)
         if prev.size and (prev.min() < 0 or prev.max() >= self.num_levels):
             raise IndexError("prev level out of range")
-        flat = (b * self.num_levels + prev) * self.throughput_bins.count + c
-        return self._rle.lookup_batch(flat)
+        return (b * self.num_levels + prev) * self.throughput_bins.count + c
 
     def lookup_traced(
         self,
@@ -649,3 +661,60 @@ class DecisionTable:
             and a.count == b.count
             and a.spacing == b.spacing
         )
+
+
+class DecisionTableStack:
+    """Several decision tables over one layout, answered by one lookup.
+
+    The tables must share both binnings and the ladder size — as the
+    FastMPC tables of one ladder under different QoE weights do — so one
+    quantization serves them all.  Table ``j``'s runs sit at offset
+    ``j * num_entries`` in one concatenated run-length table (the runs
+    that meet at a boundary merged when they hold the same level), so a
+    batch whose rows read different tables costs one ``searchsorted``.
+    Answers equal each table's own :meth:`DecisionTable.lookup_batch`,
+    with the same NaN, previous-level and index-range checks.  The stack
+    holds at most ``2**32 - 1`` entries in all, the run record's width.
+    """
+
+    __slots__ = ("_layout", "_rle", "num_tables")
+
+    def __init__(self, tables: Sequence[DecisionTable]) -> None:
+        tables = list(tables)
+        if not tables:
+            raise ValueError("a table stack needs at least one table")
+        first = tables[0]
+        for table in tables[1:]:
+            if table.num_levels != first.num_levels:
+                raise ValueError("stacked tables must have the same ladder size")
+            if not (
+                DecisionTable._same_binning(table.buffer_bins, first.buffer_bins)
+                and DecisionTable._same_binning(
+                    table.throughput_bins, first.throughput_bins
+                )
+            ):
+                raise ValueError("stacked tables must share their binnings")
+        entries = first.num_entries
+        ends = np.concatenate(
+            [table.rle._ends + j * entries for j, table in enumerate(tables)]
+        )
+        values = np.concatenate([table.rle._values for table in tables])
+        # Each table's runs are canonical, so only a boundary pair can
+        # hold one level twice; the later run absorbs the earlier.
+        keep = np.append(values[1:] != values[:-1], True)
+        self._layout = first
+        self._rle = RunLengthEncodedTable(ends[keep], values[keep])
+        self.num_tables = len(tables)
+
+    def lookup_batch(self, table_indices, buffer_levels_s, prev_levels, predicted_kbps):
+        """Row ``i``'s level from table ``table_indices[i]``, as ``int64``.
+
+        A table index outside the stack raises ``IndexError``.
+        """
+        flat = self._layout._flat_indices(buffer_levels_s, prev_levels, predicted_kbps)
+        which = np.asarray(table_indices, dtype=np.int64)
+        if which.shape != flat.shape:
+            raise ValueError("one table index per state required")
+        if which.size and (which.min() < 0 or which.max() >= self.num_tables):
+            raise IndexError(f"table index out of range 0..{self.num_tables - 1}")
+        return self._rle.lookup_batch(flat + which * self._layout.num_entries)

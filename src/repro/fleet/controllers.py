@@ -20,9 +20,11 @@ How exactness is preserved, per mechanism:
   relying on NumPy reduction internals.
 * Max-of-window reductions (the RobustMPC error bound) are
   order-independent, so ``np.max`` is safe.
-* FastMPC decisions go through ``DecisionTable.lookup_batch``, which is
-  pinned scalar-equal to ``lookup`` by the PR-6 fast-path test suite,
-  against the *same* table ``FastMPCController.prepare`` would build.
+* FastMPC decisions go through one :class:`DecisionTableStack` of the
+  batch's preset tables — the *same* tables ``FastMPCController.prepare``
+  would build, one per distinct weight vector — whose answers are pinned
+  equal to each table's ``lookup_batch``, itself pinned scalar-equal to
+  ``lookup``.
 * BOLA's and DAS-IP's exact first-wins argmax and the ladder's
   ``highest_at_most`` scan are replicated as comparison-only
   loops/searches (no arithmetic, hence no rounding to diverge).
@@ -42,6 +44,7 @@ from ..abr.dasip import DasIpAlgorithm
 from ..abr.fixed import ConstantLevelAlgorithm
 from ..abr.rate_based import RateBasedAlgorithm
 from ..core.fastmpc import FastMPCConfig, FastMPCController, build_decision_table
+from ..core.table import DecisionTableStack
 from ..prediction.base import OBSERVATION_FLOOR_KBPS
 from ..prediction.streaming import GapCorrectedHarmonicPredictor
 from ..video.manifest import VideoManifest
@@ -354,9 +357,18 @@ def _highest_at_most_batch(ladder_array, budgets):
 class _BatchController:
     """Array-of-sessions decision interface driven by the stepper."""
 
-    def prepare(self, manifest: VideoManifest, config: SessionConfig, n: int):
+    def prepare(self, manifest: VideoManifest, config, n: int):
+        """Set up for ``n`` sessions of ``manifest``.
+
+        ``config`` is one :class:`SessionConfig` for every session, or a
+        sequence of ``n`` that differ only in their Eq. 5 weights
+        (:func:`~repro.fleet.stepper.run_batch` checks that).
+        ``self.config`` is then the first; every field but the weights
+        holds for all sessions.
+        """
         self.manifest = manifest
-        self.config = config
+        self.configs = [config] * n if isinstance(config, SessionConfig) else list(config)
+        self.config = self.configs[0] if self.configs else config
         self.n = n
 
     def decide(self, chunk_index: int, buffer_s, prev_levels):
@@ -476,7 +488,7 @@ class _BatchBola(_BatchController):
         # Reuse the scalar implementation's prepared constants so the
         # utilities and control parameter are the very same floats.
         reference = BolaAlgorithm(gamma_p=self.gamma_p)
-        reference.prepare(manifest, config)
+        reference.prepare(manifest, self.config)
         p = manifest.chunk_duration_s
         self._p = p
         self._offsets = [
@@ -513,7 +525,7 @@ class _BatchDasIp(_BatchController):
         # Reuse the scalar implementation's prepared utilities so they
         # are the very same floats.
         reference = DasIpAlgorithm(beta=self.beta, gamma=self.gamma)
-        reference.prepare(manifest, config)
+        reference.prepare(manifest, self.config)
         self._utilities = list(reference._utilities)
         self._predictor = _BatchHarmonic(n)
 
@@ -551,16 +563,33 @@ class _BatchFastMPC(_BatchController):
 
     def prepare(self, manifest, config, n):
         super().prepare(manifest, config, n)
-        quality_values = tuple(config.quality(r) for r in manifest.ladder)
-        self.table = build_decision_table(
-            manifest.ladder.levels_kbps,
-            manifest.chunk_duration_s,
-            config.buffer_capacity_s,
-            config.weights,
-            quality_values=quality_values,
-            config=self.table_config,
-            cache_dir=self.cache_dir,
-        )
+        # One table per distinct weight vector (the memo key's), stacked
+        # so one lookup answers every session from its own table.
+        shared = self.config
+        quality_values = tuple(shared.quality(r) for r in manifest.ladder)
+        slots = {}
+        tables = []
+        which = []
+        for session in self.configs:
+            weights = session.weights
+            key = (weights.switching, weights.rebuffering, weights.startup)
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(tables)
+                tables.append(
+                    build_decision_table(
+                        manifest.ladder.levels_kbps,
+                        manifest.chunk_duration_s,
+                        shared.buffer_capacity_s,
+                        weights,
+                        quality_values=quality_values,
+                        config=self.table_config,
+                        cache_dir=self.cache_dir,
+                    )
+                )
+            which.append(slot)
+        self.tables = DecisionTableStack(tables)
+        self._which = np.asarray(which, dtype=np.int64)
         self._predictor = (
             _BatchGapHarmonic(n) if self.gap else _BatchHarmonic(n)
         )
@@ -573,8 +602,7 @@ class _BatchFastMPC(_BatchController):
         query = raw
         if self.robust:
             query = raw / (1.0 + self._errors.max_recent_abs_error())
-        levels = self.table.lookup_batch(buffer_s, prev_levels, query)
-        return np.asarray(levels, dtype=np.int64)
+        return self.tables.lookup_batch(self._which, buffer_s, prev_levels, query)
 
     def observe(self, throughput_kbps, download_time_s=None, stall_s=None):
         if self._pending_raw is not None:

@@ -3,8 +3,9 @@
 ``run_fleet`` samples one seeded scenario stream, cuts it into
 contiguous fixed-size shards, steps each shard through
 :func:`repro.fleet.stepper.run_batch` (grouped so every (controller,
-preset, ladder) cell in a shard is one vectorized call), and merges the
-per-shard :class:`FleetResult` payloads **in shard-index order**.
+ladder) cell in a shard is one vectorized call, its sessions' QoE
+presets carried as per-session configs), and merges the per-shard
+:class:`FleetResult` payloads **in shard-index order**.
 
 Determinism across worker counts falls out of three choices:
 
@@ -39,7 +40,7 @@ from .scenarios import (
     session_config_for,
     trace_pools,
 )
-from .stepper import run_batch
+from .stepper import check_engine, run_batch
 
 __all__ = ["FleetConfig", "run_fleet", "run_shard"]
 
@@ -61,6 +62,7 @@ class FleetConfig:
             raise ValueError("sessions must be >= 0")
         if self.shard_size < 1:
             raise ValueError("shard_size must be >= 1")
+        check_engine(self.engine)
 
 
 def run_shard(
@@ -72,26 +74,30 @@ def run_shard(
     """Run one shard and return its serialized :class:`FleetResult`.
 
     Module-level so process pools can pickle it.  Scenarios are grouped
-    by (controller, preset, ladder) — the axes that fix the batch
-    controller and manifest — and each group is one ``run_batch`` call;
-    sessions then fan back out to their (…, dataset, …) arms.  The
-    ``fsum``-based histogram accumulation makes the aggregate
-    independent of the grouping order.
+    by (controller, ladder) — the axes that fix the batch controller and
+    manifest — and each group is one ``run_batch`` call, with one
+    session config per scenario: a QoE preset changes only the Eq. 5
+    weights and, for the FastMPC family, which table a session reads.
+    Sessions then fan back out to their (…, dataset, preset, …) arms,
+    each arm seeing its sessions in shard order.  The ``fsum``-based
+    histogram accumulation makes the aggregate independent of the
+    grouping order.
     """
     pools = trace_pools(space)
     result = FleetResult()
-    groups: Dict[Tuple[str, str, str], List[Scenario]] = {}
+    presets = {scenario.preset for scenario in scenarios}
+    configs = {preset: session_config_for(preset) for preset in presets}
+    groups: Dict[Tuple[str, str], List[Scenario]] = {}
     for scenario in scenarios:
-        key = (scenario.controller, scenario.preset, scenario.ladder)
-        groups.setdefault(key, []).append(scenario)
-    for controller, preset, ladder in sorted(groups):
-        group = groups[(controller, preset, ladder)]
+        groups.setdefault((scenario.controller, scenario.ladder), []).append(scenario)
+    for controller, ladder in sorted(groups):
+        group = groups[(controller, ladder)]
         traces = [pools[s.dataset][s.trace_index] for s in group]
         batch = run_batch(
             controller,
             traces,
             manifest_for(ladder, space.num_chunks),
-            session_config_for(preset),
+            [configs[s.preset] for s in group],
             cache_dir=cache_dir,
             table_config=space.table_config,
             engine=engine,

@@ -40,7 +40,7 @@ engine to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -163,11 +163,49 @@ def _empty_result(controller: str, manifest: VideoManifest, engine: str) -> Batc
     )
 
 
+def check_engine(engine: str) -> None:
+    """Refuse an engine name :func:`run_batch` does not have."""
+    if engine not in _ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+
+
+def _session_configs(config, n: int, manifest: VideoManifest) -> List[SessionConfig]:
+    """One config per session, checked to differ only in Eq. 5 weights.
+
+    The lockstep dynamics share one buffer capacity, one pacing
+    threshold and one quality per level, so configs that disagree on any
+    of them raise ``ValueError``.  Quality is compared by its values over
+    the ladder: equal functions are often distinct objects.
+    """
+    if config is None:
+        config = SessionConfig()
+    if isinstance(config, SessionConfig):
+        return [config] * n
+    configs = list(config)
+    if len(configs) != n:
+        raise ValueError(f"{len(configs)} session configs for {n} traces")
+    distinct = list({id(c): c for c in configs}.values())
+    if len(distinct) > 1:
+        first = distinct[0]
+        qualities = [first.quality(rate) for rate in manifest.ladder]
+        for other in distinct[1:]:
+            if (
+                other.buffer_capacity_s != first.buffer_capacity_s
+                or other.pacing_threshold_s != first.pacing_threshold_s
+                or [other.quality(rate) for rate in manifest.ladder] != qualities
+            ):
+                raise ValueError(
+                    "session configs in one batch may differ only in their QoE "
+                    "weights (buffer capacity, pacing threshold and quality must agree)"
+                )
+    return configs
+
+
 def _run_vector(
     controller_name: str,
     traces: Sequence[Trace],
     manifest: VideoManifest,
-    config: SessionConfig,
+    configs: List[SessionConfig],
     cache_dir: Optional[str],
     table_config: Optional[FastMPCConfig],
 ) -> BatchResult:
@@ -176,13 +214,14 @@ def _run_vector(
     num_levels = len(manifest.ladder)
     bank = TraceBank(traces)
     controller = make_batch_controller(controller_name, cache_dir, table_config)
-    controller.prepare(manifest, config, n)
+    controller.prepare(manifest, configs, n)
 
+    shared = configs[0]
     chunk_s = manifest.chunk_duration_s
-    threshold = config.pacing_threshold_s
+    threshold = shared.pacing_threshold_s
     ladder_arr = np.asarray(manifest.ladder.levels_kbps, dtype=np.float64)
     quality_arr = np.asarray(
-        [config.quality(rate) for rate in manifest.ladder], dtype=np.float64
+        [shared.quality(rate) for rate in manifest.ladder], dtype=np.float64
     )
     sizes = np.asarray(
         [
@@ -262,10 +301,15 @@ def _run_vector(
         controller.observe(throughput, download_time, stalled)
         prev_levels = levels
 
-    weights = config.weights
-    qoe_total = quality_total - weights.switching * switching_total
-    qoe_total = qoe_total - weights.rebuffering * total_rebuffer
-    qoe_total = qoe_total - weights.startup * playback_start
+    # Eq. 5 with each session's own weights: the same element-wise
+    # products and differences as one weight for all.
+    weights = np.array(
+        [(c.weights.switching, c.weights.rebuffering, c.weights.startup) for c in configs],
+        dtype=np.float64,
+    )
+    qoe_total = quality_total - weights[:, 0] * switching_total
+    qoe_total = qoe_total - weights[:, 1] * total_rebuffer
+    qoe_total = qoe_total - weights[:, 2] * playback_start
 
     return BatchResult(
         controller=controller_name,
@@ -290,7 +334,7 @@ def _run_scalar(
     controller_name: str,
     traces: Sequence[Trace],
     manifest: VideoManifest,
-    config: SessionConfig,
+    configs: List[SessionConfig],
     cache_dir: Optional[str],
     table_config: Optional[FastMPCConfig],
 ) -> BatchResult:
@@ -311,7 +355,7 @@ def _run_scalar(
     switching: List[float] = []
     qoe: List[float] = []
     mean_bitrate: List[float] = []
-    for trace in traces:
+    for trace, config in zip(traces, configs):
         algorithm = make_scalar_algorithm(controller_name, cache_dir, table_config)
         result = simulate_session(algorithm, trace, manifest, config)
         breakdown = result.qoe()
@@ -352,7 +396,7 @@ def run_batch(
     controller: str,
     traces: Sequence[Trace],
     manifest: VideoManifest,
-    config: Optional[SessionConfig] = None,
+    config: Union[SessionConfig, Sequence[SessionConfig], None] = None,
     *,
     cache_dir: Optional[str] = None,
     table_config: Optional[FastMPCConfig] = None,
@@ -367,6 +411,14 @@ def run_batch(
     traces:
         One :class:`Trace` per session (repeats allowed).  Empty input
         returns a well-formed empty result.
+    config:
+        One :class:`SessionConfig` for every session (the default
+        ``SessionConfig()`` when ``None``), or one per trace.  Per-trace
+        configs may differ only in their Eq. 5 weights — the QoE presets
+        — which set each session's QoE totals and, for the FastMPC
+        family, the table it reads; anything else, or a count other than
+        ``len(traces)``, raises ``ValueError``.  The scalar engine runs
+        each session with its own config.
     engine:
         ``"vector"`` (the default) or ``"scalar"``.  Both engines produce
         identical values; the scalar engine is the reference simulator
@@ -380,16 +432,15 @@ def run_batch(
             f"unsupported fleet controller {controller!r}; expected one of "
             f"{SUPPORTED_CONTROLLERS}"
         )
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+    check_engine(engine)
     if manifest.num_chunks < 1:
         raise ValueError("manifest must have at least one chunk")
-    config = config if config is not None else SessionConfig()
     traces = list(traces)
+    configs = _session_configs(config, len(traces), manifest)
     if not traces:
         return _empty_result(controller, manifest, engine)
     if engine == "vector":
         return _run_vector(
-            controller, traces, manifest, config, cache_dir, table_config
+            controller, traces, manifest, configs, cache_dir, table_config
         )
-    return _run_scalar(controller, traces, manifest, config, cache_dir, table_config)
+    return _run_scalar(controller, traces, manifest, configs, cache_dir, table_config)

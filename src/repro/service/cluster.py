@@ -70,9 +70,13 @@ __all__ = [
 #: Exit code a worker uses when the ``worker-kill`` chaos action fires.
 KILLED_BY_CHAOS_EXIT = 73
 
-#: Per-worker chaos seeds are derived as ``seed + index * _CHAOS_SEED_STRIDE``
-#: so shards draw distinct (but still replayable) action sequences.
+#: Per-worker chaos seeds are derived as ``seed + index * _CHAOS_SEED_STRIDE
+#: + restarts * _CHAOS_RESTART_STRIDE`` so shards draw distinct (but still
+#: replayable) action sequences, and a respawned worker does not replay its
+#: predecessor's (under kill chaos it would die after the same number of
+#: requests every time).  The seeds are distinct for up to 100 workers.
 _CHAOS_SEED_STRIDE = 9973
+_CHAOS_RESTART_STRIDE = 1_000_003
 
 
 class ClusterError(RuntimeError):
@@ -693,10 +697,11 @@ class ClusterSupervisor:
     # Worker process management
     # ------------------------------------------------------------------
 
-    def _make_spec(self, index: int) -> WorkerSpec:
+    def _make_spec(self, index: int, restarts: int) -> WorkerSpec:
         chaos = self.config.chaos
         if chaos is not None:
-            chaos = replace(chaos, seed=chaos.seed + index * _CHAOS_SEED_STRIDE)
+            seed = chaos.seed + index * _CHAOS_SEED_STRIDE
+            chaos = replace(chaos, seed=seed + restarts * _CHAOS_RESTART_STRIDE)
         return WorkerSpec(
             index=index,
             host=self.config.host,
@@ -711,7 +716,7 @@ class ClusterSupervisor:
 
     def _spawn(self, slot: _WorkerSlot) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        spec = self._make_spec(slot.index)
+        spec = self._make_spec(slot.index, slot.restarts)
         process = self._ctx.Process(
             target=_worker_main,
             args=(spec, child_conn),

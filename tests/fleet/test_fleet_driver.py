@@ -3,12 +3,15 @@ counts, tracer events, and the CLI wiring."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro import cli
+from repro.core.fastmpc import FastMPCConfig
 from repro.fleet import FleetConfig, ScenarioSpace, run_fleet, sample_scenarios
+from repro.fleet import driver
 from repro.fleet.driver import run_shard
 from repro.obs import FleetShard, FleetSummary, RingBufferSink, Tracer
 
@@ -119,6 +122,69 @@ def test_config_and_worker_validation():
         FleetConfig(sessions=1, shard_size=0)
     with pytest.raises(ValueError, match="workers"):
         run_fleet(FleetConfig(sessions=1, space=SPACE), workers=0)
+
+
+@pytest.mark.parametrize("sessions", (0, 3))
+def test_unknown_engine_is_refused_at_construction(sessions):
+    # Before, an empty fleet never reached run_batch and so accepted any
+    # engine name.
+    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+        FleetConfig(sessions=sessions, engine="bogus", space=SPACE)
+    for engine in ("vector", "scalar"):
+        FleetConfig(sessions=sessions, engine=engine, space=SPACE)
+
+
+#: The FastMPC family, whose preset tables differ, on two ladders, with
+#: small tables so the scalar engine's sessions stay cheap.
+FASTMPC_SPACE = ScenarioSpace(
+    controllers=("bola", "fastmpc", "robust-fastmpc", "fastmpc-gap"),
+    ladders=("envivio", "uniform-6"),
+    num_chunks=12,
+    traces_per_dataset=4,
+    trace_duration_s=60.0,
+    table_config=FastMPCConfig(buffer_bins=16, throughput_bins=16, horizon=3),
+)
+#: sha256 of ``json.dumps(to_dict(), sort_keys=True)`` for 96 sessions,
+#: seed 5, shards of 48 — recorded when every (controller, preset,
+#: ladder) cell was its own batch, so grouping the presets into one
+#: batch must keep every byte.
+FASTMPC_DIGEST = "3377aae2e0f67c219b41e4c71088a8abe7081239c3f5a88556732e2c4b05ac7e"
+
+
+@pytest.mark.parametrize("engine", ("vector", "scalar"))
+def test_fastmpc_family_fleet_is_pinned(engine):
+    result = run_fleet(
+        FleetConfig(
+            sessions=96, seed=5, shard_size=48, space=FASTMPC_SPACE, engine=engine
+        )
+    )
+    blob = json.dumps(result.to_dict(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == FASTMPC_DIGEST
+    assert {key.split("|")[2] for key in result.arms} == set(FASTMPC_SPACE.presets)
+
+
+def test_run_shard_steps_each_controller_and_ladder_once(monkeypatch):
+    calls = []
+    real = driver.run_batch
+
+    def counting(controller, traces, manifest, config=None, **kwargs):
+        calls.append((controller, manifest.title, len(traces), list(config)))
+        return real(controller, traces, manifest, config, **kwargs)
+
+    monkeypatch.setattr(driver, "run_batch", counting)
+    scenarios = sample_scenarios(FASTMPC_SPACE, 96, 5)
+    payload = run_shard(FASTMPC_SPACE, scenarios)
+    cells = {(s.controller, f"fleet-{s.ladder}") for s in scenarios}
+    assert sorted((c, title) for c, title, _, _ in calls) == sorted(cells)
+    assert sum(n for _, _, n, _ in calls) == len(scenarios) == payload["sessions"]
+    for controller, title, n, configs in calls:
+        group = [
+            s for s in scenarios
+            if (s.controller, f"fleet-{s.ladder}") == (controller, title)
+        ]
+        assert [c.weights.label for c in configs] == [s.preset for s in group]
+    # Batches really span presets.
+    assert any(len({c.weights.label for c in configs}) > 1 for *_, configs in calls)
 
 
 def test_cli_fleet_smoke(tmp_path, capsys):

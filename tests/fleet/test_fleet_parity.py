@@ -186,3 +186,96 @@ def test_unknown_controller_and_engine_are_rejected(manifest):
         with pytest.raises(ValueError, match="unknown engine"):
             run_batch("bola", [trace], manifest, engine=engine)
 
+
+
+# ----------------------------------------------------------------------
+# Batches that span the QoE presets: one config per session
+# ----------------------------------------------------------------------
+
+PRESETS = ("balanced", "avoid-instability", "avoid-rebuffering")
+
+
+def cycled_configs(n):
+    """One fresh config per session, cycling the three presets (fresh
+    objects, as ``session_config_for`` makes them: equal quality
+    functions that are not the same object)."""
+    return [
+        SessionConfig(weights=QoEWeights.preset(PRESETS[i % len(PRESETS)]))
+        for i in range(n)
+    ]
+
+
+def assert_same_row(batch, i, other, j):
+    """Row ``i`` of ``batch`` equals row ``j`` of ``other``, field by field."""
+    assert batch.session_levels(i) == other.session_levels(j)
+    for name in ("rebuffer_s", "buffer_after_s", "download_time_s"):
+        assert list(getattr(batch, name)[i]) == list(getattr(other, name)[j]), name
+    for name in (
+        "startup_delay_s",
+        "total_rebuffer_s",
+        "total_wall_time_s",
+        "quality_total",
+        "switching_total",
+        "qoe_total",
+        "mean_bitrate_kbps",
+    ):
+        assert getattr(batch, name)[i] == getattr(other, name)[j], name
+
+
+@pytest.mark.parametrize("controller", SUPPORTED_CONTROLLERS)
+def test_batch_spanning_presets_matches_scalar_and_single_preset_batches(
+    controller, mixed_traces, manifest
+):
+    configs = cycled_configs(len(mixed_traces))
+    vec, sca = run_both(controller, mixed_traces, manifest, configs)
+    assert_exact_parity(vec, sca)
+    for p, preset in enumerate(PRESETS):
+        solo = run_batch(
+            controller,
+            mixed_traces,
+            manifest,
+            SessionConfig(weights=QoEWeights.preset(preset)),
+            table_config=TABLE_CONFIG,
+        )
+        for i in range(p, len(mixed_traces), len(PRESETS)):
+            assert_same_row(vec, i, solo, i)
+
+
+@pytest.mark.parametrize("engine", ("vector", "scalar"))
+def test_batch_configs_may_differ_only_in_weights(engine, mixed_traces, manifest):
+    from repro.video.quality import LogQuality
+
+    traces = mixed_traces[:3]
+    base = SessionConfig()
+    for other in (
+        SessionConfig(buffer_capacity_s=20.0),
+        SessionConfig(request_target_buffer_s=12.0),
+        SessionConfig(quality=LogQuality()),
+    ):
+        with pytest.raises(ValueError, match="differ only in their QoE weights"):
+            run_batch(
+                "fastmpc",
+                traces,
+                manifest,
+                [base, other, base],
+                engine=engine,
+                table_config=TABLE_CONFIG,
+            )
+    with pytest.raises(ValueError, match="2 session configs for 3 traces"):
+        run_batch("rb", traces, manifest, [base, base], engine=engine)
+    with pytest.raises(ValueError, match="1 session configs for 0 traces"):
+        run_batch("rb", [], manifest, [base], engine=engine)
+
+
+def test_configs_agreeing_by_value_share_a_batch(mixed_traces, manifest):
+    # A pacing target above Bmax paces at Bmax, like no target at all, and
+    # a fresh quality object with the same values is the same quality.
+    traces = mixed_traces[:4]
+    configs = [
+        SessionConfig(),
+        SessionConfig(request_target_buffer_s=45.0),
+        SessionConfig(weights=QoEWeights.avoid_rebuffering()),
+        SessionConfig(),
+    ]
+    vec, sca = run_both("robust-fastmpc", traces, manifest, configs)
+    assert_exact_parity(vec, sca)

@@ -320,6 +320,49 @@ class TestSupervision:
         assert report.errors == 0
 
 
+    def test_respawned_worker_draws_a_new_chaos_seed(self):
+        """Each spawn of a slot gets its own chaos seed, the first one
+        unchanged; otherwise every replacement of a kill-chaos worker
+        would die after the same number of requests.  No process starts:
+        the spawn runs against a recording stand-in."""
+        import multiprocessing
+        from types import SimpleNamespace
+
+        from repro.service.cluster import _WorkerSlot
+
+        class RecordingProcess:
+            pid = 0
+
+            def __init__(self, target, args, name, daemon):
+                pass
+
+            def start(self):
+                pass
+
+        sup = ClusterSupervisor(
+            LADDER,
+            config=ClusterConfig(
+                workers=3, chaos=ChaosConfig(kill_rate=0.002, seed=29)
+            ),
+        )
+        sup._ctx = SimpleNamespace(Pipe=multiprocessing.Pipe, Process=RecordingProcess)
+
+        async def spawn_three_times(index):
+            slot = _WorkerSlot(index)
+            seeds = []
+            for _ in range(3):
+                sup._spawn(slot)
+                seeds.append(slot.spec.chaos.seed)
+                sup._teardown_slot_io(slot)
+                slot.restarts += 1  # as _begin_restart does before a respawn
+            return seeds
+
+        by_slot = [run(spawn_three_times(index)) for index in range(3)]
+        assert [seeds[0] for seeds in by_slot] == [29, 29 + 9973, 29 + 2 * 9973]
+        every = [seed for seeds in by_slot for seed in seeds]
+        assert len(set(every)) == len(every)
+
+
 class TestClusterTelemetry:
     def test_control_endpoint_serves_aggregated_metrics(self, tmp_path):
         path = publish_test_table(tmp_path)
