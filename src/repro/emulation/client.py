@@ -91,6 +91,7 @@ class EmulatedClient:
         self.fallback_chunks = 0
 
         self._buffer_s = 0.0
+        self._decision_buffer_s = 0.0  # B_k the pending chunk's decision saw
         self._playback_start_s = (
             start_time_s + fixed_startup_delay_s
             if startup_policy is StartupPolicy.FIXED
@@ -126,16 +127,11 @@ class EmulatedClient:
     def result(self) -> SessionResult:
         if not self._finished:
             raise RuntimeError("session still in progress — run the event queue")
-        startup = (
-            self._playback_start_s
-            if self._playback_start_s != _INFINITY
-            else self.queue.now
-        )
         return SessionResult(
             algorithm_name=self.algorithm.name,
             trace_name=self.link.trace.name,
             records=tuple(self._records),
-            startup_delay_s=startup - self.start_time_s,
+            startup_delay_s=self._playback_start_s - self.start_time_s,
             total_rebuffer_s=self._total_rebuffer_s,
             # End of session = last chunk's completion plus its Eq. 4 wait
             # (matching the simulator's clock).
@@ -185,6 +181,7 @@ class EmulatedClient:
                 )
             )
         self._pending_level = level
+        self._decision_buffer_s = observation.buffer_level_s
         self._chunk_request_time = now
         self._chunk_failures = 0
         self._issue_request(level)
@@ -268,13 +265,8 @@ class EmulatedClient:
             self._playback_start_s = now + extra
 
         waited = 0.0
-        if (
-            self._buffer_s > self.config.buffer_capacity_s
-            and self._playback_start_s == _INFINITY
-        ):
-            self._playback_start_s = now
         threshold = self.config.pacing_threshold_s
-        if self._buffer_s > threshold and self._playback_start_s != _INFINITY:
+        if self._buffer_s > threshold:
             if (
                 now >= self._playback_start_s
                 or self._buffer_s > self.config.buffer_capacity_s
@@ -304,7 +296,7 @@ class EmulatedClient:
             buffer_after_s=self._buffer_s,
             wall_time_end_s=now + waited,
             waited_s=waited,
-            buffer_before_s=max(self._buffer_s - L, 0.0),
+            buffer_before_s=self._decision_buffer_s,
         )
         self._records.append(result)
         if self._tracing:

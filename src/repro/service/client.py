@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Optional, Tuple, TypeVar, Union
@@ -64,14 +65,17 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("need at least one attempt")
-        if self.base_delay_s <= 0 or self.max_delay_s <= 0:
-            raise ValueError("backoff delays must be positive")
-        if self.multiplier < 1.0:
-            raise ValueError("backoff multiplier must be >= 1")
+        # Range tests written so that NaN fails them too.
+        if not (
+            0.0 < self.base_delay_s < math.inf and 0.0 < self.max_delay_s < math.inf
+        ):
+            raise ValueError("backoff delays must be finite numbers > 0")
+        if not 1.0 <= self.multiplier < math.inf:
+            raise ValueError("backoff multiplier must be a finite number >= 1")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
-        if self.budget_s <= 0:
-            raise ValueError("retry budget must be positive")
+        if not 0.0 < self.budget_s < math.inf:
+            raise ValueError("retry budget must be a finite number > 0")
 
     def backoff_s(self, attempt: int, rng: random.Random) -> float:
         """The jittered wait after 0-based ``attempt`` failed."""
@@ -351,9 +355,10 @@ class ServiceClient:
         """Decide a whole batch in one exchange (binary protocol).
 
         Under ``protocol="binary"`` the batch rides a single multi-record
-        frame and one HTTP round-trip — the client-side half of the
-        service's micro-batching, and the shape the load generator uses
-        to amortise per-exchange costs.  Under JSON (or after a
+        frame and one HTTP round-trip, which the server answers with one
+        batch decision — the only way a batch reaches the service, and
+        the shape the load generator uses to amortise per-exchange
+        costs.  Under JSON (or after a
         negotiation downgrade) the batch degrades to sequential single
         exchanges on the keep-alive connection; either way responses come
         back in request order with identical decision semantics.

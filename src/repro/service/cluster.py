@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -108,7 +109,9 @@ class ClusterConfig:
     the client retry curve (base * multiplier**failures, capped, with
     seeded jitter); a worker that stays up ``stable_after_s`` gets its
     failure streak reset, so one crash long after another starts back at
-    the base delay instead of the escalated one.
+    the base delay instead of the escalated one.  A worker that exits
+    with :data:`KILLED_BY_CHAOS_EXIT` restarts on the base delay and
+    leaves the streak alone.  Timings must be finite and positive.
     """
 
     workers: int = 2
@@ -137,28 +140,43 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        if self.ready_timeout_s <= 0 or self.poll_interval_s <= 0:
-            raise ValueError("timeouts must be positive")
-        if self.heartbeat_interval_s <= 0 or self.hang_timeout_s <= 0:
-            raise ValueError("heartbeat intervals must be positive")
+        if not (
+            0.0 < self.ready_timeout_s < math.inf
+            and 0.0 < self.poll_interval_s < math.inf
+        ):
+            raise ValueError("timeouts must be finite numbers > 0")
+        if not (
+            0.0 < self.heartbeat_interval_s < math.inf
+            and 0.0 < self.hang_timeout_s < math.inf
+        ):
+            raise ValueError("heartbeat intervals must be finite numbers > 0")
+        if not 0.0 < self.stable_after_s < math.inf:
+            raise ValueError("stable_after_s must be a finite number > 0")
         if self.start_method is not None:
             if self.start_method not in multiprocessing.get_all_start_methods():
                 raise ValueError(
                     f"start method {self.start_method!r} unavailable here"
                 )
+        # Built here, so a bad restart_* field fails construction rather
+        # than the monitor loop at the first worker death.
+        object.__setattr__(
+            self,
+            "_restart_policy",
+            RetryPolicy(
+                max_attempts=2,  # unused by backoff_s; restarts are unbounded
+                base_delay_s=self.restart_base_delay_s,
+                multiplier=self.restart_multiplier,
+                max_delay_s=self.restart_max_delay_s,
+                jitter=self.restart_jitter,
+                budget_s=3600.0,
+                seed=self.restart_seed,
+            ),
+        )
 
     @property
     def restart_policy(self) -> RetryPolicy:
         """The worker-restart backoff curve, as a client retry policy."""
-        return RetryPolicy(
-            max_attempts=2,  # unused by backoff_s; restarts are unbounded
-            base_delay_s=self.restart_base_delay_s,
-            multiplier=self.restart_multiplier,
-            max_delay_s=self.restart_max_delay_s,
-            jitter=self.restart_jitter,
-            budget_s=3600.0,
-            seed=self.restart_seed,
-        )
+        return self._restart_policy
 
 
 @dataclass(frozen=True)
@@ -865,12 +883,19 @@ class ClusterSupervisor:
         self.restarts_total += 1
         # A long-stable worker restarts on the base delay; a crash loop
         # escalates exponentially (seeded jitter keeps runs replayable).
+        # An injected kill is not a crash loop: it restarts on the base
+        # delay and leaves the failure streak as it was.
         if slot.ready_at and loop.time() - slot.ready_at > self.config.stable_after_s:
             slot.failures = 0
-        delay = self.config.restart_policy.backoff_s(
-            slot.failures, self._restart_rng
+        chaos_kill = (
+            slot.process is not None
+            and slot.process.exitcode == KILLED_BY_CHAOS_EXIT
         )
-        slot.failures += 1
+        delay = self.config.restart_policy.backoff_s(
+            0 if chaos_kill else slot.failures, self._restart_rng
+        )
+        if not chaos_kill:
+            slot.failures += 1
         slot.restarts += 1
         self._teardown_slot_io(slot)
         if slot.process is not None:

@@ -78,8 +78,8 @@ class LoadTestConfig:
     buffer_capacity_s: float = DEFAULT_BUFFER_CAPACITY_S
     #: Wire encoding: ``"json"`` (one request per HTTP exchange) or
     #: ``"binary"`` (compact frames; concurrent workers' requests are
-    #: coalesced into multi-record frames, the client half of the
-    #: server's micro-batching).
+    #: coalesced into multi-record frames, which the server answers
+    #: with one batch decision per frame).
     protocol: str = "json"
     #: Client-side retry policy (None = single attempt per decision).
     retry: Optional[RetryPolicy] = None
@@ -400,9 +400,10 @@ class _ClientPool:
 
     In binary mode the pool also coalesces: session workers that ask
     for a decision in the same event-loop tick are merged into one
-    multi-record frame sent over a single leased connection (the client
-    half of the server's micro-batching), so ``n`` concurrent sessions
-    cost one HTTP exchange per tick instead of ``n``.
+    multi-record frame sent over a single leased connection (the only
+    place batches are built; the server answers each frame as one
+    batch), so ``n`` concurrent sessions cost one HTTP exchange per
+    tick instead of ``n``.
     """
 
     def __init__(self, host: str, port: int, size: int, config: LoadTestConfig) -> None:

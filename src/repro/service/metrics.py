@@ -97,9 +97,10 @@ class ServiceMetrics:
         self.connections_active = 0
         self.connections_reset = 0
         self.chaos_injected: Dict[str, int] = {}
-        #: Micro-batch occupancy: batch size -> number of batches flushed
+        #: Batch occupancy: records per decide call -> number of calls
         #: at that size (keys are strings so the dict round-trips JSON
-        #: unchanged).  Sizes sum-weighted give decisions served batched.
+        #: unchanged).  The server makes one call per /v1/decide exchange,
+        #: so sizes above 1 are client-built binary frames.
         self.batch_occupancy: Dict[str, int] = {}
         #: Wire-encoding negotiation outcomes: "json"/"binary" -> number
         #: of /v1/decide exchanges served in that encoding.
@@ -175,7 +176,7 @@ class ServiceMetrics:
         self.chaos_injected[kind] = self.chaos_injected.get(kind, 0) + 1
 
     def record_batch(self, size: int) -> None:
-        """One micro-batch flush that served ``size`` decisions."""
+        """One decide call that answered ``size`` records (one exchange)."""
         key = str(size)
         self.batch_occupancy[key] = self.batch_occupancy.get(key, 0) + 1
 

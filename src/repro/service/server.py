@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 from struct import error as struct_error
 from typing import Callable, Optional, Sequence, Tuple
 
 from ..core.table import DecisionTable
-from ..obs.events import RequestSpan, SolverCall
+from ..obs.events import RequestSpan
 from ..obs.tracer import Tracer
 from ..faults.chaos import (
     CHAOS_ERROR,
@@ -108,20 +109,24 @@ class ServiceConfig:
     prior_max_families: int = 1024
 
     def __post_init__(self) -> None:
-        if self.lookup_budget_s <= 0:
-            raise ValueError("lookup budget must be positive")
-        if self.request_deadline_s <= 0 or self.idle_timeout_s <= 0:
-            raise ValueError("deadlines must be positive")
+        # ``0 < t < inf`` also refuses NaN, which passes a ``t <= 0`` test.
+        if not 0.0 < self.lookup_budget_s < math.inf:
+            raise ValueError("lookup budget must be a finite number > 0")
+        if not (
+            0.0 < self.request_deadline_s < math.inf
+            and 0.0 < self.idle_timeout_s < math.inf
+        ):
+            raise ValueError("deadlines must be finite numbers > 0")
         if self.max_body_bytes < 1 or self.max_table_bytes < 1:
             raise ValueError("body limits must be positive")
         if self.backend_max_sessions < 1:
             raise ValueError("backend_max_sessions must be positive")
-        if (
-            self.backend_idle_timeout_s <= 0
-            or self.backend_chunk_duration_s <= 0
-            or self.backend_buffer_capacity_s <= 0
+        if not (
+            0.0 < self.backend_idle_timeout_s < math.inf
+            and 0.0 < self.backend_chunk_duration_s < math.inf
+            and 0.0 < self.backend_buffer_capacity_s < math.inf
         ):
-            raise ValueError("backend timings must be positive")
+            raise ValueError("backend timings must be finite numbers > 0")
         if self.prior_max_families < 1:
             raise ValueError("prior_max_families must be positive")
 
@@ -299,6 +304,51 @@ class DecisionService:
         )
         return response
 
+    def _answer(
+        self,
+        request: DecisionRequest,
+        level: int,
+        source: str,
+        latency_us: float,
+        arm: Optional[str],
+    ) -> DecisionResponse:
+        """The non-degraded answer at ``level``, recorded in /metrics."""
+        response = DecisionResponse(
+            session_id=request.session_id,
+            level_index=level,
+            bitrate_kbps=self.ladder[level],
+            source=source,
+            degraded=False,
+            reason=None,
+            server_latency_us=latency_us,
+            arm=arm,
+        )
+        self.metrics.record_decision(
+            source, latency_us, False, None, request.session_id, arm
+        )
+        return response
+
+    def _answer_in_budget(
+        self,
+        request: DecisionRequest,
+        level: int,
+        source: str,
+        started: float,
+        arm: Optional[str],
+    ) -> DecisionResponse:
+        """``level``'s answer, or the fallback when finding it took longer
+        than the lookup budget."""
+        elapsed = self.clock() - started
+        if elapsed > self.config.lookup_budget_s:
+            return self._fallback(
+                request.session_id,
+                request.predicted_kbps,
+                REASON_OVER_BUDGET,
+                started,
+                arm,
+            )
+        return self._answer(request, level, source, elapsed * 1e6, arm)
+
     def decide(self, request: DecisionRequest) -> DecisionResponse:
         """Answer one well-formed request; never raises.
 
@@ -311,8 +361,12 @@ class DecisionService:
         started = self.clock()
         arm = self.assign_arm(request.session_id)
         if arm is not None and arm.controller != CONTROLLER_TABLE:
-            return self._apply_prior(request, self._decide_controller(request, arm, started))
-        return self._apply_prior(request, self._decide_table(request, arm, started))
+            response = self._decide_controller(request, arm, started)
+        else:
+            response = self._decide_table(
+                request, arm.name if arm is not None else None, started
+            )
+        return self._apply_prior(request, response)
 
     def _apply_prior(
         self, request: DecisionRequest, response: DecisionResponse
@@ -336,10 +390,9 @@ class DecisionService:
     def _decide_table(
         self,
         request: DecisionRequest,
-        arm: Optional[ExperimentArm],
+        arm: Optional[str],
         started: float,
     ) -> DecisionResponse:
-        arm_name = arm.name if arm is not None else None
         table = self._table  # captured once; swaps cannot tear a request
         if table is None:
             return self._fallback(
@@ -347,17 +400,11 @@ class DecisionService:
                 request.predicted_kbps,
                 REASON_NO_TABLE,
                 started,
-                arm_name,
+                arm,
             )
-        query_kbps = request.predicted_kbps
-        if request.past_errors:
-            # RobustMPC's lower bound C_hat / (1 + err) — valid on the
-            # table because its throughput axis is the MPC input.
-            err = max(abs(e) for e in request.past_errors)
-            query_kbps = query_kbps / (1.0 + err)
         prev = request.prev_level if request.prev_level is not None else 0
         try:
-            level = table.lookup(request.buffer_s, prev, query_kbps)
+            level = table.lookup(request.buffer_s, prev, _query_kbps(request))
         except (IndexError, ValueError):
             # e.g. prev_level beyond the ladder: recoverable, not fatal.
             return self._fallback(
@@ -365,32 +412,9 @@ class DecisionService:
                 request.predicted_kbps,
                 REASON_MALFORMED,
                 started,
-                arm_name,
+                arm,
             )
-        elapsed = self.clock() - started
-        if elapsed > self.config.lookup_budget_s:
-            return self._fallback(
-                request.session_id,
-                request.predicted_kbps,
-                REASON_OVER_BUDGET,
-                started,
-                arm_name,
-            )
-        latency_us = elapsed * 1e6
-        response = DecisionResponse(
-            session_id=request.session_id,
-            level_index=level,
-            bitrate_kbps=self.ladder[level],
-            source=SOURCE_TABLE,
-            degraded=False,
-            reason=None,
-            server_latency_us=latency_us,
-            arm=arm_name,
-        )
-        self.metrics.record_decision(
-            SOURCE_TABLE, latency_us, False, None, request.session_id, arm_name
-        )
-        return response
+        return self._answer_in_budget(request, level, SOURCE_TABLE, started, arm)
 
     def _decide_controller(
         self,
@@ -417,45 +441,26 @@ class DecisionService:
                 started,
                 arm.name,
             )
-        elapsed = self.clock() - started
-        if elapsed > self.config.lookup_budget_s:
-            return self._fallback(
-                request.session_id,
-                request.predicted_kbps,
-                REASON_OVER_BUDGET,
-                started,
-                arm.name,
-            )
-        latency_us = elapsed * 1e6
-        response = DecisionResponse(
-            session_id=request.session_id,
-            level_index=level,
-            bitrate_kbps=self.ladder[level],
-            source=SOURCE_CONTROLLER,
-            degraded=False,
-            reason=None,
-            server_latency_us=latency_us,
-            arm=arm.name,
+        return self._answer_in_budget(
+            request, level, SOURCE_CONTROLLER, started, arm.name
         )
-        self.metrics.record_decision(
-            SOURCE_CONTROLLER, latency_us, False, None, request.session_id, arm.name
-        )
-        return response
 
     def decide_batch(
         self, requests: Sequence[DecisionRequest]
     ) -> Tuple[DecisionResponse, ...]:
-        """Answer a batch of requests with one vectorized table lookup.
+        """Answer a batch of requests; the server's one decide path.
 
-        Decision *content* (level, source, degraded, reason) is identical
-        to calling :meth:`decide` per request — the batch path shares the
-        scalar path's bin arithmetic and run search, and per-request
+        Every ``/v1/decide`` exchange lands here once: a JSON body as a
+        batch of one, a binary frame with all its records.  Decision
+        *content* (level, source, degraded, reason) is identical to
+        calling :meth:`decide` per request — the vectorized lookup shares
+        the scalar path's bin arithmetic and run search, and per-request
         validation (a ``prev_level`` beyond the ladder) degrades just
         that request.  Two intended differences: the lookup budget is
         judged on the whole batch's elapsed time (a batch of one behaves
         exactly like :meth:`decide`), and reported latencies are the
-        batch's, not a per-request measurement.  Batch occupancy is
-        recorded in ``/metrics``.
+        batch's, not a per-request measurement.  Each call counts its
+        size in the ``batch_occupancy`` histogram of ``/metrics``.
 
         Small batches are answered by the scalar path: the vectorized
         lookup carries a fixed ~60 us of array-call overhead per batch,
@@ -471,35 +476,29 @@ class DecisionService:
         started = self.clock()
         self.metrics.record_batch(len(requests))
         if self._experiment is None:
-            return self._finish_batch(requests, self._decide_batch_table(requests, None, started))
-        arms = [self.assign_arm(r.session_id) for r in requests]
-        responses: list = [None] * len(requests)
-        table_rows = []
-        for i, (request, arm) in enumerate(zip(requests, arms)):
-            if arm is not None and arm.controller != CONTROLLER_TABLE:
-                responses[i] = self._decide_controller(request, arm, self.clock())
-            else:
-                table_rows.append(i)
-        if table_rows:
+            responses = self._decide_batch_table(
+                requests, [None] * len(requests), started
+            )
+        else:
+            responses = [None] * len(requests)
+            table_rows = []
+            table_arms = []
+            for i, request in enumerate(requests):
+                arm = self.assign_arm(request.session_id)
+                if arm is not None and arm.controller != CONTROLLER_TABLE:
+                    responses[i] = self._decide_controller(request, arm, self.clock())
+                else:
+                    table_rows.append(i)
+                    table_arms.append(arm.name if arm is not None else None)
             table_responses = self._decide_batch_table(
-                [requests[i] for i in table_rows],
-                [arms[i] for i in table_rows],
-                started,
+                [requests[i] for i in table_rows], table_arms, started
             )
             for i, response in zip(table_rows, table_responses):
                 responses[i] = response
-        return self._finish_batch(requests, tuple(responses))
-
-    def _finish_batch(
-        self,
-        requests: Sequence[DecisionRequest],
-        responses: Tuple[DecisionResponse, ...],
-    ) -> Tuple[DecisionResponse, ...]:
-        """Apply the shared prior to a batch, in request order — the same
-        estimate-before-observe sequence scalar :meth:`decide` calls
-        would have produced one by one."""
+        # The shared prior, in request order: the same estimate-before-
+        # observe sequence scalar decide calls would produce one by one.
         if all(r.family is None for r in requests):
-            return responses
+            return tuple(responses)
         return tuple(
             self._apply_prior(request, response)
             for request, response in zip(requests, responses)
@@ -508,39 +507,28 @@ class DecisionService:
     def _decide_batch_table(
         self,
         requests: Sequence[DecisionRequest],
-        arms: Optional[Sequence[Optional[ExperimentArm]]],
+        arms: Sequence[Optional[str]],
         started: float,
-    ) -> Tuple[DecisionResponse, ...]:
-        arm_names = (
-            [a.name if a is not None else None for a in arms]
-            if arms is not None
-            else [None] * len(requests)
-        )
-        table = self._table  # captured once; swaps cannot tear a batch
+    ) -> Sequence[DecisionResponse]:
         if len(requests) < VECTOR_MIN_BATCH:
-            if arms is None:
-                arms = [None] * len(requests)
-            return tuple(
+            return [
                 self._decide_table(r, arm, self.clock())
                 for r, arm in zip(requests, arms)
-            )
+            ]
+        table = self._table  # captured once; swaps cannot tear a batch
         if table is None:
-            return tuple(
+            return [
                 self._fallback(
-                    r.session_id, r.predicted_kbps, REASON_NO_TABLE, started, name
+                    r.session_id, r.predicted_kbps, REASON_NO_TABLE, started, arm
                 )
-                for r, name in zip(requests, arm_names)
-            )
+                for r, arm in zip(requests, arms)
+            ]
         num_levels = table.num_levels
         rows = []  # per request: index into the batch arrays, -1 = malformed
         buffers: list = []
         prevs: list = []
         queries: list = []
         for request in requests:
-            query_kbps = request.predicted_kbps
-            if request.past_errors:
-                err = max(abs(e) for e in request.past_errors)
-                query_kbps = query_kbps / (1.0 + err)
             prev = request.prev_level if request.prev_level is not None else 0
             if not 0 <= prev < num_levels:
                 rows.append(-1)
@@ -548,63 +536,41 @@ class DecisionService:
             rows.append(len(buffers))
             buffers.append(request.buffer_s)
             prevs.append(prev)
-            queries.append(query_kbps)
+            queries.append(_query_kbps(request))
         if buffers:
             try:
                 levels = table.lookup_batch(buffers, prevs, queries)
             except (IndexError, ValueError):
                 # A poisoned value (e.g. NaN) the scalar path degrades per
                 # request; re-run scalar so only the bad entries degrade.
-                if arms is None:
-                    arms = [None] * len(requests)
-                return tuple(
+                return [
                     self._decide_table(r, arm, self.clock())
                     for r, arm in zip(requests, arms)
-                )
+                ]
         else:
             levels = []
         elapsed = self.clock() - started
         over_budget = elapsed > self.config.lookup_budget_s
         latency_us = elapsed * 1e6
         responses = []
-        for request, row, arm_name in zip(requests, rows, arm_names):
-            if row < 0:
+        for request, row, arm in zip(requests, rows, arms):
+            if row < 0 or over_budget:
                 responses.append(
                     self._fallback(
                         request.session_id,
                         request.predicted_kbps,
-                        REASON_MALFORMED,
+                        REASON_MALFORMED if row < 0 else REASON_OVER_BUDGET,
                         started,
-                        arm_name,
-                    )
-                )
-            elif over_budget:
-                responses.append(
-                    self._fallback(
-                        request.session_id,
-                        request.predicted_kbps,
-                        REASON_OVER_BUDGET,
-                        started,
-                        arm_name,
+                        arm,
                     )
                 )
             else:
-                level = int(levels[row])
-                response = DecisionResponse(
-                    session_id=request.session_id,
-                    level_index=level,
-                    bitrate_kbps=self.ladder[level],
-                    source=SOURCE_TABLE,
-                    degraded=False,
-                    reason=None,
-                    server_latency_us=latency_us,
-                    arm=arm_name,
+                responses.append(
+                    self._answer(
+                        request, int(levels[row]), SOURCE_TABLE, latency_us, arm
+                    )
                 )
-                self.metrics.record_decision(
-                    SOURCE_TABLE, latency_us, False, None, request.session_id, arm_name
-                )
-                responses.append(response)
-        return tuple(responses)
+        return responses
 
     def metrics_document(self) -> dict:
         """The full ``/metrics`` JSON document: the counter/histogram
@@ -641,6 +607,16 @@ class DecisionService:
                 session_id, predicted, REASON_MALFORMED, self.clock()
             )
         return self.decide(request)
+
+
+def _query_kbps(request: DecisionRequest) -> float:
+    """The table's throughput query: RobustMPC's lower bound
+    ``C_hat / (1 + err)`` when the request carries past errors — valid
+    on the table because its throughput axis is the MPC input."""
+    if not request.past_errors:
+        return request.predicted_kbps
+    err = max(abs(e) for e in request.past_errors)
+    return request.predicted_kbps / (1.0 + err)
 
 
 def _salvage(body: bytes) -> Tuple[str, Optional[float]]:
@@ -683,7 +659,8 @@ class DecisionServer:
 
     Routes
     ------
-    - ``POST /v1/decide``      one decision per request body
+    - ``POST /v1/decide``      one JSON decision or one binary frame of
+      decisions per request body, answered inside its own exchange
     - ``GET  /metrics``        telemetry snapshot (JSON)
     - ``GET  /healthz``        liveness + table status
     - ``POST /v1/table``       warm/cold table swap (serialized table body)
@@ -742,10 +719,6 @@ class DecisionServer:
         self._stashed_table: Optional[DecisionTable] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
-        # Micro-batching state: decisions queued by concurrent handler
-        # tasks, flushed once per event-loop tick (see _decide_coalesced).
-        self._batch_pending: list = []
-        self._batch_scheduled = False
         self._backend_reaper: Optional[asyncio.TimerHandle] = None
 
     # ------------------------------------------------------------------
@@ -971,34 +944,27 @@ class DecisionServer:
                     self._chaos_table_swap()
             binary = headers.get("content-type", "") == CONTENT_TYPE_BINARY
             metrics.record_protocol("binary" if binary else "json")
+            try:
+                requests = (
+                    decode_request_batch(body)
+                    if binary
+                    else (DecisionRequest.from_json(body),)
+                )
+            except ProtocolError:
+                # An unparseable body still gets one degraded answer; a
+                # JSON body's salvageable fields shape it (decide_payload).
+                responses = (
+                    self.service.fallback_response("unknown", None, REASON_MALFORMED)
+                    if binary
+                    else self.service.decide_payload(body),
+                )
+            else:
+                responses = self.service.decide_batch(requests)
             if binary:
                 # Binary exchanges answer in kind — the content type *is*
                 # the negotiation (an old JSON-only server would answer
                 # the degraded JSON fallback here, which binary clients
                 # detect and downgrade on).
-                try:
-                    requests = decode_request_batch(body)
-                except ProtocolError:
-                    response = self.service.fallback_response(
-                        "unknown", None, REASON_MALFORMED
-                    )
-                    await self._respond_raw(
-                        writer,
-                        200,
-                        encode_response_batch((response,)),
-                        keep_alive,
-                        content_type=_BINARY_HEADERS,
-                    )
-                    self._finish_span(
-                        "decide", trace_id, started, "degraded", chaos_tag
-                    )
-                    return keep_alive
-                if len(requests) == 1:
-                    responses = (await self._decide_coalesced(requests[0]),)
-                else:
-                    # A client-built batch is already one flush worth of
-                    # work; answer it with one vectorized lookup.
-                    responses = self.service.decide_batch(requests)
                 await self._respond_raw(
                     writer,
                     200,
@@ -1006,32 +972,17 @@ class DecisionServer:
                     keep_alive,
                     content_type=_BINARY_HEADERS,
                 )
-                degraded = any(r.degraded for r in responses)
-                self._finish_span(
-                    "decide",
-                    trace_id,
-                    started,
-                    "degraded" if degraded else "ok",
-                    chaos_tag,
-                    session_id=responses[0].session_id,
-                    arm=responses[0].arm,
-                )
-                return keep_alive
-            try:
-                request = DecisionRequest.from_json(body)
-            except ProtocolError:
-                response = self.service.decide_payload(body)  # salvage path
             else:
-                response = await self._decide_coalesced(request)
-            await self._respond_raw(writer, 200, response.to_json(), keep_alive)
+                await self._respond_raw(writer, 200, responses[0].to_json(), keep_alive)
+            degraded = any(r.degraded for r in responses)
             self._finish_span(
                 "decide",
                 trace_id,
                 started,
-                "degraded" if response.degraded else "ok",
+                "degraded" if degraded else "ok",
                 chaos_tag,
-                session_id=response.session_id,
-                arm=response.arm,
+                session_id=responses[0].session_id,
+                arm=responses[0].arm,
             )
             return keep_alive
         if path == "/metrics":
@@ -1138,55 +1089,6 @@ class DecisionServer:
         metrics.record_error()
         await self._respond(writer, 404, {"error": f"no route {path}"})
         return keep_alive
-
-    # ------------------------------------------------------------------
-    # Micro-batching
-    # ------------------------------------------------------------------
-
-    async def _decide_coalesced(self, request: DecisionRequest) -> DecisionResponse:
-        """Queue one decision and await the tick's shared batch flush.
-
-        Concurrent handler tasks that reach this point in the same
-        event-loop tick land in one pending list; the first of them
-        schedules a ``call_soon`` flush, which answers the whole batch
-        with a single vectorized :meth:`DecisionService.decide_batch`
-        call.  Under low concurrency the batch has one element and the
-        behaviour (including budget handling) matches the scalar path;
-        under load the batch grows to the number of in-flight requests —
-        visible as the ``batch_occupancy`` histogram in ``/metrics``.
-        """
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._batch_pending.append((request, future))
-        if not self._batch_scheduled:
-            self._batch_scheduled = True
-            loop.call_soon(self._flush_batch)
-        return await future
-
-    def _flush_batch(self) -> None:
-        pending, self._batch_pending = self._batch_pending, []
-        self._batch_scheduled = False
-        if not pending:  # pragma: no cover - flush raced an empty queue
-            return
-        started = time.perf_counter()
-        responses = self.service.decide_batch([r for r, _ in pending])
-        wall_s = time.perf_counter() - started
-        self.service.metrics.record_span("decide-batch", wall_s * 1e6)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.emit(
-                SolverCall(
-                    session_id="",
-                    t_mono=tracer.now(),
-                    op="service-micro-batch",
-                    instances=len(pending),
-                    plans=0,
-                    wall_s=wall_s,
-                )
-            )
-        for (_, future), response in zip(pending, responses):
-            if not future.done():  # the connection may have been torn down
-                future.set_result(response)
 
     # ------------------------------------------------------------------
 

@@ -59,5 +59,6 @@ def test_backends_agree_for_any_policy_and_trace(seed, bandwidths):
     assert emu.total_wall_time_s == pytest.approx(sim.total_wall_time_s, abs=1e-5)
     for a, b in zip(emu.records, sim.records):
         assert a.download_time_s == pytest.approx(b.download_time_s, abs=1e-8)
+        assert a.buffer_before_s == pytest.approx(b.buffer_before_s, abs=1e-8)
         assert a.buffer_after_s == pytest.approx(b.buffer_after_s, abs=1e-8)
         assert a.rebuffer_s == pytest.approx(b.rebuffer_s, abs=1e-8)

@@ -1,4 +1,4 @@
-"""Micro-batching and binary-protocol negotiation, end to end.
+"""Batch decisions and binary-protocol negotiation, end to end.
 
 Covers the fast-path additions as observable behaviour:
 
@@ -6,9 +6,10 @@ Covers the fast-path additions as observable behaviour:
   ``decide`` — including no-table degradation, invalid ``prev_level``
   handling, and NaN-poisoned batches — at every batch size (both sides
   of the scalar/vectorized crossover).
-* Concurrent requests hitting one :class:`DecisionServer` coalesce into
-  shared batches, visible as the ``batch_occupancy`` histogram and the
-  ``protocol_requests`` counters in ``/metrics``.
+* Each ``/v1/decide`` exchange on a :class:`DecisionServer` is one
+  ``decide_batch`` call, however many requests are in flight: the
+  ``batch_occupancy`` histogram counts records per exchange, next to
+  the ``protocol_requests`` counters in ``/metrics``.
 * A binary client negotiates by content-type, ships multi-record frames
   through ``decide_many``, and silently downgrades to JSON against a
   server that answers JSON.
@@ -20,6 +21,7 @@ import asyncio
 
 import pytest
 
+from repro.faults.chaos import ChaosConfig, ChaosPolicy
 from repro.service.client import ServiceClient
 from repro.service.loadgen import LoadTestConfig, run_loadtest
 from repro.service.protocol import (
@@ -111,8 +113,24 @@ class TestDecideBatchParity:
         assert snap["batch_occupancy"] == {"4": 2, "9": 1}
 
 
-class TestServerCoalescing:
-    def test_concurrent_requests_share_a_batch(self):
+class _CountingService(DecisionService):
+    """Counts :meth:`decide_batch` calls and the records in each."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batch_calls: list = []
+
+    def decide_batch(self, requests):
+        self.batch_calls.append(len(requests))
+        return super().decide_batch(requests)
+
+
+class TestServerExchanges:
+    def test_concurrent_json_requests_are_answered_one_by_one(self):
+        """No cross-request queue: 60 JSON requests in flight together
+        over six connections are 60 batches of one, answering exactly
+        what scalar decide answers."""
+
         async def inner():
             service = DecisionService(LADDER, table=make_test_table())
             server = DecisionServer(service, port=0)
@@ -124,23 +142,88 @@ class TestServerCoalescing:
                 ]
                 for c in clients:
                     await c.connect()
-                requests = _requests(6)
-                for _ in range(10):
-                    await asyncio.gather(
-                        *(c.decide(r) for c, r in zip(clients, requests))
+                responses = []
+                requests = _requests(60)
+                for start in range(0, 60, 6):
+                    responses += await asyncio.gather(
+                        *(
+                            c.decide(r)
+                            for c, r in zip(clients, requests[start:start + 6])
+                        )
                     )
                 for c in clients:
                     await c.close()
-                return service.metrics.snapshot()
+                return requests, responses, service.metrics.snapshot()
             finally:
                 await server.close()
 
-        snap = asyncio.run(inner())
-        occupancy = {int(k): v for k, v in snap["batch_occupancy"].items()}
-        # At least some ticks must have coalesced several requests.
-        assert max(occupancy) > 1
-        assert sum(k * v for k, v in occupancy.items()) == 60
-        assert "decide-batch" in snap["spans_us"]
+        requests, responses, snap = asyncio.run(inner())
+        assert snap["batch_occupancy"] == {"1": 60}
+        assert snap["spans_us"]["decide"]["count"] == 60
+        assert "decide-batch" not in snap["spans_us"]
+        scalar = DecisionService(LADDER, table=make_test_table())
+        for request, got in zip(requests, responses):
+            want = scalar.decide(request)
+            assert (got.session_id, got.level_index, got.source, got.degraded) == (
+                want.session_id, want.level_index, want.source, want.degraded
+            )
+
+    def test_each_exchange_is_one_decide_batch_call(self):
+        """JSON, a one-record binary frame and a multi-record frame: one
+        decide_batch call each, inside the exchange's own handler."""
+
+        async def inner():
+            service = _CountingService(LADDER, table=make_test_table())
+            server = DecisionServer(service, port=0)
+            await server.start()
+            try:
+                requests = _requests(5)
+                async with ServiceClient("127.0.0.1", server.bound_port) as c:
+                    await c.decide(requests[0])
+                async with ServiceClient(
+                    "127.0.0.1", server.bound_port, protocol="binary"
+                ) as c:
+                    await c.decide(requests[0])
+                    await c.decide_many(requests)
+                return service.batch_calls, service.metrics.snapshot()
+            finally:
+                await server.close()
+
+        calls, snap = asyncio.run(inner())
+        assert calls == [1, 1, 5]
+        assert snap["batch_occupancy"] == {"1": 2, "5": 1}
+        assert snap["spans_us"]["decide"]["count"] == 3
+
+    def test_table_swap_chaos_decides_on_its_own_swap(self):
+        """A request that draws table-swap chaos is decided on the table
+        as its own swap left it.  Every request swaps, so of two in
+        flight together one sees the table unloaded and one restored."""
+
+        async def inner():
+            service = DecisionService(LADDER, table=make_test_table())
+            chaos = ChaosPolicy(ChaosConfig(table_swap_rate=1.0))
+            server = DecisionServer(service, port=0, chaos=chaos)
+            await server.start()
+            try:
+                clients = [
+                    ServiceClient("127.0.0.1", server.bound_port)
+                    for _ in range(2)
+                ]
+                for c in clients:
+                    await c.connect()
+                rounds = []
+                for request in _requests(5):
+                    responses = await asyncio.gather(
+                        *(c.decide(request) for c in clients)
+                    )
+                    rounds.append(sorted(r.source for r in responses))
+                for c in clients:
+                    await c.close()
+                return rounds
+            finally:
+                await server.close()
+
+        assert asyncio.run(inner()) == [["fallback", "table"]] * 5
 
     def test_protocol_counters_split_json_and_binary(self):
         async def inner():

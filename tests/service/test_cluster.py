@@ -362,6 +362,78 @@ class TestSupervision:
         every = [seed for seeds in by_slot for seed in seeds]
         assert len(set(every)) == len(every)
 
+    def test_chaos_exit_restarts_on_the_base_delay(self):
+        """An injected kill is not a crash loop: a worker that exits with
+        KILLED_BY_CHAOS_EXIT restarts on the base delay and leaves the
+        failure streak alone, while crash exits escalate.  No process
+        starts: the slot holds a stand-in and the restart is recorded."""
+        from types import SimpleNamespace
+
+        from repro.service.cluster import KILLED_BY_CHAOS_EXIT, _WorkerSlot
+
+        sup = ClusterSupervisor(
+            LADDER,
+            config=ClusterConfig(
+                workers=1,
+                restart_base_delay_s=0.05,
+                restart_multiplier=2.0,
+                restart_jitter=0.0,
+            ),
+        )
+        delays = []
+
+        async def record_restart(slot, delay):
+            delays.append(delay)
+
+        sup._restart = record_restart
+
+        async def exit_with(codes):
+            slot = _WorkerSlot(0)
+            for code in codes:
+                slot.process = SimpleNamespace(
+                    exitcode=code, join=lambda timeout=None: None
+                )
+                sup._begin_restart(slot)
+                await asyncio.sleep(0)  # let the recorded restart run
+            return slot.failures
+
+        chaos = KILLED_BY_CHAOS_EXIT
+        assert run(exit_with([1, -9, 1])) == 3
+        assert delays == pytest.approx([0.05, 0.1, 0.2])
+        delays.clear()
+        assert run(exit_with([1, chaos, chaos, -9])) == 2
+        assert delays == pytest.approx([0.05, 0.05, 0.05, 0.1])
+        assert sup.restarts_total == 7
+
+
+class TestClusterConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("restart_base_delay_s", -1.0),
+            ("restart_max_delay_s", float("nan")),
+            ("restart_multiplier", 0.5),
+            ("restart_jitter", 2.0),
+            ("stable_after_s", float("nan")),
+            ("stable_after_s", -1.0),
+            ("poll_interval_s", float("nan")),
+            ("hang_timeout_s", float("inf")),
+        ],
+    )
+    def test_bad_timing_fails_construction(self, field, value):
+        """Refused when the config is built, not when the monitor loop
+        first reads the restart policy at a worker death."""
+        with pytest.raises(ValueError):
+            ClusterConfig(**{field: value})
+
+    def test_restart_policy_follows_the_fields(self):
+        policy = ClusterConfig(
+            restart_base_delay_s=0.1, restart_max_delay_s=3.0, restart_seed=5
+        ).restart_policy
+        assert (policy.base_delay_s, policy.max_delay_s, policy.seed) == (
+            0.1, 3.0, 5
+        )
+
 
 class TestClusterTelemetry:
     def test_control_endpoint_serves_aggregated_metrics(self, tmp_path):

@@ -38,6 +38,14 @@ class TestRetryPolicyValidation:
         with pytest.raises(ValueError):
             RetryPolicy(budget_s=0.0)
 
+    @pytest.mark.parametrize(
+        "field", ["base_delay_s", "max_delay_s", "multiplier", "budget_s"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError):
+            RetryPolicy(**{field: value})
+
 
 class TestBackoff:
     def test_no_jitter_is_pure_exponential_with_ceiling(self):

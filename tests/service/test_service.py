@@ -180,3 +180,15 @@ class TestServiceConfig:
             ServiceConfig(idle_timeout_s=0.0)
         with pytest.raises(ValueError):
             ServiceConfig(max_body_bytes=0)
+        # NaN passes a ``<= 0`` test; a NaN budget would never trip.
+        nan, inf = float("nan"), float("inf")
+        for field, value in [
+            ("lookup_budget_s", nan),
+            ("request_deadline_s", nan),
+            ("idle_timeout_s", inf),
+            ("backend_idle_timeout_s", nan),
+            ("backend_chunk_duration_s", inf),
+            ("backend_buffer_capacity_s", nan),
+        ]:
+            with pytest.raises(ValueError):
+                ServiceConfig(**{field: value})
