@@ -83,12 +83,13 @@ class CrossTrafficSpec:
     def __post_init__(self) -> None:
         if not self.rate_kbps > 0 or math.isinf(self.rate_kbps):
             raise ValueError("cross-traffic rate must be positive and finite")
-        if self.start_s < 0:
-            raise ValueError("start must be >= 0")
-        if self.stop_s is not None and self.stop_s <= self.start_s:
-            raise ValueError("stop must be after start")
-        if self.period_s is not None and self.period_s <= 0:
-            raise ValueError("period must be positive")
+        # Finite times only: the event queue refuses NaN and infinity.
+        if not 0.0 <= self.start_s < math.inf:
+            raise ValueError("start must be a finite number >= 0")
+        if self.stop_s is not None and not self.start_s < self.stop_s < math.inf:
+            raise ValueError("stop must be finite and after start")
+        if self.period_s is not None and not 0.0 < self.period_s < math.inf:
+            raise ValueError("period must be a finite number > 0")
         if not 0 < self.duty <= 1:
             raise ValueError("duty must be in (0, 1]")
 
@@ -149,14 +150,18 @@ class ScheduleConfig:
             raise ValueError(
                 f"unknown arrival mode {self.arrivals!r}; pick one of {ARRIVAL_MODES}"
             )
-        if self.mean_interarrival_s <= 0:
-            raise ValueError("mean inter-arrival must be positive")
-        if self.stagger_s < 0:
-            raise ValueError("stagger must be >= 0")
+        # Finite times only, as for cross traffic: arrivals are scheduled
+        # on the event queue.
+        if not 0.0 < self.mean_interarrival_s < math.inf:
+            raise ValueError("mean inter-arrival must be a finite number > 0")
+        if not 0.0 <= self.stagger_s < math.inf:
+            raise ValueError("stagger must be a finite number >= 0")
         if self.flash_crowds < 1:
             raise ValueError("need at least one flash crowd")
-        if self.flash_gap_s < 0 or self.flash_spread_s < 0:
-            raise ValueError("flash gap/spread must be >= 0")
+        if not (
+            0.0 <= self.flash_gap_s < math.inf and 0.0 <= self.flash_spread_s < math.inf
+        ):
+            raise ValueError("flash gap/spread must be finite numbers >= 0")
         if self.min_watch_chunks < 1:
             raise ValueError("players watch at least one chunk")
         if (

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable, List, Optional, Tuple
 
 __all__ = ["EventQueue"]
+
+_INFINITY = math.inf
 
 
 class EventQueue:
@@ -32,10 +35,15 @@ class EventQueue:
         return len(self._heap)
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at absolute virtual time ``when``."""
-        if when < self._now - 1e-12:
+        """Run ``callback`` at absolute virtual time ``when``.
+
+        ``when`` must be finite and not in the past: a NaN or infinite
+        time would never come, and the queue would never drain.
+        """
+        if not self._now - 1e-12 <= when < _INFINITY:
             raise ValueError(
-                f"cannot schedule in the past ({when} < now {self._now})"
+                f"cannot schedule at {when}: in the past (now {self._now})"
+                " or not finite"
             )
         heapq.heappush(self._heap, (when, next(self._counter), callback))
 

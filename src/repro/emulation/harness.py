@@ -9,6 +9,7 @@ experiment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -58,12 +59,14 @@ class NetworkProfile:
     slow_start: bool = True
 
     def __post_init__(self) -> None:
-        if self.rtt_s < 0:
-            raise ValueError("RTT must be >= 0")
-        if self.header_kilobits < 0:
-            raise ValueError("header overhead must be >= 0")
-        if self.server_processing_delay_s < 0:
-            raise ValueError("processing delay must be >= 0")
+        # ``0 <= x < inf`` also refuses NaN, which passes an ``x < 0`` test
+        # and would stall the event queue.
+        if not 0.0 <= self.rtt_s < math.inf:
+            raise ValueError("RTT must be a finite number >= 0")
+        if not 0.0 <= self.header_kilobits < math.inf:
+            raise ValueError("header overhead must be a finite number >= 0")
+        if not 0.0 <= self.server_processing_delay_s < math.inf:
+            raise ValueError("processing delay must be a finite number >= 0")
 
 
 def _build_link(
@@ -173,8 +176,8 @@ def emulate_shared_link(
     """
     if not algorithms:
         raise ValueError("need at least one player")
-    if start_stagger_s < 0:
-        raise ValueError("stagger must be >= 0")
+    if not 0.0 <= start_stagger_s < math.inf:
+        raise ValueError("stagger must be a finite number >= 0")
     config = config if config is not None else SessionConfig()
     network = network if network is not None else NetworkProfile()
     queue = EventQueue()

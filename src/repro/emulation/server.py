@@ -9,6 +9,7 @@ single server object serve any number of emulated clients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -47,10 +48,10 @@ class ChunkServer:
         header_kilobits: float = 4.0,
         processing_delay_s: float = 0.001,
     ) -> None:
-        if header_kilobits < 0:
-            raise ValueError("header overhead must be >= 0")
-        if processing_delay_s < 0:
-            raise ValueError("processing delay must be >= 0")
+        if not 0.0 <= header_kilobits < math.inf:
+            raise ValueError("header overhead must be a finite number >= 0")
+        if not 0.0 <= processing_delay_s < math.inf:
+            raise ValueError("processing delay must be a finite number >= 0")
         self.manifest = manifest
         self.header_kilobits = header_kilobits
         self.processing_delay_s = processing_delay_s

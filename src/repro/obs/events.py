@@ -111,7 +111,7 @@ class Rebuffer(Event):
 
     chunk_index: int
     duration_s: float
-    wall_time_s: float  # session clock when the download ended
+    wall_time_s: float  # chunk's wall_time_end_s (download end plus any wait)
 
 
 @dataclass(frozen=True)

@@ -108,8 +108,8 @@ class ServiceClient:
         retry: Optional[RetryPolicy] = None,
         protocol: str = "json",
     ) -> None:
-        if deadline_s <= 0:
-            raise ValueError("deadline must be positive")
+        if not 0.0 < deadline_s < math.inf:
+            raise ValueError("deadline must be a finite number > 0")
         if protocol not in ("json", "binary"):
             raise ValueError(f"unknown protocol {protocol!r}")
         self.host = host

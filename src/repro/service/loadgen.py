@@ -124,16 +124,24 @@ class LoadTestConfig:
             raise ValueError("protocol must be 'json' or 'binary'")
         if self.family is not None and self.protocol != "json":
             raise ValueError("family-keyed sessions require the json protocol")
-        if self.arrival_rate_hz <= 0:
-            raise ValueError("arrival_rate_hz must be positive")
+        # ``0 < x < inf`` also refuses NaN, which passes an ``x <= 0``
+        # test and leaves the open-loop arrival schedule spinning.
+        for name in (
+            "arrival_rate_hz",
+            "diurnal_period_s",
+            "trace_duration_s",
+            "deadline_s",
+            "chunk_duration_s",
+            "buffer_capacity_s",
+        ):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0")
         if not 0.0 <= self.diurnal_amplitude <= 1.0:
             raise ValueError("diurnal_amplitude must be in [0, 1]")
-        if self.diurnal_period_s <= 0:
-            raise ValueError("diurnal_period_s must be positive")
         if self.burst_sessions < 0:
             raise ValueError("burst_sessions must be >= 0")
-        if self.burst_at_s is not None and self.burst_at_s < 0:
-            raise ValueError("burst_at_s must be >= 0")
+        if self.burst_at_s is not None and not 0.0 <= self.burst_at_s < math.inf:
+            raise ValueError("burst_at_s must be a finite number >= 0")
 
 
 @dataclass

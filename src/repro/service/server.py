@@ -602,10 +602,7 @@ class DecisionService:
         try:
             request = DecisionRequest.from_json(body)
         except ProtocolError:
-            session_id, predicted = _salvage(body)
-            return self._fallback(
-                session_id, predicted, REASON_MALFORMED, self.clock()
-            )
+            return self.fallback_response(*_salvage(body), REASON_MALFORMED)
         return self.decide(request)
 
 
@@ -952,11 +949,10 @@ class DecisionServer:
                 )
             except ProtocolError:
                 # An unparseable body still gets one degraded answer; a
-                # JSON body's salvageable fields shape it (decide_payload).
+                # JSON body's salvageable fields shape it.
+                salvaged = ("unknown", None) if binary else _salvage(body)
                 responses = (
-                    self.service.fallback_response("unknown", None, REASON_MALFORMED)
-                    if binary
-                    else self.service.decide_payload(body),
+                    self.service.fallback_response(*salvaged, REASON_MALFORMED),
                 )
             else:
                 responses = self.service.decide_batch(requests)

@@ -52,6 +52,16 @@ class TestEventQueue:
         with pytest.raises(ValueError, match="past"):
             queue.run_until_idle()
 
+    @pytest.mark.parametrize("when", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, when):
+        """A NaN or infinite time would never come; refused up front."""
+        queue = EventQueue()
+        with pytest.raises(ValueError, match="finite"):
+            queue.schedule_at(when, lambda: None)
+        with pytest.raises(ValueError, match="finite"):
+            queue.schedule_in(when, lambda: None)
+        assert len(queue) == 0
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             EventQueue().schedule_in(-1.0, lambda: None)

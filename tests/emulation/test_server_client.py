@@ -11,7 +11,10 @@ from repro.core.robust import RobustMPCController
 from repro.emulation import (
     ChunkRequest,
     ChunkServer,
+    EmulatedClient,
+    EventQueue,
     NetworkProfile,
+    SharedTraceLink,
     emulate_session,
     emulate_shared_link,
 )
@@ -183,3 +186,67 @@ class TestNetworkProfile:
             NetworkProfile(header_kilobits=-1.0)
         with pytest.raises(ValueError):
             NetworkProfile(server_processing_delay_s=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field", ["rtt_s", "header_kilobits", "server_processing_delay_s"]
+    )
+    def test_rejects_non_finite(self, field, bad):
+        """A NaN or infinite timing used to hang ``emulate_session``."""
+        with pytest.raises(ValueError, match="finite"):
+            NetworkProfile(**{field: bad})
+
+
+class TestNonFiniteTimings:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_server_rejects(self, envivio_manifest, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ChunkServer(envivio_manifest, header_kilobits=bad)
+        with pytest.raises(ValueError, match="finite"):
+            ChunkServer(envivio_manifest, processing_delay_s=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_client_rejects_rtt(self, envivio_manifest, constant_trace, bad):
+        queue = EventQueue()
+        with pytest.raises(ValueError, match="RTT"):
+            EmulatedClient(
+                client_id=0,
+                algorithm=ConstantLevelAlgorithm(0),
+                manifest=envivio_manifest,
+                config=SessionConfig(),
+                queue=queue,
+                link=SharedTraceLink(constant_trace, queue),
+                server=ChunkServer(envivio_manifest),
+                rtt_s=bad,
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_cross_traffic_rejects(self, bad):
+        """Cross-traffic flows schedule their on/off switches on the
+        event queue, so their times must be finite too."""
+        from repro.arena import CrossTrafficSpec
+
+        for times in ({"start_s": bad}, {"stop_s": bad}, {"period_s": bad}):
+            with pytest.raises(ValueError, match="finite"):
+                CrossTrafficSpec(label="x", rate_kbps=100.0, **times)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_arrival_schedules_reject(
+        self, envivio_manifest, constant_trace, bad
+    ):
+        """Player arrivals are event times as well."""
+        from repro.arena import ScheduleConfig
+
+        for times in (
+            {"mean_interarrival_s": bad},
+            {"stagger_s": bad},
+            {"flash_gap_s": bad},
+            {"flash_spread_s": bad},
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                ScheduleConfig(players=2, **times)
+        with pytest.raises(ValueError, match="finite"):
+            emulate_shared_link(
+                [ConstantLevelAlgorithm(0)] * 2, constant_trace,
+                envivio_manifest, start_stagger_s=bad,
+            )

@@ -16,6 +16,7 @@ from repro.service import (
     DecisionServer,
     DecisionService,
     LoadTestConfig,
+    ServiceClient,
     run_loadtest,
 )
 from repro.service.loadgen import open_loop_arrivals
@@ -107,6 +108,30 @@ class TestOpenLoopArrivals:
             small_config(burst_at_s=-0.5)
         with pytest.raises(ValueError):
             small_config(family="fcc", protocol="binary")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "arrival_rate_hz",
+            "diurnal_period_s",
+            "trace_duration_s",
+            "deadline_s",
+            "chunk_duration_s",
+            "buffer_capacity_s",
+            "burst_at_s",
+        ],
+    )
+    def test_rejects_non_finite_timings(self, name, bad):
+        """Refused at construction: a NaN rate or period would leave
+        ``open_loop_arrivals`` spinning forever."""
+        with pytest.raises(ValueError, match=name):
+            small_config(open_loop=True, **{name: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_client_rejects_bad_deadline(self, bad):
+        with pytest.raises(ValueError, match="deadline"):
+            ServiceClient("127.0.0.1", 1, deadline_s=bad)
 
 
 @pytest.mark.slow

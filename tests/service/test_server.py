@@ -105,6 +105,50 @@ class TestRoutes:
 
         run(with_server(service, inner))
 
+    @pytest.mark.parametrize(
+        "body, session_id, level",
+        [
+            (b'{"session_id": "s7", "predicted_kbps": 900.0', "unknown", 0),
+            (b'[{"session_id": "s7", "predicted_kbps": 900.0}]', "unknown", 0),
+            (
+                b'{"session_id": "s7", "buffer_s": -1.0,'
+                b' "predicted_kbps": 900.0, "prev_level": 1}',
+                "s7",
+                1,
+            ),
+        ],
+        ids=["invalid-json", "array", "bad-field"],
+    )
+    def test_malformed_body_is_parsed_twice(
+        self, test_table, monkeypatch, body, session_id, level
+    ):
+        """``from_json`` fails once, ``_salvage`` parses once, and the
+        salvaged fields shape the degraded answer."""
+        service = DecisionService(LADDER, table=test_table)
+        loads = json.loads
+        calls = []
+
+        def counting_loads(*args, **kwargs):
+            calls.append(args[0])
+            return loads(*args, **kwargs)
+
+        async def inner(server):
+            async with ServiceClient("127.0.0.1", server.bound_port) as client:
+                monkeypatch.setattr(json, "loads", counting_loads)
+                try:
+                    return await client.request("POST", "/v1/decide", body)
+                finally:
+                    monkeypatch.undo()
+
+        status, raw = run(with_server(service, inner))
+        assert calls == [body, body]
+        assert status == 200
+        payload = json.loads(raw)
+        assert payload["session_id"] == session_id
+        assert payload["level_index"] == level
+        assert payload["degraded"] is True
+        assert payload["reason"] == REASON_MALFORMED
+
     def test_unknown_route_404_and_wrong_method_405(self, test_table):
         service = DecisionService(LADDER, table=test_table)
 
