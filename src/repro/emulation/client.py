@@ -89,6 +89,8 @@ class EmulatedClient:
         )
         self._result: Optional[SessionResult] = None
         self._chunk_request_time = start_time_s
+        #: When the pending chunk's first attempt reached the link.
+        self._link_reached_s = start_time_s
         self._pending_level = 0
         self._chunk_failures = 0
         queue.schedule_at(start_time_s, self._request_next_chunk)
@@ -127,10 +129,14 @@ class EmulatedClient:
         request = ChunkRequest(self.client_id, k, level, self.queue.now)
         size, processing = self.server.handle_request(request)
         self.queue.schedule_in(
-            self.rtt_s + processing,
-            lambda: self.link.start_transfer(
-                size, self._on_chunk_delivered, on_fail=self._on_chunk_failed
-            ),
+            self.rtt_s + processing, lambda: self._reach_link(size)
+        )
+
+    def _reach_link(self, size: float) -> None:
+        if self._chunk_failures == 0:
+            self._link_reached_s = self.queue.now
+        self.link.start_transfer(
+            size, self._on_chunk_delivered, on_fail=self._on_chunk_failed
         )
 
     def _fallback_level(self) -> int:
@@ -167,11 +173,16 @@ class EmulatedClient:
     def _on_chunk_delivered(self, transfer: Transfer) -> None:
         # The download time the player *measures* spans the request, its
         # retries, RTT and headers — the realistic, biased
-        # application-level sample.
+        # application-level sample.  Its stalled part is the dead time
+        # before the delivering attempt's first byte: failed attempts,
+        # their retry requests and latency-spike delays.
         now = self.queue.now
         player = self._player
         next_request = player.settle(
-            self._pending_level, now - self._chunk_request_time, 0.0, now
+            self._pending_level,
+            now - self._chunk_request_time,
+            transfer.started_at_s - self._link_reached_s,
+            now,
         )
         if len(player.records) >= self.manifest.num_chunks:
             self._result = player.finish()

@@ -13,11 +13,12 @@ Two layers, deliberately separated:
   always produced; clients never see an exception for a recoverable
   condition.
 
-* :class:`DecisionServer` — a stdlib-only HTTP/1.1 front end over
-  ``asyncio.start_server`` with keep-alive connections, per-request
-  read deadlines, and warm/cold table swapping: ``POST /v1/table``
-  installs a new table between requests with one reference assignment,
-  so in-flight connections keep streaming decisions and never drop.
+* :class:`DecisionServer` — a stdlib-only HTTP/1.1 front end with one
+  :class:`asyncio.Protocol` per keep-alive connection, which answers
+  each request inside the event-loop callback that completed it, and
+  warm/cold table swapping: ``POST /v1/table`` installs a new table
+  between requests with one reference assignment, so in-flight
+  connections keep streaming decisions and never drop.
 
 The single-threaded event loop is what makes the swap trivially safe:
 ``decide`` captures the table reference once per request, and the
@@ -30,7 +31,7 @@ import asyncio
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from struct import error as struct_error
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -85,8 +86,8 @@ class ServiceConfig:
     the response is downgraded to the rate-based fallback — the service
     promises a decision in bounded time even if a pathological table or
     a cold page makes the lookup slow.  ``request_deadline_s`` bounds
-    how long the server waits for a request to arrive in full on an
-    open connection before giving up on it; ``idle_timeout_s`` reaps
+    how long the server waits for a request's body once its head has
+    arrived before closing the connection; ``idle_timeout_s`` reaps
     keep-alive connections that have gone quiet.
 
     The ``backend_*`` knobs shape the stateful controller backends that
@@ -283,6 +284,7 @@ class DecisionService:
         reason: str,
         started: float,
         arm: Optional[str] = None,
+        prior_kbps: Optional[float] = None,
     ) -> DecisionResponse:
         if predicted_kbps is not None and predicted_kbps > 0:
             level = self.ladder.highest_at_most(predicted_kbps)
@@ -298,6 +300,7 @@ class DecisionService:
             reason=reason,
             server_latency_us=latency_us,
             arm=arm,
+            prior_kbps=prior_kbps,
         )
         self.metrics.record_decision(
             SOURCE_FALLBACK, latency_us, True, reason, session_id, arm
@@ -311,6 +314,7 @@ class DecisionService:
         source: str,
         latency_us: float,
         arm: Optional[str],
+        prior_kbps: Optional[float],
     ) -> DecisionResponse:
         """The non-degraded answer at ``level``, recorded in /metrics."""
         response = DecisionResponse(
@@ -322,6 +326,7 @@ class DecisionService:
             reason=None,
             server_latency_us=latency_us,
             arm=arm,
+            prior_kbps=prior_kbps,
         )
         self.metrics.record_decision(
             source, latency_us, False, None, request.session_id, arm
@@ -335,6 +340,7 @@ class DecisionService:
         source: str,
         started: float,
         arm: Optional[str],
+        prior_kbps: Optional[float],
     ) -> DecisionResponse:
         """``level``'s answer, or the fallback when finding it took longer
         than the lookup budget."""
@@ -346,8 +352,9 @@ class DecisionService:
                 REASON_OVER_BUDGET,
                 started,
                 arm,
+                prior_kbps,
             )
-        return self._answer(request, level, source, elapsed * 1e6, arm)
+        return self._answer(request, level, source, elapsed * 1e6, arm, prior_kbps)
 
     def decide(self, request: DecisionRequest) -> DecisionResponse:
         """Answer one well-formed request; never raises.
@@ -358,40 +365,38 @@ class DecisionService:
         any failure or budget overrun falls back to the rate-based rule,
         still labelled with the session's arm.
         """
+        prior = self._prior(request)
         started = self.clock()
         arm = self.assign_arm(request.session_id)
         if arm is not None and arm.controller != CONTROLLER_TABLE:
-            response = self._decide_controller(request, arm, started)
-        else:
-            response = self._decide_table(
-                request, arm.name if arm is not None else None, started
-            )
-        return self._apply_prior(request, response)
+            return self._decide_controller(request, arm, started, prior)
+        return self._decide_table(
+            request, arm.name if arm is not None else None, started, prior
+        )
 
-    def _apply_prior(
-        self, request: DecisionRequest, response: DecisionResponse
-    ) -> DecisionResponse:
-        """Fold a family-keyed request into the shared prior store.
+    def _prior(self, request: DecisionRequest) -> Optional[float]:
+        """Fold a family-keyed request into the shared prior store and
+        return the ``prior_kbps`` its response carries.
 
         The estimate is read *before* the request's own sample is
         folded in, so the response carries the pooled view of the
         family's earlier sessions — ``None`` for the family's very
-        first request.  Requests without a family pass through
-        untouched (the common path stays allocation-free).
+        first request, and for requests without a family.  Callers run
+        it ahead of the lookup budget's clock, in request order.
         """
-        if request.family is None:
-            return response
-        prior = self.priors.estimate(request.family)
-        self.priors.observe(request.family, request.predicted_kbps)
-        if prior is None:
-            return response
-        return replace(response, prior_kbps=prior)
+        family = request.family
+        if family is None:
+            return None
+        prior = self.priors.estimate(family)
+        self.priors.observe(family, request.predicted_kbps)
+        return prior
 
     def _decide_table(
         self,
         request: DecisionRequest,
         arm: Optional[str],
         started: float,
+        prior: Optional[float],
     ) -> DecisionResponse:
         table = self._table  # captured once; swaps cannot tear a request
         if table is None:
@@ -401,6 +406,7 @@ class DecisionService:
                 REASON_NO_TABLE,
                 started,
                 arm,
+                prior,
             )
         prev = request.prev_level if request.prev_level is not None else 0
         try:
@@ -413,14 +419,18 @@ class DecisionService:
                 REASON_MALFORMED,
                 started,
                 arm,
+                prior,
             )
-        return self._answer_in_budget(request, level, SOURCE_TABLE, started, arm)
+        return self._answer_in_budget(
+            request, level, SOURCE_TABLE, started, arm, prior
+        )
 
     def _decide_controller(
         self,
         request: DecisionRequest,
         arm: ExperimentArm,
         started: float,
+        prior: Optional[float],
     ) -> DecisionResponse:
         """One decision from the arm's stateful controller backend."""
         backend = self._backends[arm.controller]
@@ -440,9 +450,10 @@ class DecisionService:
                 REASON_MALFORMED,
                 started,
                 arm.name,
+                prior,
             )
         return self._answer_in_budget(
-            request, level, SOURCE_CONTROLLER, started, arm.name
+            request, level, SOURCE_CONTROLLER, started, arm.name, prior
         )
 
     def decide_batch(
@@ -473,11 +484,15 @@ class DecisionService:
         remainder keeps the vectorized lookup — so A/B routing does not
         tax the fast path of the sessions still on the table.
         """
+        # The shared prior, in request order and ahead of the budget's
+        # clock: the same estimate-before-observe sequence scalar decide
+        # calls would produce one by one.
+        priors = [self._prior(request) for request in requests]
         started = self.clock()
         self.metrics.record_batch(len(requests))
         if self._experiment is None:
             responses = self._decide_batch_table(
-                requests, [None] * len(requests), started
+                requests, [None] * len(requests), priors, started
             )
         else:
             responses = [None] * len(requests)
@@ -486,42 +501,42 @@ class DecisionService:
             for i, request in enumerate(requests):
                 arm = self.assign_arm(request.session_id)
                 if arm is not None and arm.controller != CONTROLLER_TABLE:
-                    responses[i] = self._decide_controller(request, arm, self.clock())
+                    responses[i] = self._decide_controller(
+                        request, arm, self.clock(), priors[i]
+                    )
                 else:
                     table_rows.append(i)
                     table_arms.append(arm.name if arm is not None else None)
             table_responses = self._decide_batch_table(
-                [requests[i] for i in table_rows], table_arms, started
+                [requests[i] for i in table_rows],
+                table_arms,
+                [priors[i] for i in table_rows],
+                started,
             )
             for i, response in zip(table_rows, table_responses):
                 responses[i] = response
-        # The shared prior, in request order: the same estimate-before-
-        # observe sequence scalar decide calls would produce one by one.
-        if all(r.family is None for r in requests):
-            return tuple(responses)
-        return tuple(
-            self._apply_prior(request, response)
-            for request, response in zip(requests, responses)
-        )
+        return tuple(responses)
 
     def _decide_batch_table(
         self,
         requests: Sequence[DecisionRequest],
         arms: Sequence[Optional[str]],
+        priors: Sequence[Optional[float]],
         started: float,
     ) -> Sequence[DecisionResponse]:
         if len(requests) < VECTOR_MIN_BATCH:
             return [
-                self._decide_table(r, arm, self.clock())
-                for r, arm in zip(requests, arms)
+                self._decide_table(r, arm, self.clock(), prior)
+                for r, arm, prior in zip(requests, arms, priors)
             ]
         table = self._table  # captured once; swaps cannot tear a batch
         if table is None:
             return [
                 self._fallback(
-                    r.session_id, r.predicted_kbps, REASON_NO_TABLE, started, arm
+                    r.session_id, r.predicted_kbps, REASON_NO_TABLE, started, arm,
+                    prior,
                 )
-                for r, arm in zip(requests, arms)
+                for r, arm, prior in zip(requests, arms, priors)
             ]
         num_levels = table.num_levels
         rows = []  # per request: index into the batch arrays, -1 = malformed
@@ -544,8 +559,8 @@ class DecisionService:
                 # A poisoned value (e.g. NaN) the scalar path degrades per
                 # request; re-run scalar so only the bad entries degrade.
                 return [
-                    self._decide_table(r, arm, self.clock())
-                    for r, arm in zip(requests, arms)
+                    self._decide_table(r, arm, self.clock(), prior)
+                    for r, arm, prior in zip(requests, arms, priors)
                 ]
         else:
             levels = []
@@ -553,7 +568,7 @@ class DecisionService:
         over_budget = elapsed > self.config.lookup_budget_s
         latency_us = elapsed * 1e6
         responses = []
-        for request, row, arm in zip(requests, rows, arms):
+        for request, row, arm, prior in zip(requests, rows, arms, priors):
             if row < 0 or over_budget:
                 responses.append(
                     self._fallback(
@@ -562,12 +577,14 @@ class DecisionService:
                         REASON_MALFORMED if row < 0 else REASON_OVER_BUDGET,
                         started,
                         arm,
+                        prior,
                     )
                 )
             else:
                 responses.append(
                     self._answer(
-                        request, int(levels[row]), SOURCE_TABLE, latency_us, arm
+                        request, int(levels[row]), SOURCE_TABLE, latency_us, arm,
+                        prior,
                     )
                 )
         return responses
@@ -590,20 +607,6 @@ class DecisionService:
         """A degraded fallback decision for an unservable request —
         what the transport answers when it cannot even parse a frame."""
         return self._fallback(session_id, predicted_kbps, reason, self.clock())
-
-    def decide_payload(self, body: bytes) -> DecisionResponse:
-        """Decide from a raw request body; malformed input degrades.
-
-        A body that fails protocol validation still gets a response: the
-        fallback decision computed from whatever fields are salvageable
-        (``session_id`` and ``predicted_kbps`` when present), flagged
-        ``degraded`` with reason ``malformed``.
-        """
-        try:
-            request = DecisionRequest.from_json(body)
-        except ProtocolError:
-            return self.fallback_response(*_salvage(body), REASON_MALFORMED)
-        return self.decide(request)
 
 
 def _query_kbps(request: DecisionRequest) -> float:
@@ -639,8 +642,17 @@ def _salvage(body: bytes) -> Tuple[str, Optional[float]]:
 # HTTP front end
 # ---------------------------------------------------------------------------
 
+#: Longest request head (request line and headers, without the blank
+#: line that ends it) a connection buffers; a longer one is answered 400
+#: ``headers too large`` whether or not its end has arrived.  The same
+#: limit ``asyncio.StreamReader`` applies by default.
+MAX_HEAD_BYTES = 64 * 1024
+_HEAD_END = b"\r\n\r\n"
+
 _JSON_HEADERS = b"Content-Type: application/json\r\n"
 _BINARY_HEADERS = b"Content-Type: " + CONTENT_TYPE_BINARY.encode() + b"\r\n"
+_KEEP_ALIVE = b"Connection: keep-alive\r\n\r\n"
+_CLOSE = b"Connection: close\r\n\r\n"
 _STATUS_LINES = {
     200: b"HTTP/1.1 200 OK\r\n",
     400: b"HTTP/1.1 400 Bad Request\r\n",
@@ -663,10 +675,13 @@ class DecisionServer:
     - ``POST /v1/table``       warm/cold table swap (serialized table body)
     - ``GET/POST /v1/experiment``  read / install / clear the A/B config
 
-    Connections are keep-alive by default; a request whose headers or
-    body do not arrive within ``request_deadline_s`` closes only that
-    connection.  The server binds with ``port=0`` for an ephemeral port
-    (see :attr:`bound_port`).
+    Each connection is one :class:`asyncio.Protocol` (see
+    :class:`_Connection`): the callback that completes a request also
+    routes it and writes its answer, so an exchange costs one pass of the
+    event loop and no Task.  Connections are keep-alive by default; a
+    body that does not arrive within ``request_deadline_s`` of its head
+    closes only that connection.  The server binds with ``port=0`` for an
+    ephemeral port (see :attr:`bound_port`).
 
     ``chaos`` hands the server an injected misbehaviour source (see
     :mod:`repro.faults.chaos`): the policy is consulted once per
@@ -721,14 +736,14 @@ class DecisionServer:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
+        loop = asyncio.get_running_loop()
         kwargs = {"reuse_port": True} if self.reuse_port else {}
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, **kwargs
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port, **kwargs
         )
         # Idle backend sessions are reaped on a timer, same rescheduling
-        # pattern as the per-connection watchdog: one call_later per
+        # pattern as the per-connection idle reaper: one call_later per
         # window, zero per-request cost.
-        loop = asyncio.get_running_loop()
         interval = self.service.config.backend_idle_timeout_s / 2
 
         def _reap_backends() -> None:
@@ -744,248 +759,60 @@ class DecisionServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def close(self) -> None:
-        """Stop listening and tear down every open connection."""
+        """Stop listening and tear down every open connection.
+
+        A shutdown is not a failure: closing a connection mid-request
+        here counts neither a reset nor an error.
+        """
         if self._backend_reaper is not None:
             self._backend_reaper.cancel()
             self._backend_reaper = None
         if self._server is not None:
             self._server.close()
+        while self._connections:
+            for connection in list(self._connections):
+                connection.shut_down()
+            # Each abort schedules its connection_lost with call_soon; one
+            # pass of the loop runs them, and the connection_made of any
+            # connection accepted just before the listener closed.
+            await asyncio.sleep(0)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        self._connections.clear()
 
     async def serve_forever(self) -> None:
         if self._server is None:
             await self.start()
         assert self._server is not None
-        async with self._server:
+        try:
             await self._server.serve_forever()
+        finally:
+            await self.close()
 
     # ------------------------------------------------------------------
+    # Routes: each answers its exchange through ``connection`` before it
+    # returns, except a slow-chaos decide, which holds its connection.
+    # ------------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    def _route(
+        self,
+        connection: "_Connection",
+        method: str,
+        path: str,
+        headers: dict,
+        body: bytes,
     ) -> None:
         metrics = self.service.metrics
-        config = self.service.config
-        metrics.connections_opened += 1
-        metrics.connections_active += 1
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        # Idle reaping via a rescheduled timer instead of wrapping every
-        # read in asyncio.wait_for: wait_for spawns a Task per call, which
-        # profiles as ~20% of the whole request path at load.  The timer
-        # costs one call_later per timeout window, not per request.
-        loop = asyncio.get_running_loop()
-        last_active = loop.time()
-
-        def _reap() -> None:
-            nonlocal watchdog
-            idle = loop.time() - last_active
-            if idle >= config.idle_timeout_s:
-                writer.close()  # wakes any pending read with EOF/reset
-            else:
-                watchdog = loop.call_later(config.idle_timeout_s - idle, _reap)
-
-        watchdog = loop.call_later(config.idle_timeout_s, _reap)
-        try:
-            while True:
-                try:
-                    header_blob = await reader.readuntil(b"\r\n\r\n")
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionResetError,
-                    BrokenPipeError,
-                ):
-                    break  # peer went away or idled out: normal teardown
-                except asyncio.LimitOverrunError:
-                    metrics.record_error()
-                    await self._respond(
-                        writer, 400, {"error": "headers too large"}, close=True
-                    )
-                    break
-                try:
-                    keep_alive = await self._handle_request(
-                        reader, writer, header_blob
-                    )
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    # Peer reset between headers and body (or while we were
-                    # writing the response): close this connection cleanly
-                    # and count it — an exception here must never tear down
-                    # the handler task uncounted.
-                    metrics.record_disconnect()
-                    break
-                last_active = loop.time()
-                if not keep_alive:
-                    break
-        except asyncio.CancelledError:
-            # Server shutdown cancels handlers mid-read; ending the task
-            # *uncancelled* after cleanup keeps the streams machinery from
-            # logging a spurious "exception never retrieved".
-            pass
-        finally:
-            watchdog.cancel()
-            if task is not None:
-                self._connections.discard(task)
-            metrics.connections_active -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                pass
-
-    async def _handle_request(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        header_blob: bytes,
-    ) -> bool:
-        metrics = self.service.metrics
-        config = self.service.config
-        try:
-            method, path, headers = _parse_head(header_blob)
-        except ValueError:
-            metrics.record_error()
-            await self._respond(writer, 400, {"error": "malformed request"}, close=True)
-            return False
-
-        length = 0
-        raw_length = headers.get("content-length")
-        if raw_length is not None:
-            try:
-                length = int(raw_length)
-            except ValueError:
-                metrics.record_error()
-                await self._respond(
-                    writer, 400, {"error": "bad content-length"}, close=True
-                )
-                return False
-        limit = (
-            config.max_table_bytes if path == "/v1/table" else config.max_body_bytes
-        )
-        if length < 0 or length > limit:
-            metrics.record_error()
-            await self._respond(writer, 413, {"error": "body too large"}, close=True)
-            return False
-        body = b""
-        if length:
-            # Small bodies almost always arrive in the same segment as the
-            # headers, so the fast path reads without a deadline wrapper;
-            # only a body still in flight pays for asyncio.wait_for.
-            buffered = getattr(reader, "_buffer", b"")
-            try:
-                if len(buffered) >= length:
-                    body = await reader.readexactly(length)
-                else:
-                    body = await asyncio.wait_for(
-                        reader.readexactly(length), config.request_deadline_s
-                    )
-            except asyncio.IncompleteReadError:
-                # Peer vanished between headers and body: a disconnect,
-                # not a protocol error on our side.
-                metrics.record_error()
-                metrics.record_disconnect()
-                return False  # cannot answer a half-received request
-            except asyncio.TimeoutError:
-                metrics.record_error()
-                return False  # body never arrived within the deadline
-
-        keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-
         if path == "/v1/decide":
             if method != "POST":
                 metrics.record_error()
-                await self._respond(writer, 405, {"error": "POST required"})
-                return keep_alive
-            trace_id = self._next_trace_id()
-            started = time.perf_counter()
-            action = CHAOS_NONE if self.chaos is None else self.chaos.next_action()
-            chaos_tag = None if action == CHAOS_NONE else action
-            if action != CHAOS_NONE:
-                metrics.record_chaos(action)
-                if action == CHAOS_RESET:
-                    # Abort the transport outright: the client sees a peer
-                    # reset with no response bytes, the failure its retry
-                    # path exists for.
-                    metrics.record_error()
-                    writer.transport.abort()
-                    self._finish_span("decide", trace_id, started, "reset", chaos_tag)
-                    return False
-                if action == CHAOS_ERROR:
-                    metrics.record_error()
-                    await self._respond(writer, 500, {"error": "injected failure"})
-                    self._finish_span(
-                        "decide", trace_id, started, "error-500", chaos_tag
-                    )
-                    return keep_alive
-                if action == CHAOS_KILL:
-                    # The worker dies mid-request: abort the transport so
-                    # the client sees a reset, then fire the kill hook (a
-                    # cluster worker exits the process here — the crash
-                    # its supervisor exists to repair).  Without a hook
-                    # the abort alone stands in for the crash.
-                    metrics.record_error()
-                    writer.transport.abort()
-                    self._finish_span("decide", trace_id, started, "killed", chaos_tag)
-                    if self.kill_hook is not None:
-                        self.kill_hook()
-                    return False
-                if action == CHAOS_SLOW:
-                    await asyncio.sleep(self.chaos.config.slow_delay_s)
-                elif action == CHAOS_TABLE_SWAP:
-                    self._chaos_table_swap()
-            binary = headers.get("content-type", "") == CONTENT_TYPE_BINARY
-            metrics.record_protocol("binary" if binary else "json")
-            try:
-                requests = (
-                    decode_request_batch(body)
-                    if binary
-                    else (DecisionRequest.from_json(body),)
-                )
-            except ProtocolError:
-                # An unparseable body still gets one degraded answer; a
-                # JSON body's salvageable fields shape it.
-                salvaged = ("unknown", None) if binary else _salvage(body)
-                responses = (
-                    self.service.fallback_response(*salvaged, REASON_MALFORMED),
-                )
+                connection.respond(405, {"error": "POST required"})
             else:
-                responses = self.service.decide_batch(requests)
-            if binary:
-                # Binary exchanges answer in kind — the content type *is*
-                # the negotiation (an old JSON-only server would answer
-                # the degraded JSON fallback here, which binary clients
-                # detect and downgrade on).
-                await self._respond_raw(
-                    writer,
-                    200,
-                    encode_response_batch(responses),
-                    keep_alive,
-                    content_type=_BINARY_HEADERS,
-                )
-            else:
-                await self._respond_raw(writer, 200, responses[0].to_json(), keep_alive)
-            degraded = any(r.degraded for r in responses)
-            self._finish_span(
-                "decide",
-                trace_id,
-                started,
-                "degraded" if degraded else "ok",
-                chaos_tag,
-                session_id=responses[0].session_id,
-                arm=responses[0].arm,
-            )
-            return keep_alive
+                self._decide(connection, headers, body)
+            return
         if path == "/metrics":
-            await self._respond(
-                writer, 200, self.service.metrics_document(), close=not keep_alive
-            )
-            return keep_alive
+            connection.respond(200, self.service.metrics_document())
+            return
         if path == "/healthz":
             experiment = self.service.experiment
             health = {
@@ -1002,32 +829,122 @@ class DecisionServer:
             }
             if self.worker_id is not None:
                 health["worker_id"] = self.worker_id
-            await self._respond(writer, 200, health, close=not keep_alive)
-            return keep_alive
+            connection.respond(200, health)
+            return
         if path == "/v1/experiment":
-            if method == "GET":
-                experiment = self.service.experiment
-                await self._respond(
-                    writer,
-                    200,
-                    {
-                        "experiment": (
-                            experiment.to_dict() if experiment is not None else None
-                        )
-                    },
-                    close=not keep_alive,
-                )
-                return keep_alive
-            if method != "POST":
+            self._experiment(connection, method, body)
+            return
+        if path == "/v1/table":
+            self._swap_table(connection, method, body)
+            return
+        metrics.record_error()
+        connection.respond(404, {"error": f"no route {path}"})
+
+    def _decide(self, connection: "_Connection", headers: dict, body: bytes) -> None:
+        metrics = self.service.metrics
+        trace_id = self._next_trace_id()
+        started = time.perf_counter()
+        action = CHAOS_NONE if self.chaos is None else self.chaos.next_action()
+        chaos_tag = None if action == CHAOS_NONE else action
+        if action != CHAOS_NONE:
+            metrics.record_chaos(action)
+            if action == CHAOS_RESET:
+                # Abort the transport outright: the client sees a peer
+                # reset with no response bytes, the failure its retry
+                # path exists for.
                 metrics.record_error()
-                await self._respond(writer, 405, {"error": "GET or POST required"})
-                return keep_alive
+                connection.abort()
+                self._finish_span("decide", trace_id, started, "reset", chaos_tag)
+                return
+            if action == CHAOS_ERROR:
+                metrics.record_error()
+                connection.respond(500, {"error": "injected failure"})
+                self._finish_span("decide", trace_id, started, "error-500", chaos_tag)
+                return
+            if action == CHAOS_KILL:
+                # The worker dies mid-request: abort the transport so
+                # the client sees a reset, then fire the kill hook (a
+                # cluster worker exits the process here — the crash
+                # its supervisor exists to repair).  Without a hook
+                # the abort alone stands in for the crash.
+                metrics.record_error()
+                connection.abort()
+                self._finish_span("decide", trace_id, started, "killed", chaos_tag)
+                if self.kill_hook is not None:
+                    self.kill_hook()
+                return
+            if action == CHAOS_SLOW:
+                # Only this connection waits: the rest of the exchange
+                # runs from a timer, and other connections keep going.
+                connection.hold(
+                    self.chaos.config.slow_delay_s,
+                    lambda: self._answer_decide(
+                        connection, headers, body, trace_id, started, chaos_tag
+                    ),
+                )
+                return
+            if action == CHAOS_TABLE_SWAP:
+                self._chaos_table_swap()
+        self._answer_decide(connection, headers, body, trace_id, started, chaos_tag)
+
+    def _answer_decide(
+        self,
+        connection: "_Connection",
+        headers: dict,
+        body: bytes,
+        trace_id: str,
+        started: float,
+        chaos_tag: Optional[str],
+    ) -> None:
+        binary = headers.get("content-type", "") == CONTENT_TYPE_BINARY
+        self.service.metrics.record_protocol("binary" if binary else "json")
+        try:
+            requests = (
+                decode_request_batch(body)
+                if binary
+                else (DecisionRequest.from_json(body),)
+            )
+        except ProtocolError:
+            # An unparseable body still gets one degraded answer; a
+            # JSON body's salvageable fields shape it.
+            salvaged = ("unknown", None) if binary else _salvage(body)
+            responses = (
+                self.service.fallback_response(*salvaged, REASON_MALFORMED),
+            )
+        else:
+            responses = self.service.decide_batch(requests)
+        if binary:
+            # Binary exchanges answer in kind — the content type *is*
+            # the negotiation (an old JSON-only server would answer
+            # the degraded JSON fallback here, which binary clients
+            # detect and downgrade on).
+            connection.respond_raw(
+                200, encode_response_batch(responses), _BINARY_HEADERS
+            )
+        else:
+            connection.respond_raw(200, responses[0].to_json())
+        degraded = any(r.degraded for r in responses)
+        self._finish_span(
+            "decide",
+            trace_id,
+            started,
+            "degraded" if degraded else "ok",
+            chaos_tag,
+            session_id=responses[0].session_id,
+            arm=responses[0].arm,
+        )
+
+    def _experiment(
+        self, connection: "_Connection", method: str, body: bytes
+    ) -> None:
+        metrics = self.service.metrics
+        if method == "POST":
             try:
                 payload = json.loads(body) if body else None
             except (ValueError, UnicodeDecodeError):
                 metrics.record_error()
-                await self._respond(writer, 400, {"error": "body is not valid JSON"})
-                return keep_alive
+                connection.respond(400, {"error": "body is not valid JSON"})
+                return
             try:
                 if payload is None or payload == {} or (
                     isinstance(payload, dict) and payload.get("arms") is None
@@ -1039,52 +956,41 @@ class DecisionServer:
                     self.service.set_experiment(ExperimentConfig.from_dict(payload))
             except ValueError as exc:
                 metrics.record_error()
-                await self._respond(writer, 400, {"error": f"bad experiment: {exc}"})
-                return keep_alive
-            experiment = self.service.experiment
-            await self._respond(
-                writer,
-                200,
-                {
-                    "experiment": (
-                        experiment.to_dict() if experiment is not None else None
-                    )
-                },
-                close=not keep_alive,
-            )
-            return keep_alive
-        if path == "/v1/table":
-            if method != "POST":
-                metrics.record_error()
-                await self._respond(writer, 405, {"error": "POST required"})
-                return keep_alive
-            swap_started = time.perf_counter()
-            try:
-                table = DecisionTable.from_bytes(
-                    body, max_bytes=config.max_table_bytes
-                )
-                self.service.swap_table(table)
-            except (ValueError, IndexError, struct_error) as exc:
-                metrics.record_error()
-                await self._respond(writer, 400, {"error": f"bad table: {exc}"})
-                self._finish_span(
-                    "table-swap", self._next_trace_id(), swap_started, "bad-table", None
-                )
-                return keep_alive
-            self._finish_span(
-                "table-swap", self._next_trace_id(), swap_started, "ok", None
-            )
-            await self._respond(
-                writer,
-                200,
-                {"swapped": True, "num_entries": table.num_entries},
-                close=not keep_alive,
-            )
-            return keep_alive
+                connection.respond(400, {"error": f"bad experiment: {exc}"})
+                return
+        elif method != "GET":
+            metrics.record_error()
+            connection.respond(405, {"error": "GET or POST required"})
+            return
+        experiment = self.service.experiment
+        connection.respond(
+            200,
+            {"experiment": experiment.to_dict() if experiment is not None else None},
+        )
 
-        metrics.record_error()
-        await self._respond(writer, 404, {"error": f"no route {path}"})
-        return keep_alive
+    def _swap_table(
+        self, connection: "_Connection", method: str, body: bytes
+    ) -> None:
+        metrics = self.service.metrics
+        if method != "POST":
+            metrics.record_error()
+            connection.respond(405, {"error": "POST required"})
+            return
+        swap_started = time.perf_counter()
+        try:
+            table = DecisionTable.from_bytes(
+                body, max_bytes=self.service.config.max_table_bytes
+            )
+            self.service.swap_table(table)
+        except (ValueError, IndexError, struct_error) as exc:
+            metrics.record_error()
+            connection.respond(400, {"error": f"bad table: {exc}"})
+            self._finish_span(
+                "table-swap", self._next_trace_id(), swap_started, "bad-table", None
+            )
+            return
+        self._finish_span("table-swap", self._next_trace_id(), swap_started, "ok", None)
+        connection.respond(200, {"swapped": True, "num_entries": table.num_entries})
 
     # ------------------------------------------------------------------
 
@@ -1135,38 +1041,238 @@ class DecisionServer:
             table, self._stashed_table = self._stashed_table, None
             self.service.swap_table(table)
 
+
+class _Connection(asyncio.Protocol):
+    """One keep-alive HTTP/1.1 connection of a :class:`DecisionServer`.
+
+    ``data_received`` appends to a buffer and answers every complete
+    request in it, in order, each with one ``transport.write``, before
+    it returns.  A head is parsed once, even when its body arrives over
+    several segments; the body is then framed by its Content-Length.
+
+    Two timers per connection: the idle reaper (rescheduled, so it costs
+    one ``call_later`` per ``idle_timeout_s`` window, not per request)
+    and a body deadline armed only while a body is in flight.  When the
+    transport's write buffer passes its high-water mark, the connection
+    stops answering and stops reading until the buffer drains, so a
+    client that never reads cannot make the server buffer its answers.
+    A ``slow`` chaos action holds just this connection on a timer.
+
+    Counted failures: a body cut off by the peer (EOF, reset or idle
+    reap) is one error and one reset; a body past its deadline is one
+    error; a reset while an answer is held or waiting to be written is
+    one reset.  :meth:`DecisionServer.close` counts none of these.
+    """
+
+    def __init__(self, server: DecisionServer) -> None:
+        self._server = server
+        self._metrics = server.service.metrics
+        self._config = server.service.config
+        self._loop = asyncio.get_running_loop()
+        self._transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        #: Where the search for the end of the next head resumes.
+        self._scanned = 0
+        #: ``(method, path, headers, length)`` of a head whose body is due.
+        self._request: Optional[tuple] = None
+        self._keep_alive = True
+        self._last_active = 0.0
+        self._idle_timer: Optional[asyncio.TimerHandle] = None
+        self._body_timer: Optional[asyncio.TimerHandle] = None
+        #: The timer finishing a slow-chaos exchange; no dispatch meanwhile.
+        self._held: Optional[asyncio.TimerHandle] = None
+        self._writing_paused = False
+        self._eof = False
+        self._shutting_down = False
+
+    # ------------------------------------------------------------------
+    # asyncio.Protocol callbacks
     # ------------------------------------------------------------------
 
-    async def _respond(
-        self, writer: asyncio.StreamWriter, status: int, payload: dict, close: bool = False
-    ) -> None:
-        await self._respond_raw(
-            writer,
-            status,
-            json.dumps(payload, separators=(",", ":")).encode(),
-            not close,
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        self._metrics.connections_opened += 1
+        self._metrics.connections_active += 1
+        self._server._connections.add(self)
+        self._last_active = self._loop.time()
+        self._idle_timer = self._loop.call_later(
+            self._config.idle_timeout_s, self._reap
         )
 
-    async def _respond_raw(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        body: bytes,
-        keep_alive: bool,
-        content_type: bytes = _JSON_HEADERS,
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._process()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._process()
+        return True  # _process closes once the buffered answers are out
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        for timer in (self._idle_timer, self._body_timer, self._held):
+            if timer is not None:
+                timer.cancel()
+        self._server._connections.discard(self)
+        metrics = self._metrics
+        metrics.connections_active -= 1
+        if self._shutting_down:
+            return
+        if self._request is not None:
+            # The peer vanished between head and body: this request can
+            # never be answered.
+            metrics.record_error()
+            metrics.record_disconnect()
+        elif exc is not None and (self._held is not None or self._writing_paused):
+            metrics.record_disconnect()  # reset with an answer still owed
+
+    def pause_writing(self) -> None:
+        self._writing_paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._writing_paused = False
+        self._transport.resume_reading()
+        self._process()
+
+    # ------------------------------------------------------------------
+    # Framing
+    # ------------------------------------------------------------------
+
+    def _process(self) -> None:
+        """Answer every complete request in the buffer, in order."""
+        buffer = self._buffer
+        transport = self._transport
+        while not (
+            self._held is not None or self._writing_paused or transport.is_closing()
+        ):
+            request = self._request
+            if request is None:
+                end = buffer.find(_HEAD_END, self._scanned)
+                if end < 0 and len(buffer) - 3 <= MAX_HEAD_BYTES:
+                    self._scanned = max(0, len(buffer) - 3)
+                    break
+                if end < 0 or end > MAX_HEAD_BYTES:
+                    self._refuse(400, "headers too large")
+                    return
+                request = self._frame_head(buffer[:end])
+                del buffer[: end + 4]
+                self._scanned = 0
+                if request is None:
+                    return
+                self._request = request
+            method, path, headers, length = request
+            if len(buffer) < length:
+                if self._body_timer is None:
+                    self._body_timer = self._loop.call_later(
+                        self._config.request_deadline_s, self._body_expired
+                    )
+                break
+            body = bytes(buffer[:length])
+            del buffer[:length]
+            self._request = None
+            if self._body_timer is not None:
+                self._body_timer.cancel()
+                self._body_timer = None
+            self._keep_alive = headers.get("connection", "keep-alive").lower() != "close"
+            self._server._route(self, method, path, headers, body)
+            if self._held is None:
+                self._exchange_done()
+        if self._eof and self._held is None and not self._writing_paused:
+            transport.close()
+
+    def _frame_head(self, blob: bytearray) -> Optional[tuple]:
+        """The parsed head, or ``None`` after refusing it."""
+        try:
+            method, path, headers = _parse_head(blob)
+        except ValueError:
+            self._refuse(400, "malformed request")
+            return None
+        length = 0
+        raw_length = headers.get("content-length")
+        if raw_length is not None:
+            try:
+                length = int(raw_length)
+            except ValueError:
+                self._refuse(400, "bad content-length")
+                return None
+        config = self._config
+        limit = (
+            config.max_table_bytes if path == "/v1/table" else config.max_body_bytes
+        )
+        if length < 0 or length > limit:
+            self._refuse(413, "body too large")
+            return None
+        return method, path, headers, length
+
+    def _exchange_done(self) -> None:
+        self._last_active = self._loop.time()
+        if not self._keep_alive:
+            self._transport.close()
+
+    # ------------------------------------------------------------------
+    # Timers
+    # ------------------------------------------------------------------
+
+    def _reap(self) -> None:
+        idle = self._loop.time() - self._last_active
+        timeout = self._config.idle_timeout_s
+        if idle < timeout:
+            self._idle_timer = self._loop.call_later(timeout - idle, self._reap)
+            return
+        self._idle_timer = None
+        if self._writing_paused:
+            self._transport.abort()  # its answers would never drain
+        else:
+            self._transport.close()
+
+    def _body_expired(self) -> None:
+        self._body_timer = None
+        self._request = None  # counted here, not as a disconnect
+        self._metrics.record_error()
+        self._transport.close()
+
+    def hold(self, delay_s: float, finish: Callable[[], None]) -> None:
+        """Run ``finish`` (the rest of this exchange) after ``delay_s``;
+        until then this connection dispatches nothing more."""
+        self._held = self._loop.call_later(delay_s, self._release, finish)
+
+    def _release(self, finish: Callable[[], None]) -> None:
+        self._held = None
+        finish()
+        self._exchange_done()
+        self._process()
+
+    # ------------------------------------------------------------------
+    # Answers
+    # ------------------------------------------------------------------
+
+    def respond(self, status: int, payload: dict) -> None:
+        self.respond_raw(status, json.dumps(payload, separators=(",", ":")).encode())
+
+    def respond_raw(
+        self, status: int, body: bytes, content_type: bytes = _JSON_HEADERS
     ) -> None:
-        head = (
+        self._transport.write(
             _STATUS_LINES[status]
             + content_type
             + b"Content-Length: %d\r\n" % len(body)
-            + (b"Connection: keep-alive\r\n" if keep_alive else b"Connection: close\r\n")
-            + b"\r\n"
+            + (_KEEP_ALIVE if self._keep_alive else _CLOSE)
+            + body
         )
-        writer.write(head + body)
-        try:
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            self.service.metrics.record_disconnect()
+
+    def _refuse(self, status: int, error: str) -> None:
+        """Answer a request that cannot be framed, then close."""
+        self._metrics.record_error()
+        self._keep_alive = False
+        self.respond(status, {"error": error})
+        self._transport.close()
+
+    def abort(self) -> None:
+        self._transport.abort()
+
+    def shut_down(self) -> None:
+        self._shutting_down = True
+        self._transport.abort()
 
 
 def _parse_head(blob: bytes) -> Tuple[str, str, dict]:

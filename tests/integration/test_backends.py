@@ -12,8 +12,9 @@ import pytest
 from repro.abr import create, paper_algorithms
 from repro.emulation import NetworkProfile, emulate_session
 from repro.experiments import median, run_matrix
+from repro.faults import ChunkFailure, LatencySpike
 from repro.sim import simulate_session
-from repro.traces import HSDPATraceGenerator, SyntheticTraceGenerator
+from repro.traces import HSDPATraceGenerator, SyntheticTraceGenerator, Trace
 from repro.video import envivio
 
 IDEAL = NetworkProfile(
@@ -65,3 +66,35 @@ class TestRealisticNetworkShift:
         emu_tput = emu.metrics().average_throughput_kbps
         sim_tput = sim.metrics().average_throughput_kbps
         assert emu_tput < sim_tput
+
+
+class TestLinkFaultDeadTime:
+    @pytest.mark.parametrize(
+        "fault, total_stall_s",
+        [
+            (ChunkFailure(rate=0.4, detect_delay_s=0.5), 5.0),
+            (LatencySpike(start_s=10.0, duration_s=30.0, extra_delay_s=0.7), 4.2),
+        ],
+        ids=["chunk-failure", "latency-spike"],
+    )
+    def test_emulated_stall_matches_the_simulator(self, fault, total_stall_s):
+        """The dead time before a chunk's delivering attempt (failed
+        attempts, their retries, latency spikes) is the chunk's
+        ``stalled_s`` on both backends, chunk by chunk."""
+        manifest = envivio().truncated(20)
+        trace = Trace.constant(2000.0, 600.0, name="constant-2000")
+        sim = simulate_session(
+            create("fastmpc-gap"), trace, manifest,
+            link_faults=[fault], fault_seed=3,
+        )
+        emu = emulate_session(
+            create("fastmpc-gap"), trace, manifest,
+            network=IDEAL, faults=[fault], fault_seed=3,
+        )
+        assert emu.level_indices == sim.level_indices
+        for emulated, simulated in zip(emu.records, sim.records):
+            assert emulated.stalled_s == pytest.approx(simulated.stalled_s, abs=1e-9)
+            assert emulated.download_time_s == pytest.approx(
+                simulated.download_time_s, abs=1e-9
+            )
+        assert sum(r.stalled_s for r in emu.records) == pytest.approx(total_stall_s)

@@ -5,9 +5,14 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import socket
 import struct
+import threading
+import tracemalloc
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.service import (
     DecisionRequest,
@@ -17,8 +22,9 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.core.table import DecisionTable
+from repro.faults.chaos import ChaosConfig, ChaosPolicy
 from repro.service.client import ServiceUnavailable
-from repro.service.protocol import SOURCE_FALLBACK, SOURCE_TABLE
+from repro.service.protocol import SOURCE_FALLBACK, SOURCE_TABLE, DecisionResponse
 from repro.service.server import REASON_MALFORMED, REASON_NO_TABLE
 
 # Every test here binds a real socket and runs a live event loop.
@@ -385,5 +391,357 @@ class TestConnectionHandling:
                 snap = await client.metrics()
                 assert snap["decisions"]["table"] == 80
                 assert snap["decisions"]["error"] == 0
+
+        run(with_server(service, inner))
+
+
+# ---------------------------------------------------------------------------
+# The connection contract: framing, limits, timers, shutdown and backpressure
+# as a raw socket sees them.
+# ---------------------------------------------------------------------------
+
+#: The head limit: a head (request line and headers) longer than this is
+#: answered 400 "headers too large", whether or not its end has arrived.
+HEAD_LIMIT = 64 * 1024
+
+
+def decide_exchange(request: DecisionRequest) -> bytes:
+    """The bytes of one keep-alive ``POST /v1/decide`` carrying ``request``."""
+    body = request.to_json()
+    return (
+        b"POST /v1/decide HTTP/1.1\r\nHost: test\r\n"
+        b"Content-Type: application/json\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(body)
+    ) + body
+
+
+async def read_answer(reader: asyncio.StreamReader) -> tuple:
+    """``(status, head, body)`` of the next response on ``reader``."""
+    head = await reader.readuntil(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    length = 0
+    for line in head.split(b"\r\n"):
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    return status, head, await reader.readexactly(length)
+
+
+async def settle(predicate, timeout_s: float = 2.0) -> None:
+    """Yield to the loop until ``predicate()`` holds (or fail)."""
+    loop = asyncio.get_running_loop()
+    give_up = loop.time() + timeout_s
+    while not predicate():
+        assert loop.time() < give_up, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+def without_latency(response: DecisionResponse) -> dict:
+    fields = response.to_dict()
+    fields.pop("server_latency_us")
+    return fields
+
+
+class TestConnectionContract:
+    @pytest.mark.parametrize("terminated", [False, True], ids=["open", "ended"])
+    def test_oversized_head_answers_400_then_eof(self, test_table, terminated):
+        service = DecisionService(LADDER, table=test_table)
+        head = b"GET /metrics HTTP/1.1\r\nX-Pad: " + b"a" * (HEAD_LIMIT + 64)
+        if terminated:
+            head += b"\r\n\r\n"
+
+        async def inner(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.bound_port
+            )
+            writer.write(head)
+            await writer.drain()
+            status, response_head, body = await asyncio.wait_for(
+                read_answer(reader), 1.0
+            )
+            assert status == 400
+            assert json.loads(body) == {"error": "headers too large"}
+            assert b"Connection: close" in response_head
+            assert await asyncio.wait_for(reader.read(), 1.0) == b""
+            assert service.metrics.errors_total == 1
+            writer.close()
+            await writer.wait_closed()
+
+        run(with_server(service, inner))
+
+    def test_short_body_closes_at_request_deadline(self, test_table):
+        config = ServiceConfig(request_deadline_s=0.3)
+        service = DecisionService(LADDER, table=test_table, config=config)
+
+        async def inner(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.bound_port
+            )
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            writer.write(
+                b"POST /v1/decide HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+                + b'{"session_id":'
+            )
+            await writer.drain()
+            assert await asyncio.wait_for(reader.read(), 2.0) == b""
+            assert 0.25 <= loop.time() - started < 1.5
+            await settle(lambda: service.metrics.connections_active == 0)
+            assert service.metrics.errors_total == 1
+            assert service.metrics.connections_reset == 0
+            writer.close()
+            await writer.wait_closed()
+
+        run(with_server(service, inner))
+
+    def test_reset_between_head_and_body_is_counted(self, test_table):
+        service = DecisionService(LADDER, table=test_table)
+
+        async def inner(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.bound_port
+            )
+            writer.write(b"POST /v1/decide HTTP/1.1\r\nContent-Length: 100\r\n\r\n")
+            await writer.drain()
+            await settle(lambda: service.metrics.connections_opened == 1)
+            await asyncio.sleep(0.05)  # the head is parsed; the body is due
+            writer.transport.abort()
+            await settle(lambda: service.metrics.connections_active == 0)
+            assert service.metrics.connections_reset == 1
+            assert service.metrics.errors_total == 1
+
+        run(with_server(service, inner))
+
+    def test_split_and_pipelined_requests_answer_in_order(self, test_table):
+        service = DecisionService(LADDER, table=test_table)
+        requests = [make_request(session_id=f"s{i}") for i in range(4)]
+        expected = [
+            without_latency(DecisionService(LADDER, table=test_table).decide(r))
+            for r in requests
+        ]
+
+        async def inner(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.bound_port
+            )
+            for byte in decide_exchange(requests[0]):
+                writer.write(bytes([byte]))
+                await writer.drain()
+                await asyncio.sleep(0.001)
+            writer.write(b"".join(decide_exchange(r) for r in requests[1:]))
+            await writer.drain()
+            answers = []
+            for _ in requests:
+                status, _, body = await asyncio.wait_for(read_answer(reader), 2.0)
+                assert status == 200
+                answers.append(without_latency(DecisionResponse.from_json(body)))
+            assert answers == expected
+            writer.close()
+            await writer.wait_closed()
+
+        run(with_server(service, inner))
+
+    def test_shutdown_closes_idle_and_half_sent_connections(self, test_table):
+        service = DecisionService(LADDER, table=test_table)
+
+        async def main():
+            server = DecisionServer(service, port=0)
+            await server.start()
+            idle_reader, idle_writer = await asyncio.open_connection(
+                "127.0.0.1", server.bound_port
+            )
+            idle_writer.write(decide_exchange(make_request()))
+            status, _, _ = await read_answer(idle_reader)
+            assert status == 200
+            half_reader, half_writer = await asyncio.open_connection(
+                "127.0.0.1", server.bound_port
+            )
+            half_writer.write(
+                b"POST /v1/decide HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"
+            )
+            await half_writer.drain()
+            await settle(lambda: service.metrics.connections_opened == 2)
+            await asyncio.sleep(0.05)
+            await server.close()
+            assert service.metrics.connections_active == 0
+            for reader in (idle_reader, half_reader):
+                assert await asyncio.wait_for(reader.read(), 1.0) == b""
+            assert service.metrics.connections_reset == 0
+            assert service.metrics.errors_total == 0
+            for writer in (idle_writer, half_writer):
+                writer.close()
+                await writer.wait_closed()
+
+        run(main())
+
+    def test_slow_chaos_holds_only_its_own_connection(self, test_table):
+        service = DecisionService(LADDER, table=test_table)
+        chaos = ChaosPolicy(ChaosConfig(slow_rate=1.0, slow_delay_s=0.3))
+
+        async def one(port, delay_s, started):
+            await asyncio.sleep(delay_s)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(decide_exchange(make_request()))
+            await writer.drain()
+            status, _, _ = await read_answer(reader)
+            answered = asyncio.get_running_loop().time() - started
+            writer.close()
+            await writer.wait_closed()
+            assert status == 200
+            return answered
+
+        async def main():
+            server = DecisionServer(service, port=0, chaos=chaos)
+            await server.start()
+            try:
+                started = asyncio.get_running_loop().time()
+                return await asyncio.gather(
+                    one(server.bound_port, 0.0, started),
+                    one(server.bound_port, 0.05, started),
+                )
+            finally:
+                await server.close()
+
+        first, second = run(main())
+        assert 0.29 <= first < 0.5
+        # Held one after the other, the second answer would come at 0.6 s.
+        assert 0.34 <= second < 0.55
+
+
+def _fuzzed_heads():
+    """Request heads from valid parts, mangled parts and raw bytes."""
+    request_line = st.one_of(
+        st.sampled_from(
+            [
+                b"GET /metrics HTTP/1.1",
+                b"GET /healthz?x=1 HTTP/1.0",
+                b"POST /v1/decide HTTP/1.1",
+                b"POST /v1/table HTTP/1.1",
+                b"POST /v1/experiment HTTP/1.1",
+                b"DELETE /nope HTTP/1.1",
+                b"GET / HTTP/2",
+                b"GET /metrics",
+            ]
+        ),
+        st.binary(max_size=40),
+    )
+    value = st.one_of(
+        st.integers(-3, 400).map(lambda n: str(n).encode()),
+        st.sampled_from([b"close", b"keep-alive", b"application/x-abr-frame"]),
+        st.binary(max_size=20),
+    )
+    header = st.one_of(
+        st.tuples(
+            st.sampled_from(
+                [b"Content-Length", b"content-length", b"Connection", b"Content-Type"]
+            ),
+            value,
+        ).map(lambda pair: pair[0] + b": " + pair[1]),
+        st.binary(max_size=30),
+    )
+    return st.tuples(
+        request_line, st.lists(header, max_size=5), st.binary(max_size=120)
+    ).map(lambda parts: b"\r\n".join([parts[0], *parts[1]]) + b"\r\n\r\n" + parts[2])
+
+
+async def _fuzz_one(port: int, blob: bytes, cuts) -> bytes:
+    """Write ``blob`` split at ``cuts``, half-close, and read to the end.
+
+    Returns what the server sent.  A reset is accepted only after an
+    answer: a server that answers 400 and closes resets a client that is
+    still writing, and the kernel hands over the answer before the reset.
+    """
+    loop = asyncio.get_running_loop()
+    sock = socket.socket()
+    sock.setblocking(False)
+    try:
+        await loop.sock_connect(sock, ("127.0.0.1", port))
+        bounds = sorted({min(cut, len(blob)) for cut in cuts} | {0, len(blob)})
+        try:
+            for start, end in zip(bounds, bounds[1:]):
+                await loop.sock_sendall(sock, blob[start:end])
+                await asyncio.sleep(0.001)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # the server closed first; read what it sent
+        received = b""
+        try:
+            while True:
+                chunk = await loop.sock_recv(sock, 65536)
+                if not chunk:
+                    return received
+                received += chunk
+        except ConnectionResetError:
+            assert received.startswith(b"HTTP/1.1 "), received
+            return received
+    finally:
+        sock.close()
+
+
+class TestHeadFuzz:
+    @seed(20240522)
+    @settings(max_examples=40, deadline=None)
+    @given(blob=_fuzzed_heads(), cuts=st.lists(st.integers(0, 400), max_size=6))
+    def test_every_connection_answers_or_closes(self, blob, cuts):
+        config = ServiceConfig(request_deadline_s=0.3, idle_timeout_s=1.0)
+        service = DecisionService(LADDER, table=make_test_table(), config=config)
+
+        async def inner(server):
+            received = await asyncio.wait_for(
+                _fuzz_one(server.bound_port, blob, cuts), 2.0
+            )
+            assert received == b"" or received.startswith(b"HTTP/1.1 ")
+            async with ServiceClient("127.0.0.1", server.bound_port) as client:
+                assert (await client.health())["status"] == "ok"
+
+        run(with_server(service, inner))
+
+
+class TestBackpressure:
+    def test_never_reading_client_is_bounded(self, test_table):
+        """A client that pipelines 20 MB of ``GET /metrics`` and never
+        reads makes the server stop reading, not buffer its answers."""
+        service = DecisionService(LADDER, table=test_table)
+        chunk = b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n" * 1000
+        total = 20 * 1024 * 1024
+        sent = [0]
+        stop = threading.Event()
+
+        def flood(port):
+            with socket.socket() as sock:
+                # Small kernel buffers: the server meets backpressure after
+                # a few hundred answers rather than after megabytes.
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 16)
+                sock.connect(("127.0.0.1", port))
+                sock.settimeout(0.1)
+                while sent[0] < total and not stop.is_set():
+                    try:
+                        sent[0] += sock.send(chunk)
+                    except socket.timeout:
+                        continue
+                    except OSError:
+                        return
+                stop.wait(5.0)
+
+        async def inner(server):
+            tracemalloc.start()
+            try:
+                thread = threading.Thread(
+                    target=flood, args=(server.bound_port,), daemon=True
+                )
+                thread.start()
+                last = -1
+                while sent[0] != last and sent[0] < total:
+                    last = sent[0]
+                    await asyncio.sleep(0.3)  # until the flood stalls
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+                stop.set()
+            await asyncio.get_running_loop().run_in_executor(None, thread.join, 5.0)
+            assert not thread.is_alive()
+            assert sent[0] < total  # the server stopped reading
+            assert peak < 4 * 1024 * 1024, peak
 
         run(with_server(service, inner))

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
+from repro.service.client import ServiceClient
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     SOURCE_FALLBACK,
     SOURCE_TABLE,
     DecisionRequest,
+    DecisionResponse,
 )
 from repro.service.server import (
     REASON_MALFORMED,
     REASON_NO_TABLE,
     REASON_OVER_BUDGET,
+    DecisionServer,
     DecisionService,
     ServiceConfig,
 )
@@ -115,17 +120,41 @@ class TestDegradation:
         assert service.decide(make_request()).source == SOURCE_TABLE
 
 
+def post_decide(service, bodies):
+    """Each body's answer to ``POST /v1/decide`` on a live server."""
+
+    async def main():
+        server = DecisionServer(service, port=0)
+        await server.start()
+        try:
+            async with ServiceClient("127.0.0.1", server.bound_port) as client:
+                return [
+                    await client.request("POST", "/v1/decide", body)
+                    for body in bodies
+                ]
+        finally:
+            await server.close()
+
+    answers = asyncio.run(main())
+    assert [status for status, _ in answers] == [200] * len(bodies)
+    return [DecisionResponse.from_json(raw) for _, raw in answers]
+
+
+@pytest.mark.slow
 class TestDecidePayload:
+    """Raw bodies through the server's decide route: malformed input
+    degrades to a fallback shaped by the fields it salvages."""
+
     def test_valid_payload(self, test_table):
         service = DecisionService(LADDER, table=test_table)
-        response = service.decide_payload(make_request().to_json())
+        (response,) = post_decide(service, [make_request().to_json()])
         assert response.source == SOURCE_TABLE
 
     def test_malformed_payload_salvages_fields(self, test_table):
         service = DecisionService(LADDER, table=test_table)
         # Missing buffer_s: invalid, but session and prediction salvage.
         body = b'{"session_id":"sx","predicted_kbps":900.0}'
-        response = service.decide_payload(body)
+        (response,) = post_decide(service, [body])
         assert response.source == SOURCE_FALLBACK
         assert response.reason == REASON_MALFORMED
         assert response.session_id == "sx"
@@ -133,7 +162,7 @@ class TestDecidePayload:
 
     def test_garbage_payload_still_answers(self, test_table):
         service = DecisionService(LADDER, table=test_table)
-        response = service.decide_payload(b"\x00\xffnot json")
+        (response,) = post_decide(service, [b"\x00\xffnot json"])
         assert response.source == SOURCE_FALLBACK
         assert response.session_id == "unknown"
         assert response.level_index == 0
@@ -145,8 +174,7 @@ class TestDecidePayload:
             b'{"session_id":"s","buffer_s":1e999,"predicted_kbps":1}',
             b'{"session_id":true,"buffer_s":1,"predicted_kbps":-5}',
         ]
-        for body in hostile:
-            response = service.decide_payload(body)
+        for response in post_decide(service, hostile):
             assert response.degraded
         assert service.metrics.decisions_fallback == len(hostile)
 
