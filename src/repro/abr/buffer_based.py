@@ -89,11 +89,9 @@ class BufferBasedChunkMapAlgorithm(ABRAlgorithm):
     ) -> float:
         """``f(B)`` in chunk-size space for chunk ``chunk_index``."""
         self._require_prepared()
-        manifest = self.manifest
-        s_min = manifest.chunk_size_kilobits(chunk_index, 0)
-        s_max = manifest.chunk_size_kilobits(
-            chunk_index, len(manifest.ladder) - 1
-        )
+        (sizes,) = self.manifest.chunk_size_rows(chunk_index, 1)
+        s_min = sizes[0]
+        s_max = sizes[-1]
         if buffer_level_s <= self.reservoir_s:
             return s_min
         if buffer_level_s >= self.reservoir_s + self.cushion_s:
@@ -109,11 +107,9 @@ class BufferBasedChunkMapAlgorithm(ABRAlgorithm):
         # Largest level whose chunk fits under the mapped size (sizes are
         # strictly increasing per chunk); comparisons only, so the fleet
         # batch twin's searchsorted agrees on every input.
+        (sizes,) = self.manifest.chunk_size_rows(observation.chunk_index, 1)
         best = 0
-        for level in range(1, len(self.manifest.ladder)):
-            if (
-                self.manifest.chunk_size_kilobits(observation.chunk_index, level)
-                <= target
-            ):
+        for level in range(1, len(sizes)):
+            if sizes[level] <= target:
                 best = level
         return best

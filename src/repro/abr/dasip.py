@@ -80,11 +80,9 @@ class DasIpAlgorithm(ABRAlgorithm):
         prev = observation.prev_level_index
         if prev is None:
             prev = 0
+        (sizes,) = self.manifest.chunk_size_rows(observation.chunk_index, 1)
         out = []
-        for level, utility in enumerate(self._utilities):
-            size = self.manifest.chunk_size_kilobits(
-                observation.chunk_index, level
-            )
+        for level, (utility, size) in enumerate(zip(self._utilities, sizes)):
             deficit = max(0.0, size / c_hat - buffer_s)
             switch = abs(level - prev)
             out.append(utility - self.beta * deficit - self.gamma * switch)

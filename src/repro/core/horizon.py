@@ -18,7 +18,8 @@ enumeration returns the identical argmax.  We provide:
   optimises the startup delay ``T_s`` (the paper's ``f_stmpc``), using the
   formulation's ``B_1 = T_s`` equivalence: delaying playback by ``T_s``
   seconds is exactly like starting with ``T_s`` seconds of buffer, at a
-  price of ``mu_s * T_s``.
+  price of ``mu_s * T_s``.  Its answers are memoised per process: every
+  MPC session on one video poses the same startup problem.
 
 Ties between plans are broken lexicographically (lowest level indices
 first), making both solvers deterministic and mutually consistent.
@@ -27,6 +28,7 @@ first), making both solvers deterministic and mutually consistent.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -48,6 +50,10 @@ __all__ = [
 # Above this many plans the enumerating solver hands over to the exact
 # Pareto-pruned DP (identical optimum, different tie-breaking).
 _ENUMERATION_LIMIT = 100_000
+
+# Startup problems whose answers solve_startup keeps, least recently
+# used first.  An entry is one problem and its solution, a few kB.
+_STARTUP_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,12 @@ class HorizonProblem:
         ``L`` and ``Bmax``.
     weights:
         The QoE weight vector (``mu_s`` unused in the steady problem).
+
+    The sequence fields are stored as the tuples their annotations
+    declare, whatever sequences they were given as, so a problem is
+    hashable (it keys :func:`solve_startup`'s memo).  Every float must be
+    finite: NaN is the kernel's own "no previous chunk" marker, and a NaN
+    or infinite input would otherwise solve to a NaN QoE.
     """
 
     buffer_level_s: float
@@ -84,20 +96,31 @@ class HorizonProblem:
     weights: QoEWeights
 
     def __post_init__(self) -> None:
-        n = len(self.chunk_sizes_kilobits)
+        sizes = tuple(map(tuple, self.chunk_sizes_kilobits))
+        quality = tuple(self.quality_values)
+        predictions = tuple(self.predicted_kbps)
+        object.__setattr__(self, "chunk_sizes_kilobits", sizes)
+        object.__setattr__(self, "quality_values", quality)
+        object.__setattr__(self, "predicted_kbps", predictions)
+        n = len(sizes)
         if n == 0:
             raise ValueError("horizon must contain at least one chunk")
-        if len(self.predicted_kbps) != n:
-            raise ValueError(
-                f"{len(self.predicted_kbps)} predictions for {n} horizon chunks"
-            )
-        levels = len(self.quality_values)
+        if len(predictions) != n:
+            raise ValueError(f"{len(predictions)} predictions for {n} horizon chunks")
+        levels = len(quality)
         if levels == 0:
             raise ValueError("need at least one ladder level")
-        for row in self.chunk_sizes_kilobits:
+        for row in sizes:
             if len(row) != levels:
                 raise ValueError("chunk size rows must match the ladder size")
-        if any(c <= 0 for c in self.predicted_kbps):
+        scalars = (self.buffer_level_s, self.chunk_duration_s, self.buffer_capacity_s)
+        floats = itertools.chain(scalars, quality, predictions, *sizes)
+        if not (
+            (self.prev_quality is None or math.isfinite(self.prev_quality))
+            and all(map(math.isfinite, floats))
+        ):
+            raise ValueError("horizon problem inputs must be finite")
+        if min(predictions) <= 0:
             raise ValueError("predicted throughput must be positive")
         if self.buffer_level_s < 0:
             raise ValueError("buffer level must be >= 0")
@@ -314,13 +337,32 @@ def solve_startup(
     lexicographic tie-break) are identical to the per-point loop.  The
     grid's tree (about 11 MB for 121 points at 5 levels x horizon 5) is
     the calling thread's scratch, kept across sessions.
+
+    Answers are memoised process-wide, keyed on the problem (every field,
+    weights included), ``max_wait_s`` and ``wait_step_s``, in a
+    least-recently-used memo of :data:`_STARTUP_MEMO_SIZE` entries.  Every
+    MPC and RobustMPC session on one video and configuration poses the
+    same startup problem (buffer 0, no previous level, the predictor's
+    cold-start estimate), so only the first of them rolls the grid out;
+    the others pay one hash and one lookup and get the same immutable
+    :class:`HorizonSolution`.  ``wait_step_s`` must be positive and
+    finite, and ``max_wait_s`` non-negative and finite, so every key is a
+    finite problem.
     """
-    if wait_step_s <= 0:
-        raise ValueError("wait step must be positive")
+    if not 0 < wait_step_s < math.inf:
+        raise ValueError("wait step must be positive and finite")
     if max_wait_s is None:
         max_wait_s = max(problem.buffer_capacity_s - problem.buffer_level_s, 0.0)
-    if max_wait_s < 0:
-        raise ValueError("max wait must be >= 0")
+    if not 0 <= max_wait_s < math.inf:
+        raise ValueError("max wait must be >= 0 and finite")
+    return _solve_startup(problem, max_wait_s, wait_step_s)
+
+
+@lru_cache(maxsize=_STARTUP_MEMO_SIZE)
+def _solve_startup(
+    problem: HorizonProblem, max_wait_s: float, wait_step_s: float
+) -> HorizonSolution:
+    """:func:`solve_startup` on checked arguments, memoised."""
     mu_s = problem.weights.startup
     steps = int(round(max_wait_s / wait_step_s))
     waits = np.minimum(np.arange(steps + 1) * wait_step_s, max_wait_s)

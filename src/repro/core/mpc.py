@@ -131,14 +131,8 @@ class MPCController(ABRAlgorithm):
     def _build_problem(
         self, observation: PlayerObservation, predictions_kbps: List[float]
     ) -> HorizonProblem:
-        k = observation.chunk_index
-        n = len(predictions_kbps)
-        sizes = tuple(
-            tuple(
-                self.manifest.chunk_size_kilobits(k + i, j)
-                for j in range(len(self.manifest.ladder))
-            )
-            for i in range(n)
+        sizes = self.manifest.chunk_size_rows(
+            observation.chunk_index, len(predictions_kbps)
         )
         prev_quality = (
             None
@@ -150,13 +144,21 @@ class MPCController(ABRAlgorithm):
             prev_quality=prev_quality,
             chunk_sizes_kilobits=sizes,
             quality_values=self._quality_values,
-            predicted_kbps=tuple(predictions_kbps),
+            predicted_kbps=predictions_kbps,
             chunk_duration_s=self.manifest.chunk_duration_s,
             buffer_capacity_s=self.config.buffer_capacity_s,
             weights=self.config.weights,
         )
 
     def _solve(self, observation: PlayerObservation) -> HorizonSolution:
+        """Predict, then optimise: ``f_stmpc`` before playback, else ``f_mpc``.
+
+        Before playback the startup problem is solved with its wait
+        (:func:`~repro.core.horizon.solve_startup`, memoised per process:
+        every session on one video and configuration starts from the same
+        problem, so only the first one rolls its wait grid out).  After
+        it, each chunk solves its steady horizon online.
+        """
         n = self._effective_horizon(
             observation.chunk_index, observation.available_chunks
         )

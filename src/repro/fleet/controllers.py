@@ -457,11 +457,7 @@ class _BatchBufferBasedChunkMap(_BatchController):
         self.cushion_s = cushion_s
 
     def decide(self, chunk_index, buffer_s, prev_levels):
-        manifest = self.manifest
-        sizes = [
-            manifest.chunk_size_kilobits(chunk_index, level)
-            for level in range(len(manifest.ladder))
-        ]
+        (sizes,) = self.manifest.chunk_size_rows(chunk_index, 1)
         s_min = sizes[0]
         s_max = sizes[-1]
         frac = (buffer_s - self.reservoir_s) / self.cushion_s
@@ -533,9 +529,9 @@ class _BatchDasIp(_BatchController):
         c_hat = self._predictor.estimate()
         best_score = np.full(self.n, -math.inf)
         best_level = np.zeros(self.n, dtype=np.int64)
+        (sizes,) = self.manifest.chunk_size_rows(chunk_index, 1)
         # The scalar loop's exact first-wins argmax (strict ``>``).
-        for level, utility in enumerate(self._utilities):
-            size = self.manifest.chunk_size_kilobits(chunk_index, level)
+        for level, (utility, size) in enumerate(zip(self._utilities, sizes)):
             deficit = np.maximum(0.0, size / c_hat - buffer_s)
             switch = np.abs(level - prev_levels)
             score = utility - self.beta * deficit - self.gamma * switch

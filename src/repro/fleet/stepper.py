@@ -223,13 +223,7 @@ def _run_vector(
     quality_arr = np.asarray(
         [shared.quality(rate) for rate in manifest.ladder], dtype=np.float64
     )
-    sizes = np.asarray(
-        [
-            [manifest.chunk_size_kilobits(k, level) for level in range(num_levels)]
-            for k in range(num_chunks)
-        ],
-        dtype=np.float64,
-    )
+    sizes = np.asarray(manifest.chunk_size_rows(0, num_chunks), dtype=np.float64)
 
     t = np.zeros(n, dtype=np.float64)
     buffer_s = np.zeros(n, dtype=np.float64)

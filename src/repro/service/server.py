@@ -660,6 +660,7 @@ _STATUS_LINES = {
     405: b"HTTP/1.1 405 Method Not Allowed\r\n",
     413: b"HTTP/1.1 413 Payload Too Large\r\n",
     500: b"HTTP/1.1 500 Internal Server Error\r\n",
+    501: b"HTTP/1.1 501 Not Implemented\r\n",
 }
 
 
@@ -1181,20 +1182,33 @@ class _Connection(asyncio.Protocol):
             transport.close()
 
     def _frame_head(self, blob: bytearray) -> Optional[tuple]:
-        """The parsed head, or ``None`` after refusing it."""
+        """The parsed head, or ``None`` after refusing it.
+
+        A body is framed by Content-Length alone (RFC 9112 §6.3): its
+        value must be at most 18 ASCII digits (spaces and tabs around
+        them are stripped), and repeated Content-Length fields must
+        agree, or the head is refused 400.  Eighteen digits exceed every
+        body limit, and ``int()`` refuses more than 4,300.  This server
+        implements no transfer coding, so a head naming one is refused
+        501 (RFC 9112 §6.1).  Both close the connection: where this
+        head's body ends is unknown.
+        """
         try:
             method, path, headers = _parse_head(blob)
         except ValueError:
             self._refuse(400, "malformed request")
             return None
+        if "transfer-encoding" in headers:
+            self._refuse(501, "transfer-encoding not supported")
+            return None
         length = 0
         raw_length = headers.get("content-length")
         if raw_length is not None:
-            try:
-                length = int(raw_length)
-            except ValueError:
+            digits = raw_length.isascii() and raw_length.isdigit()
+            if not digits or len(raw_length) > 18:
                 self._refuse(400, "bad content-length")
                 return None
+            length = int(raw_length)
         config = self._config
         limit = (
             config.max_table_bytes if path == "/v1/table" else config.max_body_bytes
@@ -1276,7 +1290,16 @@ class _Connection(asyncio.Protocol):
 
 
 def _parse_head(blob: bytes) -> Tuple[str, str, dict]:
-    """Parse the request line + headers; raises ValueError when invalid."""
+    """Parse the request line + headers; raises ValueError when invalid.
+
+    An empty header name, or one with whitespace around it
+    (``Content-Length :``, a folded continuation line), is invalid (RFC
+    9112 §5.1, §5.2).  A value loses the spaces and tabs around it, and
+    nothing else (OWS, RFC 9110 §5.5).  A repeated header keeps its last
+    value, except Content-Length: values that differ are joined with
+    commas (RFC 9110 §5.3), which no digit check accepts, so the head
+    cannot be framed two ways.
+    """
     try:
         text = blob.decode("latin-1")
     except UnicodeDecodeError as exc:  # pragma: no cover - latin-1 total
@@ -1291,9 +1314,13 @@ def _parse_head(blob: bytes) -> Tuple[str, str, dict]:
         if not line:
             continue
         name, sep, value = line.partition(":")
-        if not sep:
+        if not sep or not name or name != name.strip():
             raise ValueError(f"bad header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name = name.lower()
+        value = value.strip(" \t")
+        if name == "content-length" and headers.get(name, value) != value:
+            value = headers[name] + "," + value
+        headers[name] = value
     # Strip any query string; routes are path-only.
     path = target.split("?", 1)[0]
     return method, path, headers

@@ -205,6 +205,25 @@ class VideoManifest:
             raise IndexError(f"chunk index {chunk_index} out of range")
         return self._sizes[chunk_index][level_index]
 
+    def chunk_size_rows(
+        self, start: int, count: int
+    ) -> Tuple[Tuple[float, ...], ...]:
+        """``d_k(R_i)`` of chunks ``start .. start + count - 1``, one row
+        per chunk and one entry per ladder level.
+
+        The rows are the manifest's own stored tuples (immutable, so no
+        copy is made): a slice costs one call where a per-cell
+        :meth:`chunk_size_kilobits` loop costs one per chunk and level.
+        ``start`` must be a chunk index and ``count`` must not run past the
+        last chunk; otherwise ``IndexError``.
+        """
+        if not (0 <= start < self.num_chunks and 0 <= count <= self.num_chunks - start):
+            raise IndexError(
+                f"chunks {start} .. {start + count - 1} out of range "
+                f"for {self.num_chunks} chunks"
+            )
+        return self._sizes[start : start + count]
+
     def chunk_sizes_at_level(self, level_index: int) -> List[float]:
         """Sizes of every chunk at one ladder level."""
         if not 0 <= level_index < len(self._ladder):

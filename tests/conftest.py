@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.abr.base import SessionConfig
+from repro.core import horizon
 from repro.qoe import QoEWeights
 from repro.traces import (
     FCCTraceGenerator,
@@ -24,6 +25,14 @@ settings.register_profile(
     derandomize=True,
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def empty_startup_memo():
+    """Start every test with ``solve_startup``'s process-wide memo empty,
+    as in a fresh process: what a test's first MPC session rolls out must
+    not depend on which earlier tests posed the same startup problem."""
+    horizon._solve_startup.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -608,6 +608,104 @@ class TestConnectionContract:
         assert 0.34 <= second < 0.55
 
 
+def framed_decide(*fields: bytes) -> bytes:
+    """A ``POST /v1/decide`` of one request body under the given framing
+    header lines; ``%d`` in a line becomes the body's length."""
+    body = make_request().to_json()
+    lines = b"".join(
+        (field % len(body) if b"%d" in field else field) + b"\r\n" for field in fields
+    )
+    return (
+        b"POST /v1/decide HTTP/1.1\r\nHost: test\r\n"
+        b"Content-Type: application/json\r\n" + lines + b"\r\n" + body
+    )
+
+
+class TestStrictFraming:
+    """A head whose body length a front end could read differently is
+    refused and its connection closed, never framed by a guess
+    (RFC 9112 §6)."""
+
+    @pytest.mark.parametrize(
+        "fields,status,error",
+        [
+            ([b"Content-Length: +%d"], 400, "bad content-length"),
+            ([b"Content-Length: 0_%d"], 400, "bad content-length"),
+            ([b"Content-Length: 3", b"Content-Length: %d"], 400, "bad content-length"),
+            ([b"Content-Length: \x0b%d"], 400, "bad content-length"),
+            ([b"Content-Length: %d\xa0"], 400, "bad content-length"),
+            ([b"Content-Length: " + b"1" * 5000], 400, "bad content-length"),
+            ([b"Content-Length : %d"], 400, "malformed request"),
+            ([b"X-Note: a", b" Content-Length: %d"], 400, "malformed request"),
+            (
+                [b"Transfer-Encoding: chunked", b"Content-Length: %d"],
+                501,
+                "transfer-encoding not supported",
+            ),
+            ([b"Transfer-Encoding: chunked"], 501, "transfer-encoding not supported"),
+        ],
+        ids=[
+            "plus-sign",
+            "underscore",
+            "differing-lengths",
+            "vertical-tab",
+            "no-break-space",
+            "5000-digits",
+            "space-before-colon",
+            "folded-line",
+            "te-and-length",
+            "te",
+        ],
+    )
+    def test_refused_head_answers_then_closes(self, test_table, fields, status, error):
+        service = DecisionService(LADDER, table=test_table)
+
+        async def inner(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.bound_port
+            )
+            writer.write(framed_decide(*fields))
+            await writer.drain()
+            got, head, body = await asyncio.wait_for(read_answer(reader), 1.0)
+            assert (got, json.loads(body)) == (status, {"error": error})
+            assert b"Connection: close" in head
+            assert await asyncio.wait_for(reader.read(), 1.0) == b""
+            writer.close()
+            await writer.wait_closed()
+            async with ServiceClient("127.0.0.1", server.bound_port) as client:
+                snap = await client.metrics()
+            assert snap["decisions"]["error"] == 1
+
+        run(with_server(service, inner))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            [b"Content-Length:  %d  "],
+            [b"Content-Length: %d", b"Content-Length: %d"],
+        ],
+        ids=["whitespace", "equal-duplicates"],
+    )
+    def test_unambiguous_length_is_answered(self, test_table, fields):
+        service = DecisionService(LADDER, table=test_table)
+
+        async def inner(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.bound_port
+            )
+            writer.write(framed_decide(*fields))
+            await writer.drain()
+            status, head, body = await asyncio.wait_for(read_answer(reader), 1.0)
+            assert status == 200
+            assert b"Connection: keep-alive" in head
+            assert DecisionResponse.from_json(body).source == SOURCE_TABLE
+            writer.close()
+            await writer.wait_closed()
+            assert service.metrics.errors_total == 0
+
+        run(with_server(service, inner))
+
+
 def _fuzzed_heads():
     """Request heads from valid parts, mangled parts and raw bytes."""
     request_line = st.one_of(

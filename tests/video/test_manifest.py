@@ -11,6 +11,7 @@ from repro.video import (
     ENVIVIO_LADDER_KBPS,
     VideoManifest,
     envivio,
+    envivio_vbr,
     short_test_video,
 )
 
@@ -124,6 +125,26 @@ class TestVideoManifest:
             video.chunk_size_kilobits(video.num_chunks, 0)
         with pytest.raises(IndexError):
             video.chunk_sizes_at_level(99)
+
+    def test_chunk_size_rows_are_the_per_cell_sizes(self):
+        video = envivio_vbr()
+        assert not video.is_cbr()
+        levels = range(len(video.ladder))
+        cells = [
+            tuple(video.chunk_size_kilobits(k, j) for j in levels)
+            for k in range(video.num_chunks)
+        ]
+        for start in range(video.num_chunks):
+            for count in range(video.num_chunks - start + 1):
+                rows = video.chunk_size_rows(start, count)
+                assert rows == tuple(cells[start : start + count]), (start, count)
+
+    def test_chunk_size_rows_bounds(self):
+        video = envivio_vbr()
+        n = video.num_chunks
+        for start, count in [(-1, 1), (n, 0), (n, 1), (0, n + 1), (n - 2, 3), (0, -1)]:
+            with pytest.raises(IndexError):
+                video.chunk_size_rows(start, count)
 
     def test_sizes_must_increase_with_level(self):
         ladder = BitrateLadder([100.0, 200.0])
