@@ -298,8 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--predictors", nargs="*", default=None, metavar="NAME",
         help=(
             "route sessions round-robin over these client-side throughput"
-            " predictors (repro.prediction registry names, e.g. harmonic"
-            " gap-harmonic ewma); the report breaks QoE out per predictor"
+            " predictors (any repro.prediction registry name, e.g. harmonic"
+            " gap-harmonic ewma oracle); the report breaks QoE out per"
+            " predictor (default: harmonic for every session)"
         ),
     )
     p.add_argument(

@@ -55,6 +55,11 @@ _ENUMERATION_LIMIT = 100_000
 # used first.  An entry is one problem and its solution, a few kB.
 _STARTUP_MEMO_SIZE = 256
 
+# Most points a startup wait grid may have: 34 times the paper's grid
+# (30 s in 0.25 s steps, 121 points).  A solve's time and memory grow
+# with its grid, so this caps both.
+_MAX_WAIT_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class HorizonProblem:
@@ -346,8 +351,9 @@ def solve_startup(
     cold-start estimate), so only the first of them rolls the grid out;
     the others pay one hash and one lookup and get the same immutable
     :class:`HorizonSolution`.  ``wait_step_s`` must be positive and
-    finite, and ``max_wait_s`` non-negative and finite, so every key is a
-    finite problem.
+    finite, ``max_wait_s`` non-negative and finite, and the grid at most
+    :data:`_MAX_WAIT_POINTS` points long, so every key is a problem of
+    bounded size.
     """
     if not 0 < wait_step_s < math.inf:
         raise ValueError("wait step must be positive and finite")
@@ -355,6 +361,12 @@ def solve_startup(
         max_wait_s = max(problem.buffer_capacity_s - problem.buffer_level_s, 0.0)
     if not 0 <= max_wait_s < math.inf:
         raise ValueError("max wait must be >= 0 and finite")
+    steps = max_wait_s / wait_step_s
+    if not (math.isfinite(steps) and round(steps) < _MAX_WAIT_POINTS):
+        raise ValueError(
+            f"the wait grid up to max_wait_s={max_wait_s:g} in steps of"
+            f" wait_step_s={wait_step_s:g} exceeds {_MAX_WAIT_POINTS} points"
+        )
     return _solve_startup(problem, max_wait_s, wait_step_s)
 
 

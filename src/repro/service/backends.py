@@ -17,6 +17,7 @@ the same contract the simulator's ``on_download_complete`` provides.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -68,8 +69,9 @@ class AlgorithmBackend:
     ) -> None:
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
-        if idle_timeout_s <= 0:
-            raise ValueError("idle_timeout_s must be positive")
+        # ``0 < t < inf`` also refuses NaN, which would never evict.
+        if not 0.0 < idle_timeout_s < math.inf:
+            raise ValueError("idle_timeout_s must be a finite number > 0")
         # Fail at construction, not first request, on an unknown name.
         registry.create(controller)
         self.controller = controller

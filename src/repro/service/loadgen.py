@@ -1,13 +1,16 @@
 """Closed-loop, trace-driven load generation for the decision service.
 
-Each virtual session replays one throughput trace the way a player
-would: it predicts with the harmonic mean of its last measured chunks
-(the paper's predictor), asks the server for a level, "downloads" the
-chunk at the trace's bandwidth, advances its buffer, and only then
-issues the next request — closed-loop, so offered load tracks service
-capacity instead of overrunning it.  ``concurrency`` session workers
-drain sessions from a shared queue, which is exactly the many-players /
-one-backend shape the multiplayer follow-up paper measures.
+Each virtual session plays one throughput trace with the simulator's
+own player step (:class:`~repro.sim.session.PlayerState`: Eqs. 1–4,
+the Eq. 4 wait at a full buffer, the startup delay, trace binding and
+predictor feedback).  Per chunk it predicts (the paper's harmonic mean
+of the last 5 chunks unless ``predictors`` routes otherwise), asks the
+server for a level, downloads the chunk at the trace's bandwidth, and
+only then issues the next request — closed-loop, so offered load tracks
+service capacity instead of overrunning it.  ``concurrency`` session
+workers drain sessions from a shared queue, which is exactly the
+many-players / one-backend shape the multiplayer follow-up paper
+measures.
 
 Sessions in flight and connections on the wire are independent knobs:
 the ``connections`` pool bounds how many TCP connections the generator
@@ -22,8 +25,9 @@ the invariant the cluster scale tests pin down.
 
 The report carries client-observed latency (histogram + quantiles),
 decision-source and degradation breakdowns, throughput in decisions per
-second, and a hard error count — the acceptance bar for a cold server
-is *zero* errors with every decision served by the fallback.
+second, each completed session's Eq. 5 QoE (``SessionResult.qoe()``),
+and a hard error count — the acceptance bar for a cold server is *zero*
+errors with every decision served by the fallback.
 """
 
 from __future__ import annotations
@@ -33,12 +37,27 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Awaitable,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from ..prediction.base import ThroughputPredictor
+from ..abr.base import ABRAlgorithm, DownloadResult, PlayerObservation, SessionConfig
+from ..prediction.base import OBSERVATION_FLOOR_KBPS, ThroughputPredictor, TraceAware
+from ..prediction.errors import percentage_error
+from ..prediction.harmonic import HarmonicMeanPredictor
 from ..prediction.registry import make_predictor
-from ..qoe import compute_qoe
+from ..sim.session import PlayerState
 from ..traces.trace import Trace
+from ..video.manifest import BitrateLadder, VideoManifest
 from ..video.presets import (
     DEFAULT_BUFFER_CAPACITY_S,
     ENVIVIO_CHUNK_SECONDS,
@@ -56,6 +75,10 @@ __all__ = [
     "run_loadtest_sync",
 ]
 
+#: Past prediction errors each request carries: RobustMPC's window of
+#: the last 5 chunks (Section 7.1.2).
+_ERROR_WINDOW = 5
+
 
 @dataclass(frozen=True)
 class LoadTestConfig:
@@ -71,8 +94,6 @@ class LoadTestConfig:
     seed: int = 0
     trace_duration_s: float = 320.0
     deadline_s: float = 2.0
-    prediction_window: int = 5
-    robust: bool = True
     ladder_kbps: Tuple[float, ...] = ENVIVIO_LADDER_KBPS
     chunk_duration_s: float = ENVIVIO_CHUNK_SECONDS
     buffer_capacity_s: float = DEFAULT_BUFFER_CAPACITY_S
@@ -89,9 +110,10 @@ class LoadTestConfig:
     local_fallback: bool = True
     #: Predictor registry names routed round-robin over sessions (see
     #: :mod:`repro.prediction.registry`); session ``i`` predicts with
-    #: ``predictors[i % len]`` and feeds its download durations and
-    #: stall times back, so gap-corrected predictors engage.  Empty =
-    #: the historical inline harmonic mean.
+    #: ``predictors[i % len]``, trace-aware ones bound to its trace, and
+    #: gets the player's feedback (download, idle and stall times), so
+    #: gap-corrected predictors engage.  Empty = the paper's harmonic
+    #: mean for every session, not broken out in ``report.predictors``.
     predictors: Tuple[str, ...] = ()
     #: Trace-family key stamped on every request (JSON protocol only);
     #: the server pools the sessions' samples into one shared prior and
@@ -116,8 +138,6 @@ class LoadTestConfig:
             raise ValueError("concurrency must be >= 1")
         if self.connections is not None and self.connections < 1:
             raise ValueError("connections must be >= 1")
-        if self.prediction_window < 1:
-            raise ValueError("prediction window must be >= 1")
         if not self.ladder_kbps:
             raise ValueError("ladder must be non-empty")
         if self.protocol not in ("json", "binary"):
@@ -167,7 +187,7 @@ class LoadTestReport:
     #: the server runs no experiment.
     arms: Dict[str, dict] = field(default_factory=dict)
     #: Per-predictor outcomes when ``config.predictors`` routes sessions
-    #: across the predictor registry; empty on the inline-harmonic path.
+    #: across the predictor registry; empty when it does not.
     predictors: Dict[str, dict] = field(default_factory=dict)
     #: Responses that carried a shared-prior estimate (family-keyed runs).
     prior_hits: int = 0
@@ -215,7 +235,7 @@ class LoadTestReport:
     @property
     def qoe_mean(self) -> float:
         """Mean Eq. 5 QoE over completed sessions (0 when none)."""
-        return self.qoe_sum / self.qoe_count if self.qoe_count else 0.0
+        return _qoe_mean(self.qoe_sum, self.qoe_count)
 
     def to_dict(self) -> dict:
         return {
@@ -231,28 +251,8 @@ class LoadTestReport:
             "latency_us": self.latency.to_dict(),
             "qoe_mean": self.qoe_mean,
             "prior_hits": self.prior_hits,
-            "predictors": {
-                name: {
-                    **stats,
-                    "qoe_mean": (
-                        stats["qoe_sum"] / stats["qoe_count"]
-                        if stats["qoe_count"]
-                        else 0.0
-                    ),
-                }
-                for name, stats in sorted(self.predictors.items())
-            },
-            "arms": {
-                name: {
-                    **stats,
-                    "qoe_mean": (
-                        stats["qoe_sum"] / stats["qoe_count"]
-                        if stats["qoe_count"]
-                        else 0.0
-                    ),
-                }
-                for name, stats in sorted(self.arms.items())
-            },
+            "predictors": _with_qoe_means(self.predictors),
+            "arms": _with_qoe_means(self.arms),
         }
 
     def describe(self) -> str:
@@ -272,124 +272,71 @@ class LoadTestReport:
             lines.append(f"degradation reasons {self.reasons}")
         if self.prior_hits:
             lines.append(f"prior-carrying responses {self.prior_hits}")
-        for name, stats in sorted(self.predictors.items()):
-            qoe_mean = (
-                stats["qoe_sum"] / stats["qoe_count"] if stats["qoe_count"] else 0.0
-            )
+        for name, stats in _with_qoe_means(self.predictors).items():
             lines.append(
                 f"predictor {name}: {stats['decisions']} decisions"
                 f" | {stats['sessions']} sessions"
-                f" | mean QoE {qoe_mean:.1f}"
+                f" | mean QoE {stats['qoe_mean']:.1f}"
             )
-        for name, stats in sorted(self.arms.items()):
-            qoe_mean = (
-                stats["qoe_sum"] / stats["qoe_count"] if stats["qoe_count"] else 0.0
-            )
+        for name, stats in _with_qoe_means(self.arms).items():
             lines.append(
                 f"arm {name}: {stats['decisions']} decisions"
                 f" | {stats['sessions']} sessions"
                 f" | degraded {stats['degraded']}"
-                f" | mean QoE {qoe_mean:.1f}"
+                f" | mean QoE {stats['qoe_mean']:.1f}"
             )
         return "\n".join(lines)
 
 
-class _VirtualPlayer:
-    """One trace-driven session: buffer dynamics + harmonic prediction."""
+def _qoe_mean(qoe_sum: float, qoe_count: int) -> float:
+    return qoe_sum / qoe_count if qoe_count else 0.0
 
-    def __init__(
-        self,
-        session_id: str,
-        trace: Trace,
-        config: LoadTestConfig,
-        predictor: Optional[ThroughputPredictor] = None,
-    ) -> None:
-        self.session_id = session_id
-        self.trace = trace
-        self.config = config
+
+def _with_qoe_means(groups: Dict[str, dict]) -> Dict[str, dict]:
+    """Per-arm or per-predictor stats, sorted by name, each with its
+    ``qoe_mean``."""
+    return {
+        name: {**stats, "qoe_mean": _qoe_mean(stats["qoe_sum"], stats["qoe_count"])}
+        for name, stats in sorted(groups.items())
+    }
+
+
+class _ServedLevel(ABRAlgorithm):
+    """A load-generator session's side of each chunk, behind the
+    interface :class:`PlayerState` consumes: the level the server
+    answered (or the local rule chose), the session's predictor, and
+    the past prediction errors its requests carry."""
+
+    name = "loadgen"
+
+    def __init__(self, predictor: ThroughputPredictor, first_kbps: float) -> None:
         self.predictor = predictor
-        self.predictor_name = predictor.name if predictor is not None else None
-        self.wall_s = 0.0
-        self.buffer_s = 0.0
-        self.prev_level: Optional[int] = None
-        self.bitrates_kbps: List[float] = []
-        self.rebuffer_s = 0.0
-        self._measured: deque = deque(maxlen=config.prediction_window)
-        self._errors: deque = deque(maxlen=config.prediction_window)
-        self._last_predicted: Optional[float] = None
+        self.level = 0
+        #: The pending request's prediction.  The first request carries
+        #: the trace's first sample, not the predictor's cold-start rate.
+        self.predicted_kbps = first_kbps
+        self.past_errors: Deque[float] = deque(maxlen=_ERROR_WINDOW)
 
-    def _predict_kbps(self) -> float:
-        if self.predictor is not None:
-            if not self._measured:
-                # The same warm start the inline path uses: the trace's
-                # first sample, not the predictor's synthetic cold rate.
-                return max(self.trace.bandwidth_at(0.0), 1e-3)
-            return max(self.predictor.predict(1)[0], 1e-3)
-        if not self._measured:
-            return max(self.trace.bandwidth_at(0.0), 1e-3)
-        return len(self._measured) / sum(1.0 / c for c in self._measured)
+    def predictors(self) -> Tuple[ThroughputPredictor, ...]:
+        return (self.predictor,)
 
-    def next_request(self) -> DecisionRequest:
-        predicted = self._predict_kbps()
-        self._last_predicted = predicted
-        return DecisionRequest(
-            session_id=self.session_id,
-            buffer_s=self.buffer_s,
-            predicted_kbps=predicted,
-            prev_level=self.prev_level,
-            past_errors=tuple(self._errors) if self.config.robust else (),
-            family=self.config.family,
+    def predict(self, t: float) -> float:
+        """The next request's prediction, made at request time ``t``
+        (which a trace-aware predictor is told first)."""
+        predictor = self.predictor
+        if isinstance(predictor, TraceAware):
+            predictor.set_wall_time(t)
+        self.predicted_kbps = max(predictor.predict(1)[0], OBSERVATION_FLOOR_KBPS)
+        return self.predicted_kbps
+
+    def select_bitrate(self, observation: PlayerObservation) -> int:
+        return self.level
+
+    def on_download_complete(self, result: DownloadResult) -> None:
+        super().on_download_complete(result)
+        self.past_errors.append(
+            percentage_error(self.predicted_kbps, result.throughput_kbps)
         )
-
-    def local_level(self, predicted_kbps: float) -> int:
-        """The paper's rate-based rule, computed client-side — the same
-        decision the server's fallback path would have produced."""
-        level = 0
-        for i, rate in enumerate(self.config.ladder_kbps):
-            if rate <= predicted_kbps:
-                level = i
-        return level
-
-    def apply_decision(self, level_index: int) -> None:
-        """Advance the session model through one chunk download.
-
-        Download time integrates the trace exactly (Eq. 1's d_k/C_k), so
-        a chunk that starts inside a fault-compiled blackout window pays
-        the outage's length and then finishes at the restored bandwidth,
-        instead of dividing by an instantaneous (near-)zero sample.
-        """
-        config = self.config
-        level = min(max(level_index, 0), len(config.ladder_kbps) - 1)
-        size_kilobits = config.chunk_duration_s * config.ladder_kbps[level]
-        raw_s, stall_s = self.trace.download_time_and_stall(
-            self.wall_s, size_kilobits
-        )
-        download_s = max(raw_s, 1e-9)
-        actual_kbps = max(size_kilobits / download_s, 1e-3)
-        if self.predictor is not None:
-            # Gap-corrected predictors see the chunk's on/off context.
-            self.predictor.observe_kbps(
-                actual_kbps, download_s, stall_s=min(stall_s, download_s)
-            )
-        self.rebuffer_s += max(download_s - self.buffer_s, 0.0)
-        self.buffer_s = min(
-            max(self.buffer_s - download_s, 0.0) + config.chunk_duration_s,
-            config.buffer_capacity_s,
-        )
-        self.wall_s += download_s
-        if self._last_predicted is not None:
-            self._errors.append(
-                (self._last_predicted - actual_kbps) / actual_kbps
-            )
-        self._measured.append(actual_kbps)
-        self.bitrates_kbps.append(config.ladder_kbps[level])
-        self.prev_level = level
-
-    def qoe(self) -> float:
-        """Eq. 5 total for the session so far (default weights)."""
-        if not self.bitrates_kbps:
-            return 0.0
-        return compute_qoe(self.bitrates_kbps, self.rebuffer_s).total
 
 
 def _make_traces(config: LoadTestConfig) -> List[Trace]:
@@ -481,11 +428,20 @@ class _ClientPool:
 
 async def _drive_session(
     pool: _ClientPool,
-    player: _VirtualPlayer,
+    manifest: VideoManifest,
     config: LoadTestConfig,
     report: LoadTestReport,
+    index: int,
+    trace: Trace,
 ) -> None:
-    """Run one virtual session to completion against the service.
+    """Play session ``index`` over ``trace`` to completion against the
+    service.
+
+    Each chunk is one :class:`PlayerState` step: the request carries the
+    state's buffer and previous level, the session's prediction and its
+    past errors; the answered level goes through ``decide``, the trace
+    inversion gives the download, and ``settle`` accounts it (Eq. 3 and
+    the Eq. 4 wait) and sets the next request time.
 
     The pooled clients never dial eagerly: a connection is established
     (and re-established) inside each request, so a server that is down
@@ -496,91 +452,107 @@ async def _drive_session(
     latency is client-observed end to end — a lease that waits on a
     saturated pool is real queueing delay, so it counts.
     """
-    completed = True
+    session_id = f"session-{index:05d}"
+    names = config.predictors
+    served = _ServedLevel(
+        make_predictor(names[index % len(names)]) if names else HarmonicMeanPredictor(),
+        max(trace.bandwidth_at(0.0), OBSERVATION_FLOOR_KBPS),
+    )
+    pred_stats = report.predictor_stats(served.predictor.name) if names else None
+    player = PlayerState(
+        served,
+        trace,
+        manifest,
+        SessionConfig(buffer_capacity_s=config.buffer_capacity_s),
+        session_id=session_id,
+    )
+    ladder = manifest.ladder
     # A session's requests all hash to one arm, so the first armed
     # response labels the whole session for the per-arm QoE rollup.
     session_arm: Optional[str] = None
-    pred_stats = (
-        report.predictor_stats(player.predictor_name)
-        if player.predictor_name is not None
-        else None
-    )
-    for _ in range(config.chunks_per_session):
-        request = player.next_request()
+    for k in range(config.chunks_per_session):
+        t = player.wall_time_s
+        request = DecisionRequest(
+            session_id=session_id,
+            buffer_s=player.buffer_s,
+            predicted_kbps=served.predict(t) if k else served.predicted_kbps,
+            prev_level=player.prev_level,
+            past_errors=tuple(served.past_errors),
+            family=config.family,
+        )
         started = time.perf_counter()
         try:
             response = await pool.decide(request)
         except ServiceUnavailable:
             report.errors += 1
             if not config.local_fallback:
-                completed = False
-                break
+                return
             report.local_fallbacks += 1
-            report.decisions += 1
-            report.sources["local"] = report.sources.get("local", 0) + 1
-            if pred_stats is not None:
-                pred_stats["decisions"] += 1
-            player.apply_decision(
-                player.local_level(request.predicted_kbps)
-            )
-            continue
-        latency_us = (time.perf_counter() - started) * 1e6
-        report.latency.observe(latency_us)
-        report.decisions += 1
-        report.sources[response.source] = (
-            report.sources.get(response.source, 0) + 1
-        )
-        if response.degraded:
-            report.degraded += 1
-            key = response.reason or "unknown"
-            report.reasons[key] = report.reasons.get(key, 0) + 1
-        if response.prior_kbps is not None:
-            report.prior_hits += 1
-        if response.arm is not None:
-            session_arm = response.arm
-            arm_stats = report.arm_stats(response.arm)
-            arm_stats["decisions"] += 1
+            source = "local"
+            # The same decision the server's fallback path would make.
+            served.level = ladder.highest_at_most(request.predicted_kbps)
+        else:
+            report.latency.observe((time.perf_counter() - started) * 1e6)
+            source = response.source
             if response.degraded:
-                arm_stats["degraded"] += 1
+                report.degraded += 1
+                key = response.reason or "unknown"
+                report.reasons[key] = report.reasons.get(key, 0) + 1
+            if response.prior_kbps is not None:
+                report.prior_hits += 1
+            if response.arm is not None:
+                session_arm = response.arm
+                arm_stats = report.arm_stats(response.arm)
+                arm_stats["decisions"] += 1
+                if response.degraded:
+                    arm_stats["degraded"] += 1
+            # The answer comes from outside the program: clamp it.
+            served.level = min(max(response.level_index, 0), len(ladder) - 1)
+        report.decisions += 1
+        report.sources[source] = report.sources.get(source, 0) + 1
         if pred_stats is not None:
             pred_stats["decisions"] += 1
-        player.apply_decision(response.level_index)
-    if completed:
-        report.sessions_completed += 1
-        qoe = player.qoe()
-        report.qoe_sum += qoe
-        report.qoe_count += 1
-        if session_arm is not None:
-            arm_stats = report.arm_stats(session_arm)
-            arm_stats["sessions"] += 1
-            arm_stats["qoe_sum"] += qoe
-            arm_stats["qoe_count"] += 1
-        if pred_stats is not None:
-            pred_stats["sessions"] += 1
-            pred_stats["qoe_sum"] += qoe
-            pred_stats["qoe_count"] += 1
+        level = player.decide(t)
+        download_s, stall_s = trace.download_time_and_stall(
+            t, manifest.chunk_size_kilobits(k, level)
+        )
+        player.settle(level, download_s, stall_s, t + download_s)
+    qoe = player.finish().qoe().total
+    report.sessions_completed += 1
+    report.qoe_sum += qoe
+    report.qoe_count += 1
+    if session_arm is not None:
+        _count_session(report.arm_stats(session_arm), qoe)
+    if pred_stats is not None:
+        _count_session(pred_stats, qoe)
+
+
+def _count_session(stats: dict, qoe: float) -> None:
+    stats["sessions"] += 1
+    stats["qoe_sum"] += qoe
+    stats["qoe_count"] += 1
 
 
 async def _session_worker(
     pool: _ClientPool,
-    queue: "asyncio.Queue[_VirtualPlayer]",
+    manifest: VideoManifest,
     config: LoadTestConfig,
     report: LoadTestReport,
+    queue: Iterator[Tuple[int, Trace]],
 ) -> None:
-    """One closed-loop worker draining the session queue until empty."""
-    while True:
-        try:
-            player = queue.get_nowait()
-        except asyncio.QueueEmpty:
-            return
-        await _drive_session(pool, player, config, report)
+    """One closed-loop worker playing sessions from the shared ``queue``
+    (one iterator for every worker) until it runs out."""
+    for index, trace in queue:
+        await _drive_session(pool, manifest, config, report, index, trace)
 
 
 async def _arriving_session(
     pool: _ClientPool,
-    player: _VirtualPlayer,
+    manifest: VideoManifest,
     config: LoadTestConfig,
     report: LoadTestReport,
+    index: int,
+    trace: Trace,
     arrival_s: float,
     started: float,
 ) -> None:
@@ -588,7 +560,7 @@ async def _arriving_session(
     delay = arrival_s - (time.perf_counter() - started)
     if delay > 0:
         await asyncio.sleep(delay)
-    await _drive_session(pool, player, config, report)
+    await _drive_session(pool, manifest, config, report, index, trace)
 
 
 def open_loop_arrivals(config: LoadTestConfig) -> List[float]:
@@ -638,26 +610,18 @@ async def run_loadtest(
     ``traces`` defaults to ``config.sessions`` generated traces from
     ``config.dataset``; when supplied explicitly, one session is run per
     trace (cycling the config's session count is the caller's business).
+    Every session plays the same CBR video: ``chunks_per_session`` chunks
+    of ``chunk_duration_s`` at ``ladder_kbps``.
     """
     config = config if config is not None else LoadTestConfig()
     trace_list = list(traces) if traces is not None else _make_traces(config)
     if not trace_list:
         raise ValueError("need at least one trace")
-
-    players = [
-        _VirtualPlayer(
-            f"session-{i:05d}",
-            trace,
-            config,
-            predictor=(
-                make_predictor(config.predictors[i % len(config.predictors)])
-                if config.predictors
-                else None
-            ),
-        )
-        for i, trace in enumerate(trace_list)
-    ]
-
+    manifest = VideoManifest.cbr(
+        config.chunk_duration_s,
+        BitrateLadder(config.ladder_kbps),
+        config.chunks_per_session,
+    )
     report = LoadTestReport()
     if config.open_loop:
         # Open loop: every session gets its own task, gated only by its
@@ -665,52 +629,53 @@ async def run_loadtest(
         # (connections stay pooled, so the wire fan-out is still capped).
         schedule_config = (
             config
-            if len(players) == config.sessions
-            else replace(config, sessions=len(players))
+            if len(trace_list) == config.sessions
+            else replace(config, sessions=len(trace_list))
         )
         arrivals = open_loop_arrivals(schedule_config)
-        pool_size = (
-            config.connections
-            if config.connections is not None
-            else config.concurrency
-        )
-        pool = _ClientPool(host, port, pool_size, config)
-        started = time.perf_counter()
-        try:
-            results = await asyncio.gather(
-                *(
-                    _arriving_session(
-                        pool, player, config, report, arrival, started
-                    )
-                    for player, arrival in zip(players, arrivals)
-                ),
-                return_exceptions=True,
+        pool_size = config.concurrency
+
+        def sessions(pool: _ClientPool, started: float) -> Iterable[Awaitable[None]]:
+            return (
+                _arriving_session(
+                    pool, manifest, config, report, index, trace, arrival, started
+                )
+                for (index, trace), arrival in zip(enumerate(trace_list), arrivals)
             )
-        finally:
-            report.wall_s = time.perf_counter() - started
-            await pool.close()
-        for outcome in results:
-            if isinstance(outcome, ServiceUnavailable):
-                report.errors += 1
-            elif isinstance(outcome, BaseException):
-                raise outcome
-        return report
 
-    queue: "asyncio.Queue[_VirtualPlayer]" = asyncio.Queue()
-    for player in players:
-        queue.put_nowait(player)
+    else:
+        queue = enumerate(trace_list)
+        pool_size = workers = min(config.concurrency, len(trace_list))
 
-    workers = min(config.concurrency, queue.qsize())
-    pool_size = config.connections if config.connections is not None else workers
+        def sessions(pool: _ClientPool, started: float) -> Iterable[Awaitable[None]]:
+            return (
+                _session_worker(pool, manifest, config, report, queue)
+                for _ in range(workers)
+            )
+
+    if config.connections is not None:
+        pool_size = config.connections
+    await _run_sessions(host, port, pool_size, config, report, sessions)
+    return report
+
+
+async def _run_sessions(
+    host: str,
+    port: int,
+    pool_size: int,
+    config: LoadTestConfig,
+    report: LoadTestReport,
+    sessions: Callable[[_ClientPool, float], Iterable[Awaitable[None]]],
+) -> None:
+    """Run the coroutines ``sessions(pool, started)`` makes on one pool of
+    ``pool_size`` clients, ``started`` being the run's start on the
+    ``perf_counter`` clock; records the wall time and counts sessions
+    that escaped with :class:`ServiceUnavailable` as errors."""
     pool = _ClientPool(host, port, pool_size, config)
     started = time.perf_counter()
     try:
         results = await asyncio.gather(
-            *(
-                _session_worker(pool, queue, config, report)
-                for _ in range(workers)
-            ),
-            return_exceptions=True,
+            *sessions(pool, started), return_exceptions=True
         )
     finally:
         report.wall_s = time.perf_counter() - started
@@ -720,7 +685,6 @@ async def run_loadtest(
             report.errors += 1
         elif isinstance(outcome, BaseException):
             raise outcome
-    return report
 
 
 def run_loadtest_sync(

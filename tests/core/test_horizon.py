@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.abr.base import SessionConfig
 from repro.core.horizon import (
+    _MAX_WAIT_POINTS,
     HorizonProblem,
     solve_horizon,
     solve_horizon_dp,
@@ -14,7 +18,11 @@ from repro.core.horizon import (
     solve_horizon_reference,
     solve_startup,
 )
+from repro.core.mpc import MPCController
 from repro.qoe import QoEWeights
+from repro.sim import simulate_session
+from repro.traces import Trace
+from repro.video import short_test_video
 
 LADDER = (350.0, 600.0, 1000.0, 2000.0, 3000.0)
 
@@ -222,3 +230,31 @@ class TestSolveStartup:
             solve_startup(problem, wait_step_s=0.0)
         with pytest.raises(ValueError):
             solve_startup(problem, max_wait_s=-1.0)
+
+    @pytest.mark.parametrize(
+        "max_wait_s, wait_step_s",
+        [(1e18, 0.25), (float(_MAX_WAIT_POINTS), 1.0)],  # one point past
+    )
+    def test_refuses_an_oversized_wait_grid(self, max_wait_s, wait_step_s):
+        problem = make_problem(buffer_s=0.0, prev_quality=None)
+        names = f"max_wait_s={max_wait_s:g} in steps of wait_step_s={wait_step_s:g}"
+        with pytest.raises(ValueError, match=re.escape(names)):
+            solve_startup(problem, max_wait_s=max_wait_s, wait_step_s=wait_step_s)
+
+    def test_solves_a_grid_at_the_bound(self):
+        problem = make_problem(
+            buffer_s=0.0, prev_quality=None, horizon=1, ladder=(350.0, 600.0)
+        )
+        sol = solve_startup(
+            problem, max_wait_s=float(_MAX_WAIT_POINTS - 1), wait_step_s=1.0
+        )
+        assert 0.0 <= sol.startup_wait_s <= _MAX_WAIT_POINTS - 1
+
+    def test_mpc_session_with_unbounded_capacity_is_refused(self):
+        with pytest.raises(ValueError, match="max_wait_s"):
+            simulate_session(
+                MPCController(),
+                Trace.constant(1500.0, 60.0),
+                short_test_video(),
+                SessionConfig(buffer_capacity_s=1e18),
+            )

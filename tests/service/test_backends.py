@@ -32,6 +32,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_backend(idle_timeout_s=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_refuses_non_finite_idle_timeout(self, bad):
+        with pytest.raises(ValueError, match="idle_timeout_s"):
+            make_backend(idle_timeout_s=bad)
+
 
 class TestDecide:
     def test_decision_in_ladder_range(self):
