@@ -207,12 +207,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help=(
             "worker processes; >1 runs the sharded cluster: one published"
-            " table file, SO_REUSEPORT (or a round-robin frontend),"
+            " table file, workers forked onto the port with SO_REUSEPORT,"
             " supervised restarts, aggregated /metrics (docs/scaling.md)"
         ),
     )
     p.add_argument(
-        "--control-port", type=int, default=None, metavar="PORT",
+        "--control-port", type=int, default=0, metavar="PORT",
         help=(
             "cluster-mode supervisor endpoint for aggregated /metrics and"
             " /healthz (default: an ephemeral port, printed at startup)"
@@ -871,7 +871,7 @@ def _serve_cluster(args, manifest, table, experiment=None) -> int:
         workers=args.workers,
         host=args.host,
         port=args.port,
-        control_port=args.control_port if args.control_port is not None else 0,
+        control_port=args.control_port,
         service=ServiceConfig(
             lookup_budget_s=args.lookup_budget_ms / 1000.0,
             idle_timeout_s=args.idle_timeout,
@@ -886,12 +886,9 @@ def _serve_cluster(args, manifest, table, experiment=None) -> int:
         await supervisor.start()
         try:
             mode = "table published" if table_path else "COLD (fallback only)"
-            sharding = (
-                "SO_REUSEPORT" if supervisor.reuse_port else "round-robin frontend"
-            )
             print(
                 f"decision cluster on {args.host}:{supervisor.bound_port}"
-                f" [{args.workers} workers, {sharding}, {mode}]"
+                f" [{args.workers} workers, {mode}]"
                 f" | control {args.host}:{supervisor.control_bound_port}",
                 flush=True,
             )

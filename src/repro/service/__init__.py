@@ -52,12 +52,7 @@ from .server import DecisionServer, DecisionService, ServiceConfig
 from .client import DecisionClient, RetryPolicy, ServiceClient, ServiceUnavailable
 from .loadgen import LoadTestConfig, LoadTestReport, run_loadtest, run_loadtest_sync
 from .metrics import merge_metrics_snapshots
-from .cluster import (
-    ClusterConfig,
-    ClusterError,
-    ClusterSupervisor,
-    supports_reuse_port,
-)
+from .cluster import ClusterConfig, ClusterError, ClusterSupervisor
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -88,5 +83,4 @@ __all__ = [
     "ClusterConfig",
     "ClusterError",
     "ClusterSupervisor",
-    "supports_reuse_port",
 ]

@@ -95,9 +95,9 @@ class ServiceClient:
     ``"json"`` (default) or ``"binary"`` — the struct-packed fast path,
     which also unlocks :meth:`decide_many` batching one HTTP exchange
     over many decisions.  Negotiation is per connection and implicit: a
-    binary client simply POSTs binary; if the server answers JSON (a
-    pre-binary server), the client downgrades itself to JSON and resends
-    once — so ``protocol="binary"`` is always safe to request.
+    binary client simply POSTs binary and the server answers in kind.
+    An answer that does not decode as a binary frame raises
+    :class:`ServiceUnavailable` like any other unparseable answer.
     """
 
     def __init__(
@@ -120,7 +120,6 @@ class ServiceClient:
         self._retry_rng = random.Random(retry.seed) if retry is not None else None
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-        self._last_content_type: str = ""
 
     async def __aenter__(self) -> "ServiceClient":
         await self.connect()
@@ -178,21 +177,14 @@ class ServiceClient:
         status = int(lines[0].split(" ")[1])
         length = 0
         close_after = False
-        response_type = ""
         for line in lines[1:]:
             name, _, value = line.partition(":")
             key = name.strip().lower()
             if key == "content-length":
                 length = int(value.strip())
-            elif key == "content-type":
-                response_type = value.strip()
             elif key == "connection" and value.strip().lower() == "close":
                 close_after = True
         payload = await self._reader.readexactly(length) if length else b""
-        # Stashed rather than returned: requests on one client are
-        # serialized, and only the decide paths consult it (to detect a
-        # JSON answer to a binary request — the downgrade signal).
-        self._last_content_type = response_type
         if close_after:
             await self.close()
         return status, payload
@@ -296,14 +288,10 @@ class ServiceClient:
                 raise ServiceUnavailable(
                     f"decide returned HTTP {status}: {body!r}"
                 )
-            if self._last_content_type == CONTENT_TYPE_BINARY:
-                try:
-                    return DecisionResponse.from_binary(body)
-                except ProtocolError as exc:
-                    raise ServiceUnavailable(str(exc)) from None
-            # The server answered JSON: it predates the binary protocol.
-            # Downgrade this client and resend the request as JSON.
-            self.protocol = "json"
+            try:
+                return DecisionResponse.from_binary(body)
+            except ProtocolError as exc:
+                raise ServiceUnavailable(str(exc)) from None
         status, body = await self._request_with_redial(
             "POST", "/v1/decide", request.to_json()
         )
@@ -326,17 +314,15 @@ class ServiceClient:
                 raise ServiceUnavailable(
                     f"decide returned HTTP {status}: {body!r}"
                 )
-            if self._last_content_type == CONTENT_TYPE_BINARY:
-                try:
-                    responses = decode_response_batch(body)
-                except ProtocolError as exc:
-                    raise ServiceUnavailable(str(exc)) from None
-                if len(responses) != len(requests):
-                    raise ServiceUnavailable(
-                        f"{len(responses)} responses for {len(requests)} requests"
-                    )
-                return responses
-            self.protocol = "json"  # downgrade, then fall through
+            try:
+                responses = decode_response_batch(body)
+            except ProtocolError as exc:
+                raise ServiceUnavailable(str(exc)) from None
+            if len(responses) != len(requests):
+                raise ServiceUnavailable(
+                    f"{len(responses)} responses for {len(requests)} requests"
+                )
+            return responses
         return [await self._decide_once(request) for request in requests]
 
     async def decide(self, request: DecisionRequest) -> DecisionResponse:
@@ -358,8 +344,7 @@ class ServiceClient:
         frame and one HTTP round-trip, which the server answers with one
         batch decision — the only way a batch reaches the service, and
         the shape the load generator uses to amortise per-exchange
-        costs.  Under JSON (or after a
-        negotiation downgrade) the batch degrades to sequential single
+        costs.  Under JSON the batch degrades to sequential single
         exchanges on the keep-alive connection; either way responses come
         back in request order with identical decision semantics.
         """

@@ -14,11 +14,11 @@ way CDN-scale table-serving deployments do:
   checks the blob's structure — lengths, run order, index space, ladder
   indices — so a corrupt file stops the worker before it serves.
 
-* **Kernel-level sharding.**  Workers bind the same host:port with
-  ``SO_REUSEPORT`` and the kernel spreads incoming connections across
-  them.  On platforms without ``SO_REUSEPORT`` the supervisor falls back
-  to per-worker ephemeral ports behind a small asyncio TCP round-robin
-  frontend (:class:`_RoundRobinFrontend`) on the public port.
+* **Kernel-level sharding.**  The supervisor reserves the public
+  host:port with a bound ``SO_REUSEPORT`` placeholder, forks its workers
+  onto that port, and the kernel spreads incoming connections across
+  their listening sockets.  A host that refuses ``SO_REUSEPORT`` gets a
+  :class:`ClusterError` from :meth:`ClusterSupervisor.start`.
 
 * **Supervision.**  Each worker holds a duplex control pipe to the
   supervisor: readiness, ping/pong health checks, and per-worker metrics
@@ -64,7 +64,6 @@ __all__ = [
     "ClusterError",
     "ClusterSupervisor",
     "WorkerSpec",
-    "supports_reuse_port",
     "KILLED_BY_CHAOS_EXIT",
 ]
 
@@ -84,42 +83,26 @@ class ClusterError(RuntimeError):
     """The cluster could not be started or managed as configured."""
 
 
-def supports_reuse_port() -> bool:
-    """Whether this platform can shard one port across processes.
-
-    ``SO_REUSEPORT`` must exist *and* actually be settable (some
-    platforms define the constant but reject it).
-    """
-    if not hasattr(socket, "SO_REUSEPORT"):
-        return False
-    try:
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        return True
-    except OSError:  # pragma: no cover - constant present but rejected
-        return False
-
-
 @dataclass(frozen=True)
 class ClusterConfig:
     """Operational knobs of the sharded service.
 
-    ``reuse_port=None`` auto-detects; forcing ``False`` exercises the
-    round-robin frontend fallback on any platform.  Restart backoff is
-    the client retry curve (base * multiplier**failures, capped, with
-    seeded jitter); a worker that stays up ``stable_after_s`` gets its
-    failure streak reset, so one crash long after another starts back at
-    the base delay instead of the escalated one.  A worker that exits
-    with :data:`KILLED_BY_CHAOS_EXIT` restarts on the base delay and
-    leaves the streak alone.  Timings must be finite and positive.
+    ``port`` is the public data port every worker shares through
+    ``SO_REUSEPORT``; ``control_port`` is the supervisor's ``/metrics``
+    and ``/healthz`` endpoint (0 picks an ephemeral port for either).
+    Restart backoff is the client retry curve (base *
+    multiplier**failures, capped, with seeded jitter); a worker that
+    stays up ``stable_after_s`` gets its failure streak reset, so one
+    crash long after another starts back at the base delay instead of
+    the escalated one.  A worker that exits with
+    :data:`KILLED_BY_CHAOS_EXIT` restarts on the base delay and leaves
+    the streak alone.  Timings must be finite and positive.
     """
 
     workers: int = 2
     host: str = "127.0.0.1"
-    port: int = 0  # public data port; 0 = ephemeral
-    control_port: Optional[int] = 0  # supervisor endpoint; None disables
-    reuse_port: Optional[bool] = None  # None = auto-detect
-    start_method: Optional[str] = None  # None = fork if available
+    port: int = 0
+    control_port: int = 0
     ready_timeout_s: float = 15.0
     poll_interval_s: float = 0.05
     heartbeat_interval_s: float = 1.0
@@ -152,11 +135,6 @@ class ClusterConfig:
             raise ValueError("heartbeat intervals must be finite numbers > 0")
         if not 0.0 < self.stable_after_s < math.inf:
             raise ValueError("stable_after_s must be a finite number > 0")
-        if self.start_method is not None:
-            if self.start_method not in multiprocessing.get_all_start_methods():
-                raise ValueError(
-                    f"start method {self.start_method!r} unavailable here"
-                )
         # Built here, so a bad restart_* field fails construction rather
         # than the monitor loop at the first worker death.
         object.__setattr__(
@@ -181,12 +159,11 @@ class ClusterConfig:
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything one worker process needs, picklable for any start method."""
+    """Everything one forked worker process needs."""
 
     index: int
     host: str
-    port: int  # shared port under SO_REUSEPORT; 0 = own ephemeral port
-    reuse_port: bool
+    port: int  # the public port, shared through SO_REUSEPORT
     ladder_kbps: Tuple[float, ...]
     table_path: Optional[str]
     service: ServiceConfig
@@ -228,7 +205,7 @@ async def _worker_serve(spec: WorkerSpec, conn) -> None:
         spec.host,
         spec.port,
         chaos=chaos,
-        reuse_port=spec.reuse_port,
+        reuse_port=True,
         worker_id=spec.index,
         kill_hook=kill_hook,
     )
@@ -262,12 +239,12 @@ async def _worker_serve(spec: WorkerSpec, conn) -> None:
 
 
 def _worker_main(spec: WorkerSpec, conn) -> None:
-    """Process entry point (top-level so every start method can pickle it).
+    """Process entry point.
 
-    Under the ``fork`` start method the supervisor forks from *inside*
-    its running event loop (restarts happen in the monitor task), so the
-    child inherits thread state claiming a loop is already running —
-    clear it before building this process's own loop.
+    The supervisor forks from *inside* its running event loop (restarts
+    happen in the monitor task), so the child inherits thread state
+    claiming a loop is already running — clear it before building this
+    process's own loop.
     """
     try:
         asyncio.events._set_running_loop(None)
@@ -343,115 +320,6 @@ class _WorkerSlot:
 
 
 # ---------------------------------------------------------------------------
-# Round-robin TCP frontend (fallback when SO_REUSEPORT is unavailable)
-# ---------------------------------------------------------------------------
-
-
-class _RoundRobinFrontend:
-    """A minimal asyncio TCP proxy fanning connections over worker ports.
-
-    Connection-granular (not request-granular): each accepted client
-    connection is pinned to one live worker and bytes are relayed both
-    ways until either side closes — the same stickiness ``SO_REUSEPORT``
-    gives, so client keep-alive behaviour is identical in both modes.
-    A backend that refuses the dial (worker mid-restart) is skipped and
-    the next one tried.
-    """
-
-    def __init__(
-        self, host: str, port: int, backend_ports: Callable[[], List[int]]
-    ) -> None:
-        self._host = host
-        self._port = port
-        self._backend_ports = backend_ports
-        self._next = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._relays: set = set()
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, self._host, self._port
-        )
-
-    @property
-    def bound_port(self) -> int:
-        if self._server is None or not self._server.sockets:
-            raise RuntimeError("frontend is not running")
-        return self._server.sockets[0].getsockname()[1]
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._relays):
-            task.cancel()
-        if self._relays:
-            await asyncio.gather(*self._relays, return_exceptions=True)
-        self._relays.clear()
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._relays.add(task)
-        upstream_writer = None
-        try:
-            ports = self._backend_ports()
-            upstream = None
-            for offset in range(len(ports)):
-                port = ports[(self._next + offset) % len(ports)]
-                try:
-                    upstream = await asyncio.wait_for(
-                        asyncio.open_connection(self._host, port), 1.0
-                    )
-                    self._next = (self._next + offset + 1) % len(ports)
-                    break
-                except (OSError, asyncio.TimeoutError):
-                    continue
-            if upstream is None:
-                return  # no live backend: drop the connection
-            upstream_reader, upstream_writer = upstream
-            await asyncio.gather(
-                self._relay(reader, upstream_writer),
-                self._relay(upstream_reader, writer),
-            )
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if task is not None:
-                self._relays.discard(task)
-            for w in (writer, upstream_writer):
-                if w is None:
-                    continue
-                w.close()
-                try:
-                    await w.wait_closed()
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    pass
-
-    @staticmethod
-    async def _relay(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                writer.write(chunk)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-        finally:
-            try:
-                writer.write_eof()
-            except (OSError, RuntimeError):
-                pass
-
-
-# ---------------------------------------------------------------------------
 # Supervisor
 # ---------------------------------------------------------------------------
 
@@ -485,20 +353,9 @@ class ClusterSupervisor:
             raise ValueError("ladder must be non-empty")
         self.table_path = str(table_path) if table_path is not None else None
         self.config = config if config is not None else ClusterConfig()
-        method = self.config.start_method
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(method)
-        self.start_method = method
-        self.reuse_port = (
-            self.config.reuse_port
-            if self.config.reuse_port is not None
-            else supports_reuse_port()
-        )
+        self._ctx = multiprocessing.get_context("fork")
         self._slots: List[_WorkerSlot] = []
         self._placeholder: Optional[socket.socket] = None
-        self._frontend: Optional[_RoundRobinFrontend] = None
         self._control: Optional[asyncio.AbstractServer] = None
         self._monitor: Optional[asyncio.Task] = None
         self._restart_tasks: set = set()
@@ -518,30 +375,31 @@ class ClusterSupervisor:
         self._started = True
         config = self.config
         try:
-            if self.reuse_port:
-                # Reserve the shared port with a bound (never listening)
-                # placeholder: it keeps the number stable across worker
-                # restarts without ever receiving a connection.
-                placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                placeholder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-                placeholder.bind((config.host, config.port))
-                self._placeholder = placeholder
-                self._data_port = placeholder.getsockname()[1]
+            # Reserve the shared port with a bound (never listening)
+            # placeholder: it keeps the number stable across worker
+            # restarts without ever receiving a connection.  It is
+            # stored before setsockopt and bind can fail, so the stop()
+            # below closes it on every failed start.
+            self._placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            try:
+                self._placeholder.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
+                )
+                self._placeholder.bind((config.host, config.port))
+            except OSError as exc:
+                raise ClusterError(
+                    f"cannot share {config.host}:{config.port}"
+                    f" through SO_REUSEPORT: {exc}"
+                ) from exc
+            self._data_port = self._placeholder.getsockname()[1]
             for index in range(config.workers):
                 slot = _WorkerSlot(index)
                 self._slots.append(slot)
                 self._spawn(slot)
             await asyncio.gather(*(self._wait_ready(slot) for slot in self._slots))
-            if not self.reuse_port:
-                self._frontend = _RoundRobinFrontend(
-                    config.host, config.port, self._live_ports
-                )
-                await self._frontend.start()
-                self._data_port = self._frontend.bound_port
-            if config.control_port is not None:
-                self._control = await asyncio.start_server(
-                    self._handle_control, config.host, config.control_port
-                )
+            self._control = await asyncio.start_server(
+                self._handle_control, config.host, config.control_port
+            )
             self._monitor = asyncio.get_running_loop().create_task(
                 self._monitor_loop()
             )
@@ -582,9 +440,6 @@ class ClusterSupervisor:
             self._teardown_slot_io(slot)
             if slot.process is not None:
                 slot.process.join(timeout=1.0)
-        if self._frontend is not None:
-            await self._frontend.close()
-            self._frontend = None
         if self._control is not None:
             self._control.close()
             await self._control.wait_closed()
@@ -695,8 +550,6 @@ class ClusterSupervisor:
             "workers": len(self._slots),
             "alive": self.alive_workers,
             "restarts_total": self.restarts_total,
-            "reuse_port": self.reuse_port,
-            "start_method": self.start_method,
             "workers_detail": roster,
         }
         return merged
@@ -708,7 +561,6 @@ class ClusterSupervisor:
             "workers": len(self._slots),
             "alive": alive,
             "restarts_total": self.restarts_total,
-            "reuse_port": self.reuse_port,
         }
 
     # ------------------------------------------------------------------
@@ -723,8 +575,7 @@ class ClusterSupervisor:
         return WorkerSpec(
             index=index,
             host=self.config.host,
-            port=self._data_port if self.reuse_port else 0,
-            reuse_port=self.reuse_port,
+            port=self._data_port,
             ladder_kbps=self.ladder_kbps,
             table_path=self.table_path,
             service=self.config.service,
@@ -839,13 +690,6 @@ class ClusterSupervisor:
                     f"{self.config.ready_timeout_s}s"
                 )
             await asyncio.sleep(0.01)
-
-    def _live_ports(self) -> List[int]:
-        return [
-            slot.data_port
-            for slot in self._slots
-            if slot.serving and slot.data_port is not None
-        ]
 
     # ------------------------------------------------------------------
     # Monitoring + restarts

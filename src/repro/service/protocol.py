@@ -10,16 +10,13 @@ and per-session counters without holding player state.
 **JSON** (the default) is the debuggable, curl-able encoding.  **Binary**
 is the opt-in fast path: struct-packed little-endian frames that a client
 selects per connection simply by POSTing with the binary content type
-(:data:`CONTENT_TYPE_BINARY`).  A binary-aware server answers in kind; a
-server that predates the binary protocol answers the usual degraded JSON
-fallback, which the client detects from the response content type and
-downgrades the connection to JSON — no separate handshake round-trip.
-Binary frames natively carry *batches* (a record count then that many
-records), which is what lets a batching client amortise a whole HTTP
-exchange over many decisions.  Field-level semantics are identical in
-both encodings; the only intended difference is that binary carries
-``server_latency_us`` at full float64 precision where JSON rounds it to
-3 decimals.
+(:data:`CONTENT_TYPE_BINARY`), and the server answers in kind — no
+separate handshake round-trip.  Binary frames natively carry *batches*
+(a record count then that many records), which is what lets a batching
+client amortise a whole HTTP exchange over many decisions.  Field-level
+semantics are identical in both encodings; the only intended difference
+is that binary carries ``server_latency_us`` at full float64 precision
+where JSON rounds it to 3 decimals.
 
 Responses always come back well-formed: when the server cannot serve a
 table decision (missing table, malformed request, lookup over budget) it

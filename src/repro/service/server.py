@@ -916,9 +916,7 @@ class DecisionServer:
             responses = self.service.decide_batch(requests)
         if binary:
             # Binary exchanges answer in kind — the content type *is*
-            # the negotiation (an old JSON-only server would answer
-            # the degraded JSON fallback here, which binary clients
-            # detect and downgrade on).
+            # the negotiation.
             connection.respond_raw(
                 200, encode_response_batch(responses), _BINARY_HEADERS
             )

@@ -11,8 +11,8 @@ Covers the fast-path additions as observable behaviour:
   ``batch_occupancy`` histogram counts records per exchange, next to
   the ``protocol_requests`` counters in ``/metrics``.
 * A binary client negotiates by content-type, ships multi-record frames
-  through ``decide_many``, and silently downgrades to JSON against a
-  server that answers JSON.
+  through ``decide_many``, and reports a server that answers JSON as
+  unavailable instead of switching encodings.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import asyncio
 import pytest
 
 from repro.faults.chaos import ChaosConfig, ChaosPolicy
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, ServiceUnavailable
 from repro.service.loadgen import LoadTestConfig, run_loadtest
 from repro.service.protocol import (
     CONTENT_TYPE_BINARY,
@@ -277,8 +277,8 @@ class TestBinaryNegotiation:
             )
 
     def test_downgrade_against_json_only_server(self):
-        """An old server that never answers binary: the client detects
-        the JSON answer, downgrades the connection, and resends."""
+        """A server that never answers binary: the JSON answer does not
+        decode as a frame, so the client raises instead of downgrading."""
 
         async def handle(reader, writer):
             try:
@@ -317,16 +317,16 @@ class TestBinaryNegotiation:
                 async with ServiceClient(
                     "127.0.0.1", port, protocol="binary"
                 ) as client:
-                    response = await client.decide(_requests(1)[0])
-                    assert client.protocol == "json"  # downgraded
-                    return response
+                    with pytest.raises(ServiceUnavailable):
+                        await client.decide(_requests(1)[0])
+                    with pytest.raises(ServiceUnavailable):
+                        await client.decide_many(_requests(3))
+                    return client.protocol
             finally:
                 server.close()
                 await server.wait_closed()
 
-        response = asyncio.run(inner())
-        assert response.level_index == 1
-        assert response.source == "table"
+        assert asyncio.run(inner()) == "binary"
 
     def test_client_rejects_unknown_protocol(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ The bar these tests pin down (see docs/scaling.md):
 
 * sharding is invisible — an N-worker cluster answers a golden request
   stream with byte-identical decisions to a single-process server over
-  the same published table, in both port-sharing modes;
+  the same published table;
 * supervision works — a SIGKILLed worker is detected and replaced, and
   a retrying client rides through the crash with zero failed sessions;
 * telemetry is lossless — cluster ``/metrics`` equals the sum of the
@@ -16,8 +16,12 @@ Every test forks real processes and binds real sockets.
 from __future__ import annotations
 
 import asyncio
+import errno
+import gc
 import json
 import signal
+import socket
+import warnings
 from pathlib import Path
 
 import pytest
@@ -27,6 +31,7 @@ from repro.experiments import load_published_table, publish_table
 from repro.faults import ChaosConfig
 from repro.service import (
     ClusterConfig,
+    ClusterError,
     ClusterSupervisor,
     DecisionRequest,
     DecisionServer,
@@ -36,7 +41,6 @@ from repro.service import (
     ServiceClient,
     run_loadtest,
 )
-from repro.service.cluster import supports_reuse_port
 from repro.traces import make_generator
 
 from .conftest import LADDER
@@ -133,20 +137,7 @@ async def wait_for_restarts(sup: ClusterSupervisor, n: int, timeout_s=10.0):
 class TestClusterParity:
     """Sharding must not change a single decision."""
 
-    @pytest.mark.parametrize(
-        "reuse",
-        [
-            pytest.param(
-                True,
-                marks=pytest.mark.skipif(
-                    not supports_reuse_port(), reason="no SO_REUSEPORT"
-                ),
-            ),
-            False,
-        ],
-        ids=["reuse-port", "frontend"],
-    )
-    def test_golden_stream_identical_to_single_process(self, tmp_path, reuse):
+    def test_golden_stream_identical_to_single_process(self, tmp_path):
         table = make_varied_table()
         path = publish_test_table(tmp_path, table)
         requests = golden_request_stream()
@@ -161,7 +152,7 @@ class TestClusterParity:
                 await server.close()
 
         async def clustered():
-            config = ClusterConfig(workers=3, reuse_port=reuse)
+            config = ClusterConfig(workers=3)
             async with ClusterSupervisor(
                 LADDER, table_path=path, config=config
             ) as sup:
@@ -433,6 +424,56 @@ class TestClusterConfigValidation:
         assert (policy.base_delay_s, policy.max_delay_s, policy.seed) == (
             0.1, 3.0, 5
         )
+
+
+class TestStartFailure:
+    """A start that cannot share the public port raises ClusterError,
+    forks no worker and leaves no socket open."""
+
+    @staticmethod
+    def failed_start(config: ClusterConfig):
+        async def attempt():
+            sup = ClusterSupervisor(LADDER, config=config)
+            try:
+                with pytest.raises(ClusterError) as excinfo:
+                    await sup.start()
+            finally:
+                await sup.stop()
+            return str(excinfo.value), sup.worker_pids()
+
+        gc.collect()  # what earlier tests left behind is not this start's
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            message, pids = run(attempt())
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        return message, pids, leaks
+
+    def test_busy_public_port(self):
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            message, pids, leaks = self.failed_start(
+                ClusterConfig(workers=2, port=port)
+            )
+        assert f"127.0.0.1:{port}" in message
+        assert pids == []
+        assert leaks == []
+
+    def test_refused_reuse_port(self, monkeypatch):
+        setsockopt = socket.socket.setsockopt
+
+        def refuse_reuse_port(sock, level, option, *args):
+            if (level, option) == (socket.SOL_SOCKET, socket.SO_REUSEPORT):
+                raise OSError(errno.ENOPROTOOPT, "SO_REUSEPORT refused")
+            return setsockopt(sock, level, option, *args)
+
+        monkeypatch.setattr(socket.socket, "setsockopt", refuse_reuse_port)
+        message, pids, leaks = self.failed_start(ClusterConfig(workers=2))
+        assert "127.0.0.1:0" in message and "SO_REUSEPORT" in message
+        assert pids == []
+        assert leaks == []
 
 
 class TestClusterTelemetry:
