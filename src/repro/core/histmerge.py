@@ -85,12 +85,13 @@ class FixedBucketHistogram:
     # Observation
     # ------------------------------------------------------------------
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value``, ``count`` times over."""
         if self.non_negative and value < 0:
             raise ValueError(f"{self.value_name} must be >= 0")
-        self._counts[bisect.bisect_left(self._bounds, value)] += 1
-        self._count += 1
-        self._sum += value
+        self._counts[bisect.bisect_left(self._bounds, value)] += count
+        self._count += count
+        self._sum += value * count
         if value > self._max:
             self._max = value
 

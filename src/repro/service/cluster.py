@@ -392,14 +392,27 @@ class ClusterSupervisor:
                     f" through SO_REUSEPORT: {exc}"
                 ) from exc
             self._data_port = self._placeholder.getsockname()[1]
+            # Bind the control endpoint before any worker forks, so a
+            # busy control port fails the start with no worker to undo;
+            # it starts listening once every worker is ready.
+            try:
+                self._control = await asyncio.start_server(
+                    self._handle_control,
+                    config.host,
+                    config.control_port,
+                    start_serving=False,
+                )
+            except OSError as exc:
+                raise ClusterError(
+                    f"cannot bind the control endpoint"
+                    f" {config.host}:{config.control_port}: {exc}"
+                ) from exc
             for index in range(config.workers):
                 slot = _WorkerSlot(index)
                 self._slots.append(slot)
                 self._spawn(slot)
             await asyncio.gather(*(self._wait_ready(slot) for slot in self._slots))
-            self._control = await asyncio.start_server(
-                self._handle_control, config.host, config.control_port
-            )
+            await self._control.start_serving()
             self._monitor = asyncio.get_running_loop().create_task(
                 self._monitor_loop()
             )

@@ -14,6 +14,7 @@ schema is documented in ``docs/service.md`` and locked by tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 from ..core.histmerge import FixedBucketHistogram, merge_histogram_dicts
@@ -23,6 +24,7 @@ __all__ = [
     "ServiceMetrics",
     "merge_metrics_snapshots",
     "DEFAULT_BUCKET_BOUNDS_US",
+    "MAX_SESSIONS_SEEN",
 ]
 
 #: Upper bounds (microseconds) of the default latency buckets.  Spans the
@@ -41,6 +43,9 @@ DEFAULT_BUCKET_BOUNDS_US = (
     50_000.0,
     100_000.0,
 )
+
+#: Distinct session ids ``sessions_seen`` counts before it stops growing.
+MAX_SESSIONS_SEEN = 100_000
 
 
 class LatencyHistogram(FixedBucketHistogram):
@@ -128,17 +133,57 @@ class ServiceMetrics:
         session_id: Optional[str] = None,
         arm: Optional[str] = None,
     ) -> None:
-        self.requests_total += 1
+        self._count(source, latency_us, degraded, reason, arm, 1)
+        if session_id is not None and len(self._sessions_seen) < MAX_SESSIONS_SEEN:
+            self._sessions_seen.add(session_id)
+
+    def record_decisions(
+        self,
+        session_ids: Sequence[str],
+        sources: Sequence[str],
+        reasons: Sequence[Optional[str]],
+        arms: Sequence[Optional[str]],
+        latency_us: float,
+    ) -> None:
+        """A batch's decisions, one per row, all of ``latency_us``; a row
+        is degraded when it has a reason.
+
+        Leaves the counters, bucket counts and ``sessions_seen`` that one
+        :meth:`record_decision` per row would leave.
+        """
+        groups = Counter(zip(sources, reasons, arms))
+        for (source, reason, arm), count in groups.items():
+            self._count(source, latency_us, reason is not None, reason, arm, count)
+        seen = self._sessions_seen
+        if len(seen) + len(session_ids) <= MAX_SESSIONS_SEEN:
+            seen.update(session_ids)
+            return
+        for session_id in session_ids:  # the cap binds within this batch
+            if len(seen) >= MAX_SESSIONS_SEEN:
+                break
+            seen.add(session_id)
+
+    def _count(
+        self,
+        source: str,
+        latency_us: float,
+        degraded: bool,
+        reason: Optional[str],
+        arm: Optional[str],
+        count: int,
+    ) -> None:
+        """``count`` decisions alike in every counted field."""
+        self.requests_total += count
         if source == "table":
-            self.decisions_table += 1
+            self.decisions_table += count
         elif source == "controller":
-            self.decisions_controller += 1
+            self.decisions_controller += count
         else:
-            self.decisions_fallback += 1
+            self.decisions_fallback += count
         if degraded:
-            self.degraded_total += 1
+            self.degraded_total += count
             key = reason or "unknown"
-            self.fallback_reasons[key] = self.fallback_reasons.get(key, 0) + 1
+            self.fallback_reasons[key] = self.fallback_reasons.get(key, 0) + count
         if arm is not None:
             stats = self.arms.get(arm)
             if stats is None:
@@ -149,16 +194,14 @@ class ServiceMetrics:
                     "reasons": {},
                     "latency": LatencyHistogram(self._bounds_us),
                 }
-            stats["decisions"] += 1
-            stats["sources"][source] = stats["sources"].get(source, 0) + 1
+            stats["decisions"] += count
+            stats["sources"][source] = stats["sources"].get(source, 0) + count
             if degraded:
-                stats["degraded"] += 1
+                stats["degraded"] += count
                 key = reason or "unknown"
-                stats["reasons"][key] = stats["reasons"].get(key, 0) + 1
-            stats["latency"].observe(latency_us)
-        if session_id is not None and len(self._sessions_seen) < 100_000:
-            self._sessions_seen.add(session_id)
-        self.latency.observe(latency_us)
+                stats["reasons"][key] = stats["reasons"].get(key, 0) + count
+            stats["latency"].observe(latency_us, count)
+        self.latency.observe(latency_us, count)
 
     def record_error(self) -> None:
         self.requests_total += 1

@@ -28,8 +28,11 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import accumulate, chain
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -42,6 +45,8 @@ __all__ = [
     "CONTENT_TYPE_JSON",
     "CONTENT_TYPE_BINARY",
     "MAX_BATCH_RECORDS",
+    "RequestBatch",
+    "ResponseBatch",
     "encode_request_batch",
     "decode_request_batch",
     "encode_response_batch",
@@ -337,6 +342,10 @@ _RESP_FIXED = struct.Struct("<HdBBBd")
 _REQ_MAGIC = b"DQ"
 _RESP_MAGIC = b"DS"
 
+#: The u8 length prefix of every string a frame may carry.
+_LENGTHS = tuple(bytes((n,)) for n in range(256))
+_INF = float("inf")
+
 _SOURCE_CODES = {SOURCE_TABLE: 0, SOURCE_FALLBACK: 1, SOURCE_CONTROLLER: 2}
 _SOURCE_NAMES = {v: k for k, v in _SOURCE_CODES.items()}
 #: Response-frame flag: every record ends with a u8-length arm string.
@@ -347,11 +356,121 @@ _REASON_NAMES = {v: k for k, v in _REASON_CODES.items()}
 _REASON_OTHER = 255
 
 
-def _pack_sid(session_id: str) -> bytes:
-    sid = session_id.encode("utf-8")
-    if len(sid) > 255:
-        raise ProtocolError("session_id longer than 255 bytes")
-    return struct.pack("<B", len(sid)) + sid
+@dataclass(eq=False)
+class RequestBatch(Sequence[DecisionRequest]):
+    """The records of a request frame, held by column.
+
+    ``prev_levels`` holds ``-1`` for a record without a previous level,
+    as the frame does.  ``past_errors`` is every record's error window,
+    record after record, in one float64 array: record ``i``'s window is
+    ``past_errors[error_bounds[i]:error_bounds[i + 1]]``.  ``families``
+    is ``None`` unless some request names one (frames never do).
+    Indexing builds the :class:`DecisionRequest` of one record; the
+    decision service reads the columns directly.
+    """
+
+    session_ids: List[str]
+    buffers_s: List[float]
+    predicted_kbps: List[float]
+    prev_levels: List[int]
+    past_errors: np.ndarray
+    error_bounds: List[int]
+    families: Optional[List[Optional[str]]] = None
+
+    @classmethod
+    def of(cls, requests: Sequence[DecisionRequest]) -> "RequestBatch":
+        """``requests`` by column (a batch is returned as it is)."""
+        if isinstance(requests, cls):
+            return requests
+        windows = [r.past_errors for r in requests]
+        families = [r.family for r in requests]
+        return cls(
+            [r.session_id for r in requests],
+            [r.buffer_s for r in requests],
+            [r.predicted_kbps for r in requests],
+            [-1 if r.prev_level is None else r.prev_level for r in requests],
+            np.fromiter(chain.from_iterable(windows), np.float64),
+            list(accumulate(map(len, windows), initial=0)),
+            families if any(f is not None for f in families) else None,
+        )
+
+    def __len__(self) -> int:
+        return len(self.session_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = range(len(self.session_ids))[index]
+        prev = self.prev_levels[index]
+        window = self.past_errors[
+            self.error_bounds[index] : self.error_bounds[index + 1]
+        ]
+        return DecisionRequest(
+            self.session_ids[index],
+            self.buffers_s[index],
+            self.predicted_kbps[index],
+            None if prev < 0 else prev,
+            tuple(window.tolist()),
+            None if self.families is None else self.families[index],
+        )
+
+
+#: DecisionResponse's fields, in the order ResponseBatch holds its columns.
+_RESPONSE_FIELDS = tuple(f.name for f in fields(DecisionResponse))
+
+
+@dataclass(eq=False)
+class ResponseBatch(Sequence[DecisionResponse]):
+    """Answers held by column, one column per :class:`DecisionResponse`
+    field and in the same order.
+
+    Indexing builds the :class:`DecisionResponse` of one answer;
+    :func:`encode_response_batch` packs the columns directly.
+    """
+
+    session_ids: List[str]
+    level_indices: List[int]
+    bitrates_kbps: List[float]
+    sources: List[str]
+    degraded: List[bool]
+    reasons: List[Optional[str]]
+    latencies_us: List[float]
+    arms: List[Optional[str]]
+    priors_kbps: List[Optional[float]]
+
+    @classmethod
+    def of(cls, responses: Sequence[DecisionResponse]) -> "ResponseBatch":
+        """``responses`` by column (a batch is returned as it is)."""
+        if isinstance(responses, cls):
+            return responses
+        return cls(
+            *([getattr(r, name) for r in responses] for name in _RESPONSE_FIELDS)
+        )
+
+    def __len__(self) -> int:
+        return len(self.session_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return DecisionResponse(
+            self.session_ids[index],
+            self.level_indices[index],
+            self.bitrates_kbps[index],
+            self.sources[index],
+            self.degraded[index],
+            self.reasons[index],
+            self.latencies_us[index],
+            self.arms[index],
+            self.priors_kbps[index],
+        )
+
+
+def _pack_str(text: str, what: str) -> bytes:
+    raw = text.encode("utf-8")
+    if len(raw) > 255:
+        raise ProtocolError(f"{what} longer than 255 bytes")
+    return _LENGTHS[len(raw)] + raw
 
 
 def _unpack_str(blob, offset: int, what: str) -> Tuple[str, int]:
@@ -401,7 +520,7 @@ def encode_request_batch(requests: Sequence[DecisionRequest]) -> bytes:
             # field, and silently losing it would disable the shared
             # prior without any signal.  Family-keyed sessions use JSON.
             raise ProtocolError("family rides the JSON encoding only")
-        parts.append(_pack_sid(request.session_id))
+        parts.append(_pack_str(request.session_id, "session_id"))
         prev = -1 if request.prev_level is None else request.prev_level
         if prev > 32767:
             raise ProtocolError("prev_level too large for the binary frame")
@@ -416,84 +535,130 @@ def encode_request_batch(requests: Sequence[DecisionRequest]) -> bytes:
     return b"".join(parts)
 
 
-def decode_request_batch(blob) -> List[DecisionRequest]:
+def decode_request_batch(blob) -> RequestBatch:
     """Inverse of :func:`encode_request_batch`, with full validation.
 
-    Decoded requests pass the same checks as the JSON path (finite
+    One pass over the frame fills the columns of a :class:`RequestBatch`.
+    Each record passes the same checks as the JSON path (finite
     buffer/prediction, non-empty session, bounded error window); a
     truncated or over-long frame raises :class:`ProtocolError`.
     """
     count, _ = _check_header(blob, _REQ_MAGIC, _REQ_HEADER, "request")
+    session_ids: List[str] = []
+    buffers: List[float] = []
+    predictions: List[float] = []
+    prev_levels: List[int] = []
+    windows: List[bytes] = []
+    error_bounds = [0]
+    unpack_fixed = _REQ_FIXED.unpack_from
+    fixed_size = _REQ_FIXED.size
     offset = _REQ_HEADER.size
-    requests: List[DecisionRequest] = []
-    for _ in range(count):
-        session_id, offset = _unpack_str(blob, offset, "session_id")
-        try:
-            buffer_s, predicted_kbps, prev, num_errors = _REQ_FIXED.unpack_from(
-                blob, offset
-            )
-            offset += _REQ_FIXED.size
-            errors = struct.unpack_from(f"<{num_errors}d", blob, offset)
-            offset += 8 * num_errors
-        except struct.error:
-            raise ProtocolError("truncated request frame") from None
-        for name, value in (("buffer_s", buffer_s), ("predicted_kbps", predicted_kbps)):
-            if value != value or value in (float("inf"), float("-inf")):
-                raise ProtocolError(f"{name!r} must be finite")
-        requests.append(
-            DecisionRequest(
-                session_id=session_id,
-                buffer_s=buffer_s,
-                predicted_kbps=predicted_kbps,
-                prev_level=None if prev == -1 else prev,
-                past_errors=errors,
-            )
-        )
-    if offset != len(blob):
+    num_errors_total = 0
+    try:
+        for _ in range(count):
+            start = offset + 1
+            offset = start + blob[offset]
+            session_id = str(blob[start:offset], "utf-8")
+            buffer_s, predicted_kbps, prev, num_errors = unpack_fixed(blob, offset)
+            if not (
+                session_id
+                and 0.0 <= buffer_s < _INF
+                and 0.0 < predicted_kbps < _INF
+                and prev >= -1
+                and num_errors <= _MAX_PAST_ERRORS
+            ):
+                _refuse_record(session_id, buffer_s, predicted_kbps, prev)
+            start = offset + fixed_size
+            offset = start + 8 * num_errors
+            session_ids.append(session_id)
+            buffers.append(buffer_s)
+            predictions.append(predicted_kbps)
+            prev_levels.append(prev)
+            windows.append(blob[start:offset])
+            num_errors_total += num_errors
+            error_bounds.append(num_errors_total)
+    except (IndexError, struct.error):
+        raise ProtocolError("truncated request frame") from None
+    except UnicodeDecodeError:
+        raise ProtocolError("session_id is not valid UTF-8") from None
+    if offset > len(blob):
+        raise ProtocolError("truncated request frame")
+    if offset < len(blob):
         raise ProtocolError(
             f"{len(blob) - offset} trailing bytes after {count} request record(s)"
         )
-    return requests
+    past_errors = np.frombuffer(b"".join(windows), dtype="<f8")
+    return RequestBatch(
+        session_ids, buffers, predictions, prev_levels, past_errors, error_bounds
+    )
+
+
+def _refuse_record(
+    session_id: str, buffer_s: float, predicted_kbps: float, prev: int
+) -> None:
+    """Raise the :class:`ProtocolError` of the first rule a decoded
+    record breaks (the error window's length is the last rule)."""
+    if not session_id:
+        raise ProtocolError("session_id must be non-empty")
+    for name, value in (("buffer_s", buffer_s), ("predicted_kbps", predicted_kbps)):
+        if value != value or value in (_INF, -_INF):
+            raise ProtocolError(f"{name!r} must be finite")
+    if buffer_s < 0:
+        raise ProtocolError("buffer_s must be >= 0")
+    if predicted_kbps <= 0:
+        raise ProtocolError("predicted_kbps must be positive")
+    if prev < -1:
+        raise ProtocolError("prev_level must be >= 0")
+    raise ProtocolError(f"past_errors longer than {_MAX_PAST_ERRORS} entries")
 
 
 def encode_response_batch(responses: Sequence[DecisionResponse]) -> bytes:
-    """Pack responses into one binary frame, order-preserving."""
-    if not 1 <= len(responses) <= MAX_BATCH_RECORDS:
-        raise ProtocolError(
-            f"batch of {len(responses)} outside 1..{MAX_BATCH_RECORDS}"
-        )
-    flags = _FLAG_ARMS if any(r.arm is not None for r in responses) else 0
+    """Pack responses into one binary frame, order-preserving.
+
+    A :class:`ResponseBatch` is packed from its columns; any other
+    sequence of responses is first put in columns by
+    :meth:`ResponseBatch.of`.
+    """
+    batch = ResponseBatch.of(responses)
+    count = len(batch)
+    if not 1 <= count <= MAX_BATCH_RECORDS:
+        raise ProtocolError(f"batch of {count} outside 1..{MAX_BATCH_RECORDS}")
+    if any(prior is not None for prior in batch.priors_kbps):
+        raise ProtocolError("prior_kbps rides the JSON encoding only")
+    armed = any(arm is not None for arm in batch.arms)
     parts = [
-        _RESP_HEADER.pack(_RESP_MAGIC, PROTOCOL_VERSION, flags, len(responses))
+        _RESP_HEADER.pack(
+            _RESP_MAGIC, PROTOCOL_VERSION, _FLAG_ARMS if armed else 0, count
+        )
     ]
-    for response in responses:
-        if response.prior_kbps is not None:
-            raise ProtocolError("prior_kbps rides the JSON encoding only")
-        parts.append(_pack_sid(response.session_id))
-        if response.level_index > 65535:
+    pack_fixed = _RESP_FIXED.pack
+    for session_id, level, rate, source, degraded, reason, latency_us, arm in zip(
+        batch.session_ids,
+        batch.level_indices,
+        batch.bitrates_kbps,
+        batch.sources,
+        batch.degraded,
+        batch.reasons,
+        batch.latencies_us,
+        batch.arms,
+    ):
+        sid = session_id.encode("utf-8")
+        if len(sid) > 255:
+            raise ProtocolError("session_id longer than 255 bytes")
+        if level > 65535:
             raise ProtocolError("level_index too large for the binary frame")
-        reason_code = _REASON_CODES.get(response.reason, _REASON_OTHER)
-        parts.append(
-            _RESP_FIXED.pack(
-                response.level_index,
-                response.bitrate_kbps,
-                _SOURCE_CODES[response.source],
-                int(response.degraded),
-                reason_code,
-                response.server_latency_us,
-            )
+        reason_code = _REASON_CODES.get(reason, _REASON_OTHER)
+        parts += (
+            _LENGTHS[len(sid)],
+            sid,
+            pack_fixed(
+                level, rate, _SOURCE_CODES[source], degraded, reason_code, latency_us
+            ),
         )
         if reason_code == _REASON_OTHER:
-            reason = response.reason or ""
-            raw = reason.encode("utf-8")
-            if len(raw) > 255:
-                raise ProtocolError("reason string longer than 255 bytes")
-            parts.append(struct.pack("<B", len(raw)) + raw)
-        if flags & _FLAG_ARMS:
-            raw = (response.arm or "").encode("utf-8")
-            if len(raw) > 255:
-                raise ProtocolError("arm name longer than 255 bytes")
-            parts.append(struct.pack("<B", len(raw)) + raw)
+            parts.append(_pack_str(reason or "", "reason string"))
+        if armed:
+            parts.append(_pack_str(arm or "", "arm name"))
     return b"".join(parts)
 
 

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from struct import error as struct_error
 from typing import Callable, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.table import DecisionTable
 from ..obs.events import RequestSpan
 from ..obs.tracer import Tracer
@@ -61,6 +63,8 @@ from .protocol import (
     DecisionRequest,
     DecisionResponse,
     ProtocolError,
+    RequestBatch,
+    ResponseBatch,
     decode_request_batch,
     encode_response_batch,
 )
@@ -72,9 +76,12 @@ REASON_NO_TABLE = "no-table"
 REASON_MALFORMED = "malformed"
 REASON_OVER_BUDGET = "over-budget"
 
-#: Batches under this size are answered by the scalar decide path —
-#: the vectorized lookup's fixed per-call array overhead only pays for
-#: itself past a few dozen requests (see DecisionService.decide_batch).
+#: Batches under this size are answered by the scalar decide path, one
+#: request at a time; larger ones by column (DecisionService.decide_batch).
+#: From decode to encode a frame costs about 35 us plus 1.2 us per record
+#: by column and about 7.5 us per record on the scalar path (2-vCPU host),
+#: so columns win from about 5 records; JSON bodies and small frames keep
+#: the scalar path's per-request budget and latencies.
 VECTOR_MIN_BATCH = 64
 
 
@@ -169,6 +176,7 @@ class DecisionService:
         experiment: Optional[ExperimentConfig] = None,
     ) -> None:
         self.ladder = BitrateLadder(ladder_kbps)
+        self._ladder_kbps = np.array(tuple(self.ladder), dtype=np.float64)
         self.config = config if config is not None else ServiceConfig()
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         #: Cross-session throughput prior, keyed by trace family (see
@@ -365,7 +373,7 @@ class DecisionService:
         any failure or budget overrun falls back to the rate-based rule,
         still labelled with the session's arm.
         """
-        prior = self._prior(request)
+        prior = self._prior(request.family, request.predicted_kbps)
         started = self.clock()
         arm = self.assign_arm(request.session_id)
         if arm is not None and arm.controller != CONTROLLER_TABLE:
@@ -374,7 +382,9 @@ class DecisionService:
             request, arm.name if arm is not None else None, started, prior
         )
 
-    def _prior(self, request: DecisionRequest) -> Optional[float]:
+    def _prior(
+        self, family: Optional[str], predicted_kbps: float
+    ) -> Optional[float]:
         """Fold a family-keyed request into the shared prior store and
         return the ``prior_kbps`` its response carries.
 
@@ -384,11 +394,10 @@ class DecisionService:
         first request, and for requests without a family.  Callers run
         it ahead of the lookup budget's clock, in request order.
         """
-        family = request.family
         if family is None:
             return None
         prior = self.priors.estimate(family)
-        self.priors.observe(family, request.predicted_kbps)
+        self.priors.observe(family, predicted_kbps)
         return prior
 
     def _decide_table(
@@ -458,136 +467,138 @@ class DecisionService:
 
     def decide_batch(
         self, requests: Sequence[DecisionRequest]
-    ) -> Tuple[DecisionResponse, ...]:
+    ) -> Sequence[DecisionResponse]:
         """Answer a batch of requests; the server's one decide path.
 
         Every ``/v1/decide`` exchange lands here once: a JSON body as a
         batch of one, a binary frame with all its records.  Decision
-        *content* (level, source, degraded, reason) is identical to
-        calling :meth:`decide` per request — the vectorized lookup shares
-        the scalar path's bin arithmetic and run search, and per-request
-        validation (a ``prev_level`` beyond the ladder) degrades just
-        that request.  Two intended differences: the lookup budget is
-        judged on the whole batch's elapsed time (a batch of one behaves
-        exactly like :meth:`decide`), and reported latencies are the
-        batch's, not a per-request measurement.  Each call counts its
-        size in the ``batch_occupancy`` histogram of ``/metrics``.
+        *content* (level, source, degraded, reason, arm) is identical to
+        calling :meth:`decide` per request.  Each call counts its size in
+        the ``batch_occupancy`` histogram of ``/metrics``.
 
-        Small batches are answered by the scalar path: the vectorized
-        lookup carries a fixed ~60 us of array-call overhead per batch,
-        which beats a loop of ~5 us scalar decides only past a few dozen
-        requests (measured crossover ~64 on a 1-core host).
-
-        With an experiment installed the batch is partitioned by arm:
-        controller-armed requests run their stateful backends one by one
-        (backends are sequential by nature), while the table-armed
-        remainder keeps the vectorized lookup — so A/B routing does not
-        tax the fast path of the sessions still on the table.
+        Batches under :data:`VECTOR_MIN_BATCH` are answered by
+        :meth:`decide`, one request at a time, as a tuple.  Larger ones
+        are answered by column (see :meth:`_decide_columns`) as a
+        :class:`~repro.service.protocol.ResponseBatch`, which builds a
+        response only when indexed; two intended differences there: the
+        lookup budget is judged on the whole batch's elapsed time, and
+        every table row reports the batch's latency.
         """
-        # The shared prior, in request order and ahead of the budget's
-        # clock: the same estimate-before-observe sequence scalar decide
-        # calls would produce one by one.
-        priors = [self._prior(request) for request in requests]
-        started = self.clock()
-        self.metrics.record_batch(len(requests))
-        if self._experiment is None:
-            responses = self._decide_batch_table(
-                requests, [None] * len(requests), priors, started
-            )
-        else:
-            responses = [None] * len(requests)
-            table_rows = []
-            table_arms = []
-            for i, request in enumerate(requests):
-                arm = self.assign_arm(request.session_id)
-                if arm is not None and arm.controller != CONTROLLER_TABLE:
-                    responses[i] = self._decide_controller(
-                        request, arm, self.clock(), priors[i]
-                    )
-                else:
-                    table_rows.append(i)
-                    table_arms.append(arm.name if arm is not None else None)
-            table_responses = self._decide_batch_table(
-                [requests[i] for i in table_rows],
-                table_arms,
-                [priors[i] for i in table_rows],
-                started,
-            )
-            for i, response in zip(table_rows, table_responses):
-                responses[i] = response
-        return tuple(responses)
-
-    def _decide_batch_table(
-        self,
-        requests: Sequence[DecisionRequest],
-        arms: Sequence[Optional[str]],
-        priors: Sequence[Optional[float]],
-        started: float,
-    ) -> Sequence[DecisionResponse]:
         if len(requests) < VECTOR_MIN_BATCH:
-            return [
-                self._decide_table(r, arm, self.clock(), prior)
-                for r, arm, prior in zip(requests, arms, priors)
-            ]
-        table = self._table  # captured once; swaps cannot tear a batch
-        if table is None:
-            return [
-                self._fallback(
-                    r.session_id, r.predicted_kbps, REASON_NO_TABLE, started, arm,
-                    prior,
-                )
-                for r, arm, prior in zip(requests, arms, priors)
-            ]
-        num_levels = table.num_levels
-        rows = []  # per request: index into the batch arrays, -1 = malformed
-        buffers: list = []
-        prevs: list = []
-        queries: list = []
-        for request in requests:
-            prev = request.prev_level if request.prev_level is not None else 0
-            if not 0 <= prev < num_levels:
-                rows.append(-1)
-                continue
-            rows.append(len(buffers))
-            buffers.append(request.buffer_s)
-            prevs.append(prev)
-            queries.append(_query_kbps(request))
-        if buffers:
-            try:
-                levels = table.lookup_batch(buffers, prevs, queries)
-            except (IndexError, ValueError):
-                # A poisoned value (e.g. NaN) the scalar path degrades per
-                # request; re-run scalar so only the bad entries degrade.
-                return [
-                    self._decide_table(r, arm, self.clock(), prior)
-                    for r, arm, prior in zip(requests, arms, priors)
-                ]
+            self.metrics.record_batch(len(requests))
+            return tuple(map(self.decide, requests))
+        return self._decide_columns(RequestBatch.of(requests))
+
+    def _decide_columns(self, batch: RequestBatch) -> ResponseBatch:
+        """Answer a batch from its columns.
+
+        One validity mask degrades, as ``malformed``, every row whose
+        previous level is outside the ladder or whose buffer, prediction
+        or past errors are not finite; then one ``lookup_batch`` answers
+        the valid rows, one budget check judges the batch, and one
+        :meth:`ServiceMetrics.record_decisions` call counts its table
+        rows.  With an experiment installed, rows on controller arms are
+        answered one by one by their stateful backends, exactly as
+        :meth:`decide` answers them.
+        """
+        n = len(batch)
+        session_ids = batch.session_ids
+        if batch.families is None:
+            priors: list = [None] * n
         else:
-            levels = []
+            priors = list(map(self._prior, batch.families, batch.predicted_kbps))
+        started = self.clock()
+        self.metrics.record_batch(n)
+        arms: list = [None] * n
+        answered = {}  # row -> a controller arm's answer
+        if self._experiment is not None:
+            for row, session_id in enumerate(session_ids):
+                arm = self._experiment.assign(session_id)
+                arms[row] = arm.name
+                if arm.controller != CONTROLLER_TABLE:
+                    answered[row] = self._decide_controller(
+                        batch[row], arm, self.clock(), priors[row]
+                    )
+        predicted = np.array(batch.predicted_kbps, dtype=np.float64)
+        table = self._table  # captured once; swaps cannot tear a batch
+        all_valid = False
+        if table is not None:
+            buffers = np.array(batch.buffers_s, dtype=np.float64)
+            prevs = np.array(batch.prev_levels, dtype=np.int64)
+            errors = _max_abs_errors(batch)
+            valid = (
+                np.isfinite(buffers)
+                & np.isfinite(predicted)
+                & np.isfinite(errors)
+                & (prevs < table.num_levels)
+            )
+            if answered:
+                valid[list(answered)] = False
+            all_valid = bool(valid.all())  # the common frame: no row to pick
+            rows = slice(None) if all_valid else np.flatnonzero(valid)
+            found = table.lookup_batch(
+                buffers[rows],
+                np.maximum(prevs[rows], 0),
+                predicted[rows] / (1.0 + errors[rows]),
+            )
         elapsed = self.clock() - started
-        over_budget = elapsed > self.config.lookup_budget_s
         latency_us = elapsed * 1e6
-        responses = []
-        for request, row, arm, prior in zip(requests, rows, arms, priors):
-            if row < 0 or over_budget:
-                responses.append(
-                    self._fallback(
-                        request.session_id,
-                        request.predicted_kbps,
-                        REASON_MALFORMED if row < 0 else REASON_OVER_BUDGET,
-                        started,
-                        arm,
-                        prior,
-                    )
-                )
+        in_budget = table is not None and elapsed <= self.config.lookup_budget_s
+        if table is None:
+            reasons = [REASON_NO_TABLE] * n
+        else:
+            healthy = None if in_budget else REASON_OVER_BUDGET
+            if all_valid:
+                reasons = [healthy] * n
             else:
-                responses.append(
-                    self._answer(
-                        request, int(levels[row]), SOURCE_TABLE, latency_us, arm,
-                        prior,
-                    )
-                )
+                reasons = [healthy if ok else REASON_MALFORMED for ok in valid.tolist()]
+        if in_budget and all_valid:
+            levels = found
+        else:
+            levels = self._fallback_levels(predicted)
+            if in_budget:
+                levels[rows] = found
+        sources = [
+            SOURCE_TABLE if reason is None else SOURCE_FALLBACK for reason in reasons
+        ]
+        if answered:
+            table_rows = [row for row in range(n) if row not in answered]
+            self.metrics.record_decisions(
+                [session_ids[row] for row in table_rows],
+                [sources[row] for row in table_rows],
+                [reasons[row] for row in table_rows],
+                [arms[row] for row in table_rows],
+                latency_us,
+            )
+        else:
+            self.metrics.record_decisions(
+                session_ids, sources, reasons, arms, latency_us
+            )
+        responses = ResponseBatch(
+            session_ids,
+            levels.tolist(),
+            self._ladder_kbps[levels].tolist(),
+            sources,
+            [reason is not None for reason in reasons],
+            reasons,
+            [latency_us] * n,
+            arms,
+            priors,
+        )
+        for row, response in answered.items():
+            responses.level_indices[row] = response.level_index
+            responses.bitrates_kbps[row] = response.bitrate_kbps
+            responses.sources[row] = response.source
+            responses.degraded[row] = response.degraded
+            responses.reasons[row] = response.reason
+            responses.latencies_us[row] = response.server_latency_us
         return responses
+
+    def _fallback_levels(self, predicted_kbps: np.ndarray) -> np.ndarray:
+        """:meth:`_fallback`'s level for each prediction: the highest
+        ladder rate at most it, and level 0 when it is not positive."""
+        levels = np.searchsorted(self._ladder_kbps, predicted_kbps, side="right") - 1
+        return np.where(predicted_kbps > 0, np.maximum(levels, 0), 0)
 
     def metrics_document(self) -> dict:
         """The full ``/metrics`` JSON document: the counter/histogram
@@ -612,11 +623,37 @@ class DecisionService:
 def _query_kbps(request: DecisionRequest) -> float:
     """The table's throughput query: RobustMPC's lower bound
     ``C_hat / (1 + err)`` when the request carries past errors — valid
-    on the table because its throughput axis is the MPC input."""
-    if not request.past_errors:
+    on the table because its throughput axis is the MPC input.
+
+    Raises ``ValueError`` when the buffer, the prediction or any past
+    error is not finite: the request is malformed, whatever the
+    position of the bad value.
+    """
+    errors = request.past_errors
+    if not (
+        math.isfinite(request.buffer_s)
+        and math.isfinite(request.predicted_kbps)
+        and all(map(math.isfinite, errors))
+    ):
+        raise ValueError("request inputs must be finite")
+    if not errors:
         return request.predicted_kbps
-    err = max(abs(e) for e in request.past_errors)
-    return request.predicted_kbps / (1.0 + err)
+    return request.predicted_kbps / (1.0 + max(map(abs, errors)))
+
+
+def _max_abs_errors(batch: RequestBatch) -> np.ndarray:
+    """``max |err|`` over each row's past errors, 0 for an empty window.
+
+    NaN or infinite when any of the row's errors is: ``maximum``
+    propagates NaN wherever it sits, unlike the builtin ``max``.
+    """
+    bounds = np.array(batch.error_bounds)
+    starts = bounds[:-1]
+    largest = np.zeros(len(starts))
+    if batch.past_errors.size:
+        rows = (bounds[1:] > starts).nonzero()[0]
+        largest[rows] = np.maximum.reduceat(np.abs(batch.past_errors), starts[rows])
+    return largest
 
 
 def _salvage(body: bytes) -> Tuple[str, Optional[float]]:
@@ -917,20 +954,24 @@ class DecisionServer:
         if binary:
             # Binary exchanges answer in kind — the content type *is*
             # the negotiation.
+            answers = ResponseBatch.of(responses)
             connection.respond_raw(
-                200, encode_response_batch(responses), _BINARY_HEADERS
+                200, encode_response_batch(answers), _BINARY_HEADERS
             )
+            degraded = any(answers.degraded)
+            session_id, arm = answers.session_ids[0], answers.arms[0]
         else:
-            connection.respond_raw(200, responses[0].to_json())
-        degraded = any(r.degraded for r in responses)
+            answer = responses[0]
+            connection.respond_raw(200, answer.to_json())
+            degraded, session_id, arm = answer.degraded, answer.session_id, answer.arm
         self._finish_span(
             "decide",
             trace_id,
             started,
             "degraded" if degraded else "ok",
             chaos_tag,
-            session_id=responses[0].session_id,
-            arm=responses[0].arm,
+            session_id=session_id,
+            arm=arm,
         )
 
     def _experiment(

@@ -91,8 +91,8 @@ class TestDecideBatchParity:
         assert all(r.source == "table" for r in others)
 
     def test_nan_poisoned_batch_degrades_per_request(self):
-        # NaN would poison a whole vectorized lookup; the batch path must
-        # fall back to scalar decides so only the bad request degrades.
+        # NaN would poison a whole vectorized lookup; the batch's validity
+        # mask keeps it out, so only the bad request degrades.
         service = DecisionService(LADDER, table=make_test_table())
         requests = _requests(VECTOR_MIN_BATCH)
         poisoned = list(requests)

@@ -475,6 +475,20 @@ class TestStartFailure:
         assert pids == []
         assert leaks == []
 
+    def test_busy_control_port(self):
+        """The control endpoint is bound before the first fork, so a busy
+        control port stops the start with no worker to tear down."""
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            message, pids, leaks = self.failed_start(
+                ClusterConfig(workers=2, control_port=port)
+            )
+        assert f"127.0.0.1:{port}" in message and "control" in message
+        assert pids == []
+        assert leaks == []
+
 
 class TestClusterTelemetry:
     def test_control_endpoint_serves_aggregated_metrics(self, tmp_path):
