@@ -33,7 +33,10 @@ single implementation they all delegate to:
   quality/switching part of a plan's QoE is independent of the buffer and
   throughput state, so it is computed once per plan and only the
   rebuffering dynamics are rolled out per state — over the same plan
-  prefix tree, in cache-sized blocks of buffer bins.
+  prefix tree, in cache-sized blocks of buffer bins.  Each block of
+  plans sharing a first level is scored once for every previous level,
+  and the near-ties that rounding could order differently are rescored
+  exactly, so the decisions stay the scalar reference's.
 
 Instance batches are chunked internally so each roll-out stays bounded
 (:data:`MAX_BATCH_ELEMENTS` leaf elements) regardless of batch size.
@@ -73,6 +76,12 @@ MAX_BATCH_ELEMENTS = 2_000_000
 # 5-level, horizon-5, 100-bin table is 312,500 states, 2.5 MB per leaf
 # array; blocks of four or more such bins built that table more slowly.
 _TABLE_BLOCK_ELEMENTS = 1 << 19
+
+# The table build rescores a (state, previous level) pair exactly when its
+# two best approximate block maxima lie within twice this many error
+# bounds of each other (see ``build_table_decisions``).
+_TIE_BOUND_SAFETY = 2.0
+_EPS = float(np.finfo(np.float64).eps)
 
 # Bounds of an evaluator's prefix-tree cache: at most this many shapes,
 # whose arrays total at most this many bytes.  A tree larger than the
@@ -428,6 +437,17 @@ def solve_horizon_batch(
     return solutions  # type: ignore[return-value]
 
 
+def _block_max_error_bound(block_max_abs, static_abs: float, switch_max: float):
+    """Bound on how far ``fl(M - c)`` can be from a block's exact maximum.
+
+    ``block_max_abs`` bounds ``|M|`` for the block maxima ``M`` of
+    :func:`build_table_decisions`, ``static_abs`` bounds every ``|static|``
+    and ``switch_max`` every first-switch penalty ``c``; the derivation
+    is in that function's docstring.
+    """
+    return 2.0 * _EPS * (block_max_abs + static_abs + switch_max)
+
+
 def build_table_decisions(
     level_sizes_kilobits: Sequence[float],
     quality_values: Sequence[float],
@@ -450,27 +470,60 @@ def build_table_decisions(
 
     The quality and switching terms of a plan's QoE do not depend on the
     buffer or throughput state, so they are computed once per plan
-    (``static``) plus a per-``prev_level`` first-switch column; only the
-    rebuffering dynamics are rolled out per state.  The resulting QoE
-    sums associate differently from the scalar solver's interleaved
-    accumulation — mathematically identical, and at table resolution the
-    (sub-ULP) difference cannot flip a decision except on exact ties
-    between plans that already share a first level.
+    (``static``) plus a first-switch penalty ``c(prev, first) =
+    lambda * |q_first - q_prev|``; only the rebuffering dynamics are
+    rolled out per state.  The decisions are those of
+    ``_build_table_decisions_py`` (``tests/core/kernel_reference.py``),
+    which scores plan ``j`` under ``prev`` as ``x_j + (s_j - c)`` (``x_j``
+    its leaf ``-mu * rebuffer``, ``s_j`` its static part, every operation
+    rounded) and keeps the first maximum over all plans.  Plans are in
+    lexicographic order, so that is the first level of the first block of
+    ``L**(N-1)`` plans sharing a first level to reach the overall maximum.
 
     The roll-out runs over the plan prefix tree, in blocks of
     :data:`_TABLE_BLOCK_ELEMENTS` leaf states with the state axis
     innermost: step ``i`` computes the stall, rebuffer and buffer of each
     of the ``L**(i+1)`` prefixes once, from its parent (3,905
     prefix-steps per state at 5 levels x horizon 5, against 15,625
-    plan-steps), and the last step computes only the rebuffer.  Per
-    ``prev_level``, the score of each block of ``L**(N-1)`` plans sharing
-    a first level is reduced to its maximum, and the first of the ``L``
-    block maxima to reach the overall maximum gives the decision: plans
-    are in lexicographic order, so that is the first level of the first
-    maximising plan.  Every float goes through the same operations in
-    the same order as in ``_build_table_decisions_py``
-    (``tests/core/kernel_reference.py``), the reference this path is
-    tested against, so the decision arrays are identical.
+    plan-steps), and the last step computes only the rebuffer.
+
+    Within a block of plans sharing a first level, ``c`` is one constant,
+    so each block is scored once, ``M = max_j fl(x_j + s_j)``, and read
+    under every ``prev`` as ``A = fl(M - c)``: ``L`` passes over the
+    leaves instead of ``L**2``.  ``A`` is not always the exact block
+    maximum ``E = max_j fl(x_j + fl(s_j - c))``, but it is close.  With
+    ``u = eps / 2`` the unit roundoff, ``S >= |s_j|`` and ``C >= c``:
+    rounding is monotone, so a maximum of rounded values is the rounding
+    of the real maximum, ``M = fl(W)`` with ``W = max_j (x_j + s_j)`` and
+    ``E = fl(V)`` with ``V = max_j (x_j + fl(s_j - c))``.  Each
+    ``fl(s_j - c)`` is within ``u (S + C)`` of ``s_j - c``, so
+    ``|V - (W - c)| <= u (S + C)``, and::
+
+        |E - A| <= |fl(V) - V| + |V - (W - c)| + |W - M| + |M - c - fl(M - c)|
+                <= u |V| + u (S + C) + u |W| + u |M - c|
+                <= u (3 |M| + S + 3 C) + 4 u**2 (|M| + S + C)
+                <= 2 eps (|M| + S + C)
+
+    using ``|W| <= |M| (1 + 2u)`` and ``|V| <= |W| + C + u (S + C)``.
+    That is :func:`_block_max_error_bound`, ``B``, taken per block of
+    buffer bins with the largest ``|M|`` of the block.  (Finite values
+    are assumed; an infinite ``M`` makes ``B`` infinite and sends every
+    pair to the exact path below.)
+
+    The approximations decide a ``(state, prev)`` pair only when a single
+    block's ``A`` lies within ``2 B'`` of the best, ``B' =
+    _TIE_BOUND_SAFETY * B``: any other block then has ``E < A_best - B'
+    <= E_best``, strictly, so the first maximum of the exact scores is in
+    the best block.  The factor covers the rounding of ``B`` and of the
+    cut-off ``A_best - 2 B'`` itself (a factor of ``9/8`` would do).
+    Every other pair is rescored exactly by
+    :func:`_rescore_near_ties`, with the reference's
+    ``x_j + (s_j - c)`` and first-maximum rule over its candidate blocks
+    (those within ``2 B'`` of the best; the rest are strictly worse), so
+    the decision array is the reference's by construction, not by
+    matching operation order.  Integer QoE totals, where no plan
+    rebuffers, make exact ties common: about 5% of the pairs of the
+    benchmark's balanced tables take that path.
     """
     tracing = tracer is not None and tracer.enabled
     if tracing:
@@ -494,11 +547,13 @@ def build_table_decisions(
         static = static - switching * np.abs(
             np.diff(plan_quality, axis=1)
         ).sum(axis=1)
-    first_switch = switching * np.abs(
-        plan_quality[:, 0][:, None] - quality[None, :]
-    )  # (M, num_levels)
+    # (first_level, prev_level): the first-switch penalty c, one constant
+    # per block of plans sharing a first level.
+    switch_cost = switching * np.abs(quality[:, None] - quality[None, :])
     # (prev_level, plan): what each plan adds to -mu * rebuffer.
-    columns = np.ascontiguousarray((static[:, None] - first_switch).T)
+    columns = np.ascontiguousarray((static[:, None] - switch_cost[plans[:, 0]]).T)
+    static_abs = float(np.abs(static).max())
+    switch_max = float(switch_cost.max())
 
     # CBR sizes and flat predictions make the download time a function of
     # (level, throughput bin) alone, the same at every step and buffer bin.
@@ -516,8 +571,23 @@ def build_table_decisions(
     states = block * num_throughput
     rebufs = [np.empty(num_levels ** (i + 1) * states) for i in range(horizon)]
     bufs = [np.empty(num_levels ** (i + 1) * states) for i in range(horizon - 1)]
-    score = np.empty(share * states)
-    best = np.empty(num_levels * states)
+    # Block scores, and the near-tie rescoring's two halves: at least one
+    # (plans-per-block) row each.
+    score = np.empty(share * max(states, 2))
+    maxima = np.empty(num_levels * states)
+    # (first, prev * state): fl(M - c), then the rescored maxima.
+    approx_scratch = np.empty(num_levels * num_levels * states)
+    near_scratch = np.empty(num_levels * num_levels * states, dtype=bool)
+    # (prev * state): the best and second-best approximation, a spare row,
+    # two masks, and four index rows (all pairs; the rescored pairs, then
+    # the choice; their previous levels; their states).  The decision
+    # step makes no arrays per block: per-block temporaries (transposed
+    # copies, index arrays) raised a cold build's peak resident size by
+    # 0.2-0.3 MB.
+    top_scratch = np.empty((3, num_levels * states))
+    mask_scratch = np.empty((2, num_levels * states), dtype=bool)
+    index_scratch = np.empty((4, num_levels * states), dtype=np.intp)
+    index_scratch[0] = np.arange(num_levels * states)
     for lo in range(0, num_buffer, block):
         hi = min(lo + block, num_buffer)
         nb = hi - lo
@@ -546,15 +616,57 @@ def build_table_decisions(
         leaves = rebufs[-1][: m * n_states].reshape(m, n_states)
         np.multiply(leaves, -rebuffering, out=leaves)  # -> -mu * rebuffer
         block_score = score[: share * n_states].reshape(share, n_states)
-        block_best = best[: num_levels * n_states].reshape(num_levels, n_states)
-        for prev in range(num_levels):
-            for first in range(num_levels):
-                rows = slice(first * share, (first + 1) * share)
-                np.add(leaves[rows], columns[prev, rows, None], out=block_score)
-                np.max(block_score, axis=0, out=block_best[first])
-            decisions[lo:hi, prev, :] = np.argmax(
-                block_best, axis=0
-            ).reshape(nb, num_throughput)
+        block_max = maxima[: num_levels * n_states].reshape(num_levels, n_states)
+        for first in range(num_levels):
+            rows = slice(first * share, (first + 1) * share)
+            np.add(leaves[rows], static[rows, None], out=block_score)
+            np.max(block_score, axis=0, out=block_max[first])
+        pairs = num_levels * n_states
+        approx = approx_scratch[: num_levels * pairs].reshape(num_levels, pairs)
+        for first, penalties in enumerate(switch_cost):
+            np.subtract(
+                block_max[first],
+                penalties[:, None],
+                out=approx[first].reshape(num_levels, n_states),
+            )
+        # The best and second-best approximation of every pair.
+        top, second, spare = top_scratch[:, :pairs]
+        top[...] = approx[0]
+        second.fill(-np.inf)
+        for row in approx[1:]:
+            np.minimum(top, row, out=spare)
+            np.maximum(second, spare, out=second)
+            np.maximum(top, row, out=top)
+        bound = _TIE_BOUND_SAFETY * _block_max_error_bound(
+            max(float(block_max.max()), -float(block_max.min())),
+            static_abs,
+            switch_max,
+        )
+        cut = np.subtract(top, 2.0 * bound, out=top)
+        tied, better = mask_scratch[:, :pairs]
+        np.greater_equal(second, cut, out=tied)
+        if np.count_nonzero(tied):
+            near = near_scratch[: num_levels * pairs].reshape(num_levels, pairs)
+            for row, candidate in zip(approx, near):
+                np.greater_equal(row, cut, out=candidate)
+                np.logical_and(candidate, tied, out=candidate)
+                np.copyto(row, -np.inf, where=tied)
+            _rescore_near_ties(
+                leaves, columns, near, approx, score, index_scratch[:, :pairs], spare
+            )
+        # The first maximum decides: of a pair's approximations, or of its
+        # exact block maxima once rescored.  (``np.argmax`` over axis 0
+        # would copy ``approx`` transposed.)
+        choice = index_scratch[1, :pairs]
+        choice.fill(0)
+        top[...] = approx[0]
+        for level, row in enumerate(approx[1:], 1):
+            np.greater(row, top, out=better)
+            np.copyto(choice, level, where=better)
+            np.maximum(top, row, out=top)
+        decisions[lo:hi] = choice.reshape(num_levels, nb, num_throughput).transpose(
+            1, 0, 2
+        )
     if tracing:
         tracer.emit(
             SolverCall(
@@ -568,3 +680,46 @@ def build_table_decisions(
         )
     return decisions
 
+
+def _rescore_near_ties(leaves, columns, near, exact, score, index, values) -> None:
+    """Rescore the candidate blocks of near-tied pairs as the reference does.
+
+    ``near[first, prev * states + state]`` marks the blocks to rescore;
+    ``leaves`` is the ``(plans, states)`` array of ``-mu * rebuffer`` and
+    ``columns`` the ``(prev, plan)`` array of ``static - c``.  Each marked
+    block's exact maximum, ``max_j fl(x_j + (s_j - c))``, goes to the
+    same place in ``exact``.  ``index`` is ``(4, pairs)`` scratch whose
+    first row holds ``0 .. pairs - 1``, ``values`` a float row.
+
+    A block's leaves at one state are a strided column.  For each first
+    level, the marked states' columns are gathered side by side into
+    ``score``, copied transposed into its other half so that each is a
+    contiguous row, and scored there against the matching ``columns``
+    rows.  ``np.take`` runs with ``mode="clip"``, which writes straight
+    into ``out``: under the default ``"raise"`` it gathers into a
+    temporary first.
+    """
+    num_levels, pairs = near.shape
+    n_states = pairs // num_levels
+    share = columns.shape[1] // num_levels
+    block_columns = columns.reshape(num_levels * num_levels, share)
+    step = score.shape[0] // (2 * share)
+    every, _, prevs, states = index
+    for first, marks in enumerate(near):
+        count = int(np.count_nonzero(marks))
+        marked = np.compress(marks, every, out=index[1, :count])
+        block = leaves[first * share : (first + 1) * share]
+        for lo in range(0, count, step):
+            pair = marked[lo : lo + step]
+            k = pair.shape[0]
+            prev, state = np.divmod(pair, n_states, out=(prevs[:k], states[:k]))
+            wide = score[: k * share].reshape(share, k)
+            np.take(block, state, axis=1, out=wide, mode="clip")
+            rows = score[k * share : 2 * k * share].reshape(k, share)
+            np.copyto(rows, wide.T)
+            addend = score[: k * share].reshape(k, share)  # the gather is spent
+            np.multiply(prev, num_levels, out=prev)
+            np.add(prev, first, out=prev)
+            np.take(block_columns, prev, axis=0, out=addend, mode="clip")
+            np.add(rows, addend, out=rows)
+            np.put(exact[first], pair, np.max(rows, axis=1, out=values[:k]))

@@ -295,6 +295,8 @@ class SharedTraceLink:
         if initial_window_kilobits <= 0:
             raise ValueError("initial window must be positive")
         self.trace = trace
+        # Segment starts, bound once: ``Trace.timestamps`` copies them.
+        self._segment_starts = trace.timestamps
         self.queue = queue
         self.rtt_s = rtt_s
         self.slow_start = slow_start
@@ -388,7 +390,7 @@ class SharedTraceLink:
         now = self.queue.now
         duration = self.trace.duration_s
         pos = now % duration
-        times = self.trace.timestamps
+        times = self._segment_starts
         idx = bisect.bisect_right(times, pos) - 1
         seg_end = times[idx + 1] if idx + 1 < len(times) else duration
         return now + (seg_end - pos)

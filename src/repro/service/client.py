@@ -20,7 +20,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Optional, Tuple, TypeVar, Union
+from typing import Awaitable, Callable, Optional, Sequence, Tuple, TypeVar, Union
 
 from ..core.table import DecisionTable
 from .protocol import (
@@ -302,7 +302,7 @@ class ServiceClient:
         except ProtocolError as exc:
             raise ServiceUnavailable(str(exc)) from None
 
-    async def _decide_many_once(self, requests) -> list:
+    async def _decide_many_once(self, requests) -> Sequence[DecisionResponse]:
         if self.protocol == "binary":
             status, body = await self._request_with_redial(
                 "POST",
@@ -337,7 +337,7 @@ class ServiceClient:
         """
         return await self._with_retry(lambda: self._decide_once(request))
 
-    async def decide_many(self, requests) -> list:
+    async def decide_many(self, requests) -> Sequence[DecisionResponse]:
         """Decide a whole batch in one exchange (binary protocol).
 
         Under ``protocol="binary"`` the batch rides a single multi-record

@@ -662,53 +662,75 @@ def encode_response_batch(responses: Sequence[DecisionResponse]) -> bytes:
     return b"".join(parts)
 
 
-def decode_response_batch(blob) -> List[DecisionResponse]:
-    """Inverse of :func:`encode_response_batch`, with full validation."""
+def decode_response_batch(blob) -> ResponseBatch:
+    """Inverse of :func:`encode_response_batch`, with full validation.
+
+    One pass over the frame fills the columns of a :class:`ResponseBatch`
+    (as :func:`decode_request_batch` does for requests); indexing it
+    builds a :class:`DecisionResponse`.  A truncated frame, a source or
+    reason code outside the protocol, a string that is not UTF-8 or
+    trailing bytes raise :class:`ProtocolError`.
+    """
     count, flags = _check_header(
         blob, _RESP_MAGIC, _RESP_HEADER, "response", allowed_flags=_FLAG_ARMS
     )
+    armed = flags & _FLAG_ARMS
+    size = len(blob)
+    session_ids: List[str] = []
+    levels: List[int] = []
+    rates: List[float] = []
+    sources: List[str] = []
+    degraded: List[bool] = []
+    reasons: List[Optional[str]] = []
+    latencies: List[float] = []
+    arms: List[Optional[str]] = []
+    unpack_fixed = _RESP_FIXED.unpack_from
+    fixed_size = _RESP_FIXED.size
     offset = _RESP_HEADER.size
-    responses: List[DecisionResponse] = []
     for _ in range(count):
-        session_id, offset = _unpack_str(blob, offset, "session_id")
+        start = offset + 1
+        if start > size or start + blob[offset] > size:
+            raise ProtocolError("truncated frame while reading session_id")
+        offset = start + blob[offset]
         try:
-            (
-                level_index,
-                bitrate_kbps,
-                source_code,
-                degraded,
-                reason_code,
-                latency_us,
-            ) = _RESP_FIXED.unpack_from(blob, offset)
-            offset += _RESP_FIXED.size
-        except struct.error:
-            raise ProtocolError("truncated response frame") from None
+            session_ids.append(str(blob[start:offset], "utf-8"))
+        except UnicodeDecodeError:
+            raise ProtocolError("session_id is not valid UTF-8") from None
+        if offset + fixed_size > size:
+            raise ProtocolError("truncated response frame")
+        level, rate, source_code, flag, reason_code, latency_us = unpack_fixed(
+            blob, offset
+        )
+        offset += fixed_size
         if source_code not in _SOURCE_NAMES:
             raise ProtocolError(f"unknown decision source code {source_code}")
-        if reason_code == _REASON_OTHER:
+        if reason_code in _REASON_NAMES:
+            reasons.append(_REASON_NAMES[reason_code])
+        elif reason_code == _REASON_OTHER:
             reason, offset = _unpack_str(blob, offset, "reason")
-        elif reason_code in _REASON_NAMES:
-            reason = _REASON_NAMES[reason_code]
+            reasons.append(reason)
         else:
             raise ProtocolError(f"unknown reason code {reason_code}")
-        arm: Optional[str] = None
-        if flags & _FLAG_ARMS:
+        if armed:
             arm, offset = _unpack_str(blob, offset, "arm")
-            arm = arm or None
-        responses.append(
-            DecisionResponse(
-                session_id=session_id,
-                level_index=level_index,
-                bitrate_kbps=bitrate_kbps,
-                source=_SOURCE_NAMES[source_code],
-                degraded=bool(degraded),
-                reason=reason,
-                server_latency_us=latency_us,
-                arm=arm,
-            )
-        )
-    if offset != len(blob):
+            arms.append(arm or None)
+        levels.append(level)
+        rates.append(rate)
+        sources.append(_SOURCE_NAMES[source_code])
+        degraded.append(bool(flag))
+        latencies.append(latency_us)
+    if offset != size:
         raise ProtocolError(
-            f"{len(blob) - offset} trailing bytes after {count} response record(s)"
+            f"{size - offset} trailing bytes after {count} response record(s)"
         )
-    return responses
+    return ResponseBatch(
+        session_ids,
+        levels,
+        rates,
+        sources,
+        degraded,
+        reasons,
+        latencies,
+        arms if armed else [None] * count,
+        [None] * count,
+    )

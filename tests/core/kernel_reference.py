@@ -78,11 +78,12 @@ def _build_table_decisions_py(
     """The reference :func:`build_table_decisions` is tested against.
 
     The same static/first-switch/roll-out decomposition, computed cell by
-    cell and plan by plan with the exact arithmetic association of the
-    vectorised path (sequential sums, ``rebuf * -mu + (static -
-    first_switch)``, strict first-maximum argmax over all plans), so the
-    decision array is identical.  Meant for small tables: it scores every
-    plan of every state one at a time.
+    cell and plan by plan (sequential sums, ``rebuf * -mu + (static -
+    first_switch)``, strict first-maximum argmax over all plans).  The
+    kernel scores each first-level block once in another association and
+    rescores with exactly this one every pair whose blocks are within
+    its error bound of a tie, so the decision array is identical.  Meant
+    for small tables: it scores every plan of every state one at a time.
     """
     quality = list(quality_values)
     sizes = list(level_sizes_kilobits)

@@ -160,3 +160,23 @@ class TestSharedTransfers:
         # And the link was never idle while work remained: the last finish
         # time matches the trace's exact inverse for the aggregate size.
         assert finish == pytest.approx(trace.time_to_download(0.0, total), rel=1e-9)
+
+
+def test_segment_starts_are_read_once(monkeypatch, step_trace):
+    """The link binds the trace's segment starts when it is built:
+    ``Trace.timestamps`` copies every start, so reading it per reschedule
+    cost O(segments) per event."""
+    reads = []
+    timestamps = Trace.timestamps.fget
+
+    def counted(trace):
+        reads.append(trace)
+        return timestamps(trace)
+
+    monkeypatch.setattr(Trace, "timestamps", property(counted))
+    queue = EventQueue()
+    link = SharedTraceLink(step_trace, queue, rtt_s=0.1, slow_start=True)
+    for size in (5000.0, 800.0, 12_000.0):
+        link.start_transfer(size, lambda t: None)
+    queue.run_until_idle()
+    assert len(reads) == 1

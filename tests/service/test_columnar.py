@@ -247,7 +247,7 @@ class TestBatchSequences:
         batch = ResponseBatch.of(responses)
         assert list(batch) == responses
         assert ResponseBatch.of(batch) is batch
-        assert decode_response_batch(encode_response_batch(batch)) == responses
+        assert list(decode_response_batch(encode_response_batch(batch))) == responses
 
 
 def _forged(requests, at: int, fmt: str, value) -> bytes:

@@ -376,10 +376,12 @@ class TestReportRendering:
             '"sources": {"table": 9, "fallback": 2, "local": 1}, '
             '"reasons": {"no-table": 3}, '
             '"latency_us": {"bounds_us": [50.0, 100.0, 200.0, 500.0, 1000.0, '
-            "2000.0, 5000.0, 10000.0, 25000.0, 50000.0, 100000.0], "
-            '"counts": [0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0], "count": 2, '
+            "2000.0, 2500.0, 3000.0, 4000.0, 5000.0, 10000.0, 25000.0, "
+            '50000.0, 100000.0], '
+            '"counts": [0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], '
+            '"count": 2, '
             '"sum_us": 600.0, "mean_us": 300.0, "max_us": 480.0, '
-            '"p50_us": 200.0, "p99_us": 494.0}, '
+            '"p50_us": 200.0, "p99_us": 480.0}, '
             '"qoe_mean": 75.25, "prior_hits": 4, '
             '"predictors": {"harmonic": {"decisions": 8, "sessions": 2, '
             '"qoe_sum": 150.5, "qoe_count": 2, "qoe_mean": 75.25}, '
@@ -393,7 +395,7 @@ class TestReportRendering:
         assert report.describe() == "\n".join(
             [
                 "decisions 12 in 0.50s -> 24 decisions/s",
-                "latency p50 200 us | p95 470 us | p99 494 us",
+                "latency p50 200 us | p95 470 us | p99 480 us",
                 "sources {'table': 9, 'fallback': 2, 'local': 1}"
                 " | degraded 3 | errors 1",
                 "sessions completed 2 | mean QoE 75.2",

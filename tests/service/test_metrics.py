@@ -45,7 +45,24 @@ class TestLatencyHistogram:
             h.observe(50.0)
         # All mass in [0, 100): median interpolates to mid-bucket.
         assert 0.0 < h.quantile(0.5) <= 100.0
-        assert h.quantile(1.0) == pytest.approx(100.0)
+        assert h.quantile(1.0) == pytest.approx(50.0)
+
+    def test_quantiles_never_exceed_the_largest_latency(self):
+        h = LatencyHistogram()
+        for _ in range(1_000):
+            h.observe(2_100.0)
+        assert h.quantile(0.5) <= 2_100.0
+        assert h.quantile(0.99) <= 2_100.0
+        d = h.to_dict()
+        assert d["p50_us"] <= 2_100.0 and d["p99_us"] <= 2_100.0
+
+    def test_two_to_five_ms_is_split(self):
+        h = LatencyHistogram()
+        for _ in range(99):
+            h.observe(2_200.0)
+        h.observe(4_900.0)
+        assert h.quantile(0.5) <= 2_500.0
+        assert h.quantile(0.99) <= 2_500.0
 
     def test_overflow_bucket_reports_max(self):
         h = LatencyHistogram(bounds_us=(100.0,))

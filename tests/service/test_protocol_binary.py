@@ -207,3 +207,77 @@ class TestFrameValidation:
         )
         with pytest.raises(ProtocolError):
             DecisionRequest.from_binary(frame)
+
+
+def _armed_frame():
+    """Three answers: a table answer, a fallback with a reason string
+    outside the code set, and a controller answer; two carry arms."""
+    return encode_response_batch(
+        [
+            DecisionResponse("alpha", 3, 1000.0, "table", server_latency_us=2.5,
+                             arm="bola"),
+            DecisionResponse("beta", 0, 350.0, "fallback", True, "weird-new-one",
+                             9.0),
+            DecisionResponse("c", 2, 600.0, "controller", True, "over-budget", 1.0,
+                             arm="ctl"),
+        ]
+    )
+
+
+# Offsets in _armed_frame(): a 6-byte header, then "alpha" (1 + 5 bytes),
+# the 21-byte fixed part (u16 level, f64 rate, u8 source, u8 degraded,
+# u8 reason, f64 latency) and the arm "bola" (1 + 4 bytes).
+_FIRST_FIXED = 6 + 1 + 5
+_SECOND_RECORD = _FIRST_FIXED + 21 + 1 + 4
+
+
+class TestResponseFrameRefusals:
+    """Each way a response frame can be malformed keeps its message."""
+
+    @pytest.mark.parametrize(
+        "cut,message",
+        [
+            (4, "truncated response frame header"),
+            (6, "truncated frame while reading session_id"),
+            (9, "truncated frame while reading session_id"),
+            (_FIRST_FIXED + 20, "truncated response frame"),
+            (_FIRST_FIXED + 21, "truncated frame while reading arm"),
+            (_FIRST_FIXED + 23, "truncated frame while reading arm"),
+            (_SECOND_RECORD + 5 + 21 + 3, "truncated frame while reading reason"),
+        ],
+    )
+    def test_truncated(self, cut, message):
+        with pytest.raises(ProtocolError, match=f"^{message}$"):
+            decode_response_batch(_armed_frame()[:cut])
+
+    @pytest.mark.parametrize(
+        "at,value,message",
+        [
+            (7, 0xFF, "session_id is not valid UTF-8"),
+            (_FIRST_FIXED + 10, 3, "unknown decision source code 3"),
+            (_FIRST_FIXED + 12, 4, "unknown reason code 4"),
+            (_FIRST_FIXED + 22, 0xFF, "arm is not valid UTF-8"),
+            (_SECOND_RECORD + 5 + 22, 0xFF, "reason is not valid UTF-8"),
+        ],
+    )
+    def test_forged_byte(self, at, value, message):
+        frame = bytearray(_armed_frame())
+        frame[at] = value
+        with pytest.raises(ProtocolError, match=f"^{message}$"):
+            decode_response_batch(bytes(frame))
+
+    def test_trailing_bytes(self):
+        with pytest.raises(
+            ProtocolError, match=r"^2 trailing bytes after 3 response record\(s\)$"
+        ):
+            decode_response_batch(_armed_frame() + b"\0\0")
+
+    def test_decodes_to_columns(self):
+        batch = decode_response_batch(_armed_frame())
+        assert batch.arms == ["bola", None, "ctl"]
+        assert batch.reasons == [None, "weird-new-one", "over-budget"]
+        assert batch.degraded == [False, True, True]
+        assert batch.priors_kbps == [None, None, None]
+        assert batch[1] == DecisionResponse(
+            "beta", 0, 350.0, "fallback", True, "weird-new-one", 9.0
+        )
