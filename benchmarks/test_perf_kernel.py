@@ -7,11 +7,17 @@ reference implementations timed here are literal copies of the
 pre-kernel code paths: one ``solve_horizon`` call per instance, and the
 per-``(buffer_bin, prev_level)`` Python loop the table builder used.
 It also records the peak RSS of a cold 100x100x5 table build in a fresh
-process, which catches a return to full-size roll-out temporaries.
+process, which catches a return to full-size roll-out temporaries, and,
+without a bar, that of a fresh process playing one RobustMPC session
+(its startup solve's prefix tree included).  Both fresh processes import
+the package from compiled bytecode: the fixture compiles ``src`` first,
+as ``perfbench/run.py`` does, because a process that compiles every
+module from source peaks about 1 MB higher.
 """
 
 from __future__ import annotations
 
+import compileall
 import json
 import os
 import subprocess
@@ -251,28 +257,57 @@ with open("/proc/self/status") as status:
     print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
 
+#: One RobustMPC session on the Envivio video over an HSDPA trace, from a
+#: cold start: its startup solve rolls the 121-point wait grid out.
+#: Prints the peak resident set in KiB, as ``COLD_BUILD`` does.
+ROBUST_MPC_SESSION = """
+from repro.core.robust import RobustMPCController
+from repro.sim import simulate_session
+from repro.traces import HSDPATraceGenerator
+from repro.video import envivio
+
+(trace,) = HSDPATraceGenerator(seed=7).generate_many(1, 320.0)
+simulate_session(RobustMPCController(), trace, envivio())
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
 #: The prefix-tree build peaks near 44 MB (interpreter and NumPy
 #: included); full-size roll-out temporaries took it to about 123 MB.
 MAX_COLD_BUILD_RSS_MB = 80.0
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_process_peak_mb(code: str) -> float:
+    """VmHWM, in MB, of a fresh interpreter running ``code`` on ``src``
+    with the disk cache off."""
+    env = dict(os.environ)
+    env.pop("REPRO_CACHE_DIR", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return int(out.stdout.split()[-1]) / 1024.0
 
 
 @pytest.fixture(scope="module")
 def cold_build_rss():
     """Peak RSS of a process that imports the package and builds one
-    table, with the disk cache off so the build really runs."""
+    table, with the disk cache off so the build really runs, and of one
+    that plays a RobustMPC session.  ``src`` is compiled to bytecode
+    first, so neither peak depends on whether an earlier run left its
+    ``__pycache__`` behind."""
     if not os.path.exists("/proc/self/status"):
         return {}  # VmHWM is Linux's; the RSS test skips elsewhere
-    env = dict(os.environ)
-    env.pop("REPRO_CACHE_DIR", None)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", COLD_BUILD],
-        env=env, capture_output=True, text=True, check=True, timeout=300,
-    )
-    return {"table_build_peak_rss_mb": int(out.stdout.split()[-1]) / 1024.0}
+    assert compileall.compile_dir(str(SRC), quiet=1)
+    return {
+        "table_build_peak_rss_mb": fresh_process_peak_mb(COLD_BUILD),
+        "robust_mpc_session_peak_rss_mb": fresh_process_peak_mb(ROBUST_MPC_SESSION),
+    }
 
 
 def test_cold_table_build_peak_rss(benchmark, cold_build_rss):

@@ -9,9 +9,9 @@ CPLEX offline; because the problem is a small discrete program
 enumeration returns the identical argmax.  We provide:
 
 * :func:`solve_horizon` — vectorised NumPy enumeration (the production
-  path; the batched kernel of :mod:`repro.core.kernel` rolls all plans
-  out together over their shared prefixes, on roll-out scratch that
-  belongs to the calling thread),
+  path; the batched kernel of :mod:`repro.core.kernel` rolls the QoE of
+  all plans out together over their shared prefixes, on roll-out scratch
+  that belongs to the calling thread, and replays the winning plan),
 * :func:`solve_horizon_reference` — a straightforward recursive
   implementation used as the ground truth in property tests, and
 * :func:`solve_startup` — the startup variant ``QOE_MAX`` that also
@@ -199,11 +199,11 @@ def solve_horizon_enumerate(problem: HorizonProblem) -> HorizonSolution:
     """Exact solution by vectorised exhaustive enumeration.
 
     A thin wrapper over the batched kernel (the single implementation of
-    the plan roll-out shared by all consumers) for one instance.
+    the plan roll-out shared by all consumers) for one instance: one
+    roll-out of its QoE, no batch grouping, and the winning plan replayed
+    for its rebuffer and final buffer.
     """
-    from .kernel import solve_horizon_batch
-
-    return solve_horizon_batch([problem])[0]
+    return _kernel._solve_one(problem)
 
 
 def solve_horizon_reference(problem: HorizonProblem) -> HorizonSolution:
@@ -340,8 +340,10 @@ def solve_startup(
     instances of a single prefix-tree roll-out instead of ``steps + 1``
     independent solves.  Results (QoE values and the smallest-wait /
     lexicographic tie-break) are identical to the per-point loop.  The
-    grid's tree (about 11 MB for 121 points at 5 levels x horizon 5) is
-    the calling thread's scratch, kept across sessions.
+    roll-out scores each point's plans by QoE alone; only the chosen
+    point's plan is replayed for its rebuffer and final buffer.  The
+    grid's tree (4.5 MB for 121 points at 5 levels x horizon 5) is the
+    calling thread's scratch, kept across sessions.
 
     Answers are memoised process-wide, keyed on the problem (every field,
     weights included), ``max_wait_s`` and ``wait_step_s``, in a
@@ -379,9 +381,9 @@ def _solve_startup(
     steps = int(round(max_wait_s / wait_step_s))
     waits = np.minimum(np.arange(steps + 1) * wait_step_s, max_wait_s)
 
-    best: Optional[HorizonSolution] = None
     if problem.num_levels**problem.horizon > _ENUMERATION_LIMIT:
         # DP regime (huge plan spaces): per-point exact solves.
+        best: Optional[HorizonSolution] = None
         for wait in waits:
             solution = solve_horizon_dp(
                 replace(problem, buffer_level_s=problem.buffer_level_s + float(wait))
@@ -398,8 +400,6 @@ def _solve_startup(
         assert best is not None
         return best
 
-    from .kernel import _solve_rows
-
     plans = _plan_matrix(problem.num_levels, problem.horizon)
     sizes = np.asarray(problem.chunk_sizes_kilobits, dtype=np.float64)
     preds = np.asarray(problem.predicted_kbps, dtype=np.float64)
@@ -410,20 +410,35 @@ def _solve_startup(
         if problem.prev_quality is None
         else np.full(waits.shape, problem.prev_quality)
     )
-    best_idx, qoe, rebuf, fin = _solve_rows(
+    best_idx, qoe = _kernel._solve_rows(
         plans, sizes, preds, buffer0, prev, quality,
         problem.weights.switching, problem.weights.rebuffering,
         problem.chunk_duration_s, problem.buffer_capacity_s,
     )
-    adjusted = qoe - mu_s * waits
-    for j in range(len(waits)):
-        if best is None or adjusted[j] > best.qoe + 1e-12:
-            best = HorizonSolution(
-                plan=tuple(int(x) for x in plans[best_idx[j]]),
-                qoe=float(adjusted[j]),
-                rebuffer_s=float(rebuf[j]),
-                final_buffer_s=float(fin[j]),
-                startup_wait_s=float(waits[j]),
-            )
-    assert best is not None
-    return best
+    adjusted = (qoe - mu_s * waits).tolist()
+    pick = 0
+    for j in range(1, len(adjusted)):
+        if adjusted[j] > adjusted[pick] + 1e-12:
+            pick = j
+    # Only the chosen grid point's plan is replayed.
+    plan = tuple(plans[best_idx[pick]].tolist())
+    rebuffer, final_buffer = _kernel._replay_plan(
+        plan,
+        problem.chunk_sizes_kilobits,
+        problem.predicted_kbps,
+        buffer0[pick],
+        problem.chunk_duration_s,
+        problem.buffer_capacity_s,
+    )
+    return HorizonSolution(
+        plan=plan,
+        qoe=adjusted[pick],
+        rebuffer_s=rebuffer,
+        final_buffer_s=final_buffer,
+        startup_wait_s=float(waits[pick]),
+    )
+
+
+# Imported last: the kernel imports this module's problem types and the
+# plan matrix, and this module's solvers call into the kernel.
+from . import kernel as _kernel  # noqa: E402

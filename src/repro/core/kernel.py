@@ -12,15 +12,26 @@ single implementation they all delegate to:
 * :class:`_BatchEvaluator` — the vectorised plan roll-out over the plan
   prefix tree: plans sharing a prefix share every float up to its end,
   so step ``i`` evaluates the ``|R|^(i+1)`` distinct prefixes of all
-  instances at once, and the last step yields ``(n_instances, n_plans)``
-  in the plan matrix's lexicographic order.  The arithmetic is
-  element-wise and associates *exactly* like the scalar reference
-  solver, so batched results are bit-identical to
-  :func:`~repro.core.horizon.solve_horizon_reference` (same optimal QoE,
-  same lexicographic tie-break).  Its per-shape tree arrays are the
-  roll-out scratch; each thread owns one evaluator
-  (:func:`_thread_evaluator`) that every solve on that thread reuses,
-  so no session or controller carries solver scratch of its own.
+  instances at once, and the last step yields the ``(n_instances,
+  n_plans)`` QoE in the plan matrix's lexicographic order.  It computes
+  only what the argmax reads: the QoE of every prefix and the buffer of
+  every prefix that has children.  The arithmetic is element-wise and
+  associates *exactly* like the scalar reference solver, so each QoE is
+  bit-identical to :func:`~repro.core.horizon.solve_horizon_reference`'s
+  recurrence (same optimal QoE, same lexicographic tie-break).  Its
+  per-shape tree arrays are the roll-out scratch; each thread owns one
+  evaluator (:func:`_thread_evaluator`) that every solve on that thread
+  reuses, so no session or controller carries solver scratch of its own.
+
+* :func:`_solve_rows` — the one entry to that roll-out: the first
+  maximum of each instance's QoE.  Its callers replay each winning plan
+  alone in plain Python (:func:`_replay_plan`, in the roll-out's
+  operation order) for the solution's rebuffer and final buffer, so
+  those floats are the ones a roll-out of every plan would have held.
+  :func:`~repro.core.horizon.solve_horizon` solves its one problem
+  through :func:`_solve_one`, and
+  :func:`~repro.core.horizon.solve_startup` stacks its wait grid as the
+  instances of one roll-out and replays only the grid point it picks.
 
 * :func:`solve_horizon_batch` — solve many :class:`~repro.core.horizon.
   HorizonProblem` instances at once.  Problems sharing structure (ladder,
@@ -86,9 +97,10 @@ _EPS = float(np.finfo(np.float64).eps)
 # Bounds of an evaluator's prefix-tree cache: at most this many shapes,
 # whose arrays total at most this many bytes.  A tree larger than the
 # byte bound is built for its call and not kept.  A RobustMPC session
-# uses six shapes (the 121-point startup grid, about 11 MB at 5 levels x
-# horizon 5, and steady horizons 5 to 1), so replayed sessions allocate
-# no roll-out arrays at all.
+# uses six shapes (the 121-point startup grid, 4.5 MB at 5 levels x
+# horizon 5: the QoE of 3,905 prefixes and the buffer of 780 per grid
+# point; and steady horizons 5 to 1), so replayed sessions allocate no
+# roll-out arrays at all.
 _TREE_CACHE_SHAPES = 8
 _TREE_CACHE_BYTES = 16 << 20
 
@@ -117,49 +129,51 @@ class _BatchEvaluator:
     def _prefix_tree(self, n: int, num_levels: int, horizon: int, dt_rows: int):
         """Scratch for one roll-out shape: a root and one entry per step.
 
-        Step ``i`` holds the ``(qoe, rebuffer, buffer)`` of the
-        ``num_levels**(i+1)`` plan prefixes of length ``i + 1``, as
-        ``(prefixes, n)`` arrays: prefix ``p`` extended by level ``l`` is
-        row ``p * num_levels + l``, so the rows of the last step are
-        :func:`~repro.core.horizon._plan_matrix`'s rows in order.  The
-        instance axis is innermost, so every element-wise op over a batch
-        (a whole startup wait grid, say) runs along contiguous memory.
-        Each entry carries ready-made ``(parents, 1, n)`` views of its
-        parent step and ``(parents, num_levels, n)`` views of its own
-        arrays, so a roll-out of a cached shape creates no arrays at all.
+        Step ``i`` holds the QoE of the ``num_levels**(i+1)`` plan
+        prefixes of length ``i + 1`` and, below the last step, their
+        buffer, as ``(prefixes, n)`` arrays: the leaves' buffers are never
+        read, and no step keeps a rebuffer total.  Prefix ``p`` extended
+        by level ``l`` is row ``p * num_levels + l``, so the rows of the
+        last step are :func:`~repro.core.horizon._plan_matrix`'s rows in
+        order.  The instance axis is innermost, so every element-wise op
+        over a batch (a whole startup wait grid, say) runs along
+        contiguous memory.  Each entry carries ready-made ``(parents, 1,
+        n)`` views of its parent step and ``(parents, num_levels, n)``
+        views of its own arrays, so a roll-out of a cached shape creates
+        no arrays at all.
         """
         key = (n, num_levels, horizon, dt_rows)
         cached = self._trees.get(key)
         if cached is not None:
             self._trees.move_to_end(key)
             return cached[0]
-        zeros = np.zeros((1, n))  # the root's QoE and rebuffer, read only
+        zeros = np.zeros((1, n))  # the root's QoE, read only
         root_buf = np.empty((1, n))
         dt = np.empty((1, num_levels, dt_rows))  # download time per level
         pen = np.empty((num_levels, num_levels, 1))  # switching penalty matrix
         first = np.empty((1, num_levels, n))  # first-step switching penalty
         arrays = [zeros, root_buf, dt, pen, first]
-        parent = (zeros, zeros, root_buf)
+        parent = (zeros, root_buf)
         steps = []
         for i in range(horizon):
             parents = num_levels**i
-            qoe, rebuf, buf = (
-                np.empty((parents * num_levels, n)) for _ in range(3)
-            )
-            arrays += (qoe, rebuf, buf)
+            qoe = np.empty((parents * num_levels, n))
+            buf = np.empty((parents * num_levels, n)) if i + 1 < horizon else None
+            arrays.append(qoe)
+            if buf is not None:
+                arrays.append(buf)
             steps.append(
                 (
                     tuple(a.reshape(parents, 1, n) for a in parent),
-                    tuple(
-                        a.reshape(parents, num_levels, n) for a in (qoe, rebuf, buf)
-                    ),
+                    qoe.reshape(parents, num_levels, n),
+                    None if buf is None else buf.reshape(parents, num_levels, n),
                     # (grandparents, previous level, level, n) for the
                     # switching penalty between consecutive steps.
                     qoe.reshape(-1, num_levels, num_levels, n) if i else None,
                 )
             )
-            parent = (qoe, rebuf, buf)
-        tree = (root_buf, dt, pen, first, steps, tuple(a.T for a in parent))
+            parent = (qoe, buf)
+        tree = (root_buf, dt, pen, first, steps, parent[0].T)
         nbytes = sum(a.nbytes for a in arrays)
         if nbytes <= _TREE_CACHE_BYTES:
             self._trees[key] = (tree, nbytes)
@@ -183,18 +197,23 @@ class _BatchEvaluator:
         rebuffering: float,
         chunk_duration_s: float,
         buffer_capacity_s: float,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """QoE, total rebuffer and final buffer of every (instance, plan).
+    ) -> np.ndarray:
+        """QoE of every (instance, plan): all an argmax over plans reads.
 
         The plans are the full lexicographic product
         ``_plan_matrix(num_levels, horizon)``, rolled out over their
         prefix tree: step ``i`` evaluates each of the ``num_levels**(i+1)``
         distinct prefixes once, from its parent prefix, instead of once
         per plan sharing it (3,905 prefix-steps for 5 levels x horizon 5
-        against 15,625 plan-steps).  Every element goes through the same
-        operations in the same order as in the scalar recurrence
-        (``_evaluate_one_py`` in ``tests/core/kernel_reference.py``), so
-        each cell is bit-identical to it.
+        against 15,625 plan-steps).  A step computes each prefix's QoE
+        and, except at the last step, the buffer its children start from;
+        it keeps no rebuffer total, and the leaves' buffers are not
+        computed.  A caller wanting a plan's rebuffer and final buffer
+        replays that one plan with :func:`_replay_plan`.  Every element
+        goes through the same operations in the same order as in the
+        scalar recurrence (``_evaluate_one_py`` in
+        ``tests/core/kernel_reference.py``), so each QoE cell is
+        bit-identical to it.
 
         Parameters
         ----------
@@ -212,9 +231,9 @@ class _BatchEvaluator:
         quality:
             ``(levels,)`` the ladder's quality values.
 
-        Returns ``(qoe, rebuffer, final_buffer)``, each an ``(n, M)`` view
-        with column ``j`` the plan in row ``j`` of the plan matrix — views
-        into this evaluator's scratch, consume before the next call.
+        Returns the ``(n, M)`` QoE, column ``j`` the plan in row ``j`` of
+        the plan matrix — a view into this evaluator's scratch, consume
+        it before the next call.
         """
         n = buffer0.shape[0]
         shared_sizes = sizes.ndim == 2
@@ -236,9 +255,7 @@ class _BatchEvaluator:
             np.abs(pairs, out=pairs)
             np.multiply(pairs, switching, out=pairs)
 
-        for i, ((qoe_p, rebuf_p, buf_p), (qoe, rebuf, buf), qoe_pairs) in enumerate(
-            steps
-        ):
+        for i, ((qoe_p, buf_p), qoe, buf, qoe_pairs) in enumerate(steps):
             # Download time of each level at this step, per instance.
             if shared_sizes:
                 if shared_preds:
@@ -249,20 +266,19 @@ class _BatchEvaluator:
                 np.divide(sizes[:, i, :].T, preds[i], out=dt[0])
             else:
                 np.divide(sizes[:, i, :].T, preds[None, :, i], out=dt[0])
-            # stall = max(dt - buffer, 0), held in ``qoe`` until it is
-            # accumulated.
+            # stall = max(dt - buffer, 0), held in ``qoe``;
+            # qoe += q_now - mu * stall (exact reference association).
             np.subtract(dt, buf_p, out=qoe)
             np.maximum(qoe, 0.0, out=qoe)
-            np.add(rebuf_p, qoe, out=rebuf)
-            # qoe += q_now - mu * stall (exact reference association).
             np.multiply(qoe, rebuffering, out=qoe)
             np.subtract(q, qoe, out=qoe)
             np.add(qoe_p, qoe, out=qoe)
-            # buffer = min(max(buffer - dt, 0) + L, Bmax)  (Eqs. 1-4).
-            np.subtract(buf_p, dt, out=buf)
-            np.maximum(buf, 0.0, out=buf)
-            np.add(buf, chunk_duration_s, out=buf)
-            np.minimum(buf, buffer_capacity_s, out=buf)
+            if buf is not None:
+                # buffer = min(max(buffer - dt, 0) + L, Bmax)  (Eqs. 1-4).
+                np.subtract(buf_p, dt, out=buf)
+                np.maximum(buf, 0.0, out=buf)
+                np.add(buf, chunk_duration_s, out=buf)
+                np.minimum(buf, buffer_capacity_s, out=buf)
             # Switching penalty: per-instance at the first step, shared
             # between steps (the prefix fixes both qualities).
             if i == 0:
@@ -290,6 +306,42 @@ def _thread_evaluator() -> _BatchEvaluator:
         return evaluator
 
 
+def _replay_plan(
+    plan: Sequence[int],
+    sizes_rows,
+    preds_row,
+    buffer0: float,
+    chunk_duration_s: float,
+    buffer_capacity_s: float,
+) -> Tuple[float, float]:
+    """Total rebuffer and final buffer of one plan, step by step.
+
+    Plain Python floats through the roll-out's operations in its order
+    (``_evaluate_one_py``'s), each operand converted to a float as
+    ``np.asarray(..., dtype=np.float64)`` converts it, so both values
+    are the floats a roll-out computing them for every plan would hold
+    in this plan's cell.  ``sizes_rows[i][level]`` and ``preds_row[i]``
+    are the instance's chunk sizes and predictions.
+    """
+    duration = float(chunk_duration_s)
+    capacity = float(buffer_capacity_s)
+    buf = float(buffer0)
+    rebuf = 0.0
+    for i, level in enumerate(plan):
+        dt = float(sizes_rows[i][level]) / float(preds_row[i])
+        stall = dt - buf
+        if stall < 0.0:
+            stall = 0.0
+        rebuf += stall
+        buf -= dt
+        if buf < 0.0:
+            buf = 0.0
+        buf += duration
+        if buf > capacity:
+            buf = capacity
+    return rebuf, buf
+
+
 def _solve_rows(
     plans,
     sizes,
@@ -302,13 +354,17 @@ def _solve_rows(
     chunk_duration_s: float,
     buffer_capacity_s: float,
 ):
-    """Argmax-reduced batch evaluation, chunked to bound scratch size.
+    """The one entry to the roll-out: each instance's best plan and QoE.
 
-    Returns per-instance arrays ``(best_plan_index, qoe, rebuffer,
-    final_buffer)``; the argmax takes the first maximum, i.e. the
-    lexicographically smallest optimal plan.  The roll-out runs on the
-    thread's shared evaluator, and each chunk's views of its scratch are
-    consumed here, before the next ``evaluate`` call.
+    Returns per-instance arrays ``(best_plan_index, qoe)``; the argmax
+    takes the first maximum, i.e. the lexicographically smallest optimal
+    plan.  Nothing else is rolled out: a caller replays the plans it
+    keeps with :func:`_replay_plan` for their rebuffer and final buffer.
+    The roll-out runs on the thread's shared evaluator, in chunks of
+    instances that keep each one within :data:`MAX_BATCH_ELEMENTS` leaf
+    cells, and each chunk's view of the scratch is consumed here, before
+    the next ``evaluate`` call.  One instance (every steady MPC solve)
+    takes the argmax of its one contiguous row.
     """
     evaluator = _thread_evaluator()
     n = buffer0.shape[0]
@@ -316,14 +372,21 @@ def _solve_rows(
     num_levels = quality.shape[0]
     if m != num_levels**horizon:
         raise ValueError("the plans must be the full product of the ladder levels")
-    step = max(1, MAX_BATCH_ELEMENTS // m)
     best = np.empty(n, dtype=np.int64)
     best_qoe = np.empty(n)
-    best_rebuf = np.empty(n)
-    best_buf = np.empty(n)
+    if n == 1:
+        (qoe,) = evaluator.evaluate(
+            num_levels, horizon, sizes, preds, buffer0, prev_quality, quality,
+            switching, rebuffering, chunk_duration_s, buffer_capacity_s,
+        )
+        j = qoe.argmax()
+        best[0] = j
+        best_qoe[0] = qoe[j]
+        return best, best_qoe
+    step = max(1, MAX_BATCH_ELEMENTS // m)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        qoe, rebuf, fin = evaluator.evaluate(
+        qoe = evaluator.evaluate(
             num_levels,
             horizon,
             sizes if sizes.ndim == 2 else sizes[lo:hi],
@@ -337,12 +400,43 @@ def _solve_rows(
             buffer_capacity_s,
         )
         idx = np.argmax(qoe, axis=1)
-        rows = np.arange(hi - lo)
         best[lo:hi] = idx
-        best_qoe[lo:hi] = qoe[rows, idx]
-        best_rebuf[lo:hi] = rebuf[rows, idx]
-        best_buf[lo:hi] = fin[rows, idx]
-    return best, best_qoe, best_rebuf, best_buf
+        best_qoe[lo:hi] = qoe[np.arange(hi - lo), idx]
+    return best, best_qoe
+
+
+def _solve_one(problem: HorizonProblem) -> HorizonSolution:
+    """One enumerable ``QOE_MAX_STEADY`` instance, without batch grouping.
+
+    The problem's rows and predictions are the roll-out's shared layout;
+    the winning plan is replayed for its rebuffer and final buffer.
+    """
+    plans = _plan_matrix(problem.num_levels, problem.horizon)
+    sizes = problem.chunk_sizes_kilobits
+    preds = problem.predicted_kbps
+    buffer0 = problem.buffer_level_s
+    weights = problem.weights
+    duration = problem.chunk_duration_s
+    capacity = problem.buffer_capacity_s
+    best, qoe = _solve_rows(
+        plans,
+        np.asarray(sizes, dtype=np.float64),
+        np.asarray(preds, dtype=np.float64),
+        np.array([buffer0], dtype=np.float64),
+        None
+        if problem.prev_quality is None
+        else np.array([problem.prev_quality], dtype=np.float64),
+        np.asarray(problem.quality_values, dtype=np.float64),
+        weights.switching,
+        weights.rebuffering,
+        duration,
+        capacity,
+    )
+    plan = tuple(plans[best[0]].tolist())
+    rebuffer, final_buffer = _replay_plan(
+        plan, sizes, preds, buffer0, duration, capacity
+    )
+    return HorizonSolution(plan, float(qoe[0]), rebuffer, final_buffer)
 
 
 def solve_horizon_batch(
@@ -356,8 +450,9 @@ def solve_horizon_batch(
     prefix-tree roll-out whose last step scores every ``(instance,
     plan)`` pair.  Per-instance chunk
     sizes (VBR rows) and predictions may differ freely within a group.
-    Results are returned in input order and are bit-identical to
-    :func:`~repro.core.horizon.solve_horizon` on each instance —
+    Each instance's winning plan is replayed for its rebuffer and final
+    buffer.  Results are returned in input order and are bit-identical
+    to :func:`~repro.core.horizon.solve_horizon` on each instance —
     including the lexicographic tie-break — because the batched
     arithmetic associates exactly like the scalar reference.
 
@@ -411,17 +506,21 @@ def solve_horizon_batch(
                 dtype=np.float64,
             )
         quality = np.asarray(quality_values, dtype=np.float64)
-        best, qoe, rebuf, fin = _solve_rows(
+        best, qoe = _solve_rows(
             plans, sizes, preds, buffer0, prev, quality,
             lam, mu, duration, capacity,
         )
-        for row, idx in enumerate(idxs):
-            solutions[idx] = HorizonSolution(
-                plan=tuple(int(x) for x in plans[best[row]]),
-                qoe=float(qoe[row]),
-                rebuffer_s=float(rebuf[row]),
-                final_buffer_s=float(fin[row]),
+        for idx, problem, j, value in zip(idxs, members, best.tolist(), qoe.tolist()):
+            plan = tuple(plans[j].tolist())
+            rebuffer, final_buffer = _replay_plan(
+                plan,
+                problem.chunk_sizes_kilobits,
+                problem.predicted_kbps,
+                problem.buffer_level_s,
+                duration,
+                capacity,
             )
+            solutions[idx] = HorizonSolution(plan, value, rebuffer, final_buffer)
         if tracing:
             tracer.emit(
                 SolverCall(

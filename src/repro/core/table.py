@@ -95,20 +95,39 @@ class Binning:
         self.count = count
         self.spacing = spacing
         # The flat-lookup scale: one multiply maps a value to (almost) its
-        # bin; the correction loops in index_of make it exact.
-        if spacing == "linear":
-            edges = np.linspace(self.low, self.high, count + 1)
-            centers = (edges[:-1] + edges[1:]) / 2.0
-            self._offset = self.low
-            self._scale = count / (self.high - self.low)
-        else:
-            edges = np.geomspace(self.low, self.high, count + 1)
-            centers = np.sqrt(edges[:-1] * edges[1:])  # geometric mid
-            self._offset = math.log(self.low)
-            self._scale = count / (math.log(self.high) - math.log(self.low))
+        # bin; the correction loops in index_of make it exact.  A range
+        # too wide (edges or centres overflow) or too narrow (the scale
+        # overflows, or the logs of its ends round equal) for float64 is
+        # refused here, not met later as a bin lookup that cannot convert
+        # NaN or infinity to an index.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spacing == "linear":
+                edges = np.linspace(self.low, self.high, count + 1)
+                centers = (edges[:-1] + edges[1:]) / 2.0
+                self._offset = self.low
+                width = self.high - self.low
+            else:
+                edges = np.geomspace(self.low, self.high, count + 1)
+                centers = np.sqrt(edges[:-1] * edges[1:])  # geometric mid
+                self._offset = math.log(self.low)
+                width = math.log(self.high) - self._offset
+        self._scale = count / width if width > 0.0 else math.inf
         # Scalar lookups compare against the plain list (no per-access
         # NumPy scalar boxing); batch lookups use the shared array views.
         self._edges_list = edges.tolist()
+        # Finite edges ascend, and so do the centres between them: the
+        # centres' extremes are the first and the last.  (Checked in
+        # Python: a process's first NumPy reduction costs ~0.2 MB.)
+        if not (
+            0.0 < self._scale < math.inf
+            and all(map(math.isfinite, self._edges_list))
+            and math.isfinite(centers[0])
+            and math.isfinite(centers[-1])
+        ):
+            raise ValueError(
+                f"bin range [{self.low!r}, {self.high!r}] in {count} bins"
+                " is outside float64's reach"
+            )
         # Shared read-only views: hot-loop callers (table builds,
         # kernels) access these per call, so handing out defensive
         # copies would be a per-access allocation; read-only flags keep

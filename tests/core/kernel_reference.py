@@ -5,9 +5,10 @@ the kernel computes in arrays, with the same association of every
 operation.  The kernel's tests hold it to these cell for cell and
 decision for decision:
 
-* :func:`_evaluate_one_py` — one (instance, plan) roll-out of
-  :meth:`~repro.core.kernel._BatchEvaluator.evaluate`
-  (``test_horizon_tree.py``);
+* :func:`_evaluate_one_py` — one (instance, plan) roll-out: the QoE cell
+  of :meth:`~repro.core.kernel._BatchEvaluator.evaluate`, and the
+  rebuffer and final buffer :func:`~repro.core.kernel._replay_plan`
+  recovers for a winning plan (``test_horizon_tree.py``);
 * :func:`_build_table_decisions_py` — the FastMPC table build of
   :func:`~repro.core.kernel.build_table_decisions`
   (``test_table_build_tree.py``).
@@ -36,8 +37,9 @@ def _evaluate_one_py(
 
     Each line mirrors the corresponding element-wise NumPy op in
     :meth:`_BatchEvaluator.evaluate` (same association, commutative
-    reorderings only), so the returned ``(qoe, rebuffer, final_buffer)``
-    is bit-identical to the vectorised path's element for this cell.
+    reorderings only), so the returned ``qoe`` is bit-identical to the
+    vectorised path's element for this cell, and ``(rebuffer,
+    final_buffer)`` to what ``_replay_plan`` recovers for this plan.
     """
     buf = buffer0
     qoe = 0.0

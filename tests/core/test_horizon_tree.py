@@ -1,22 +1,37 @@
 """The prefix-tree roll-out: every cell bit-identical to the scalar one.
 
-``_BatchEvaluator.evaluate`` rolls the plan space out over its prefix
-tree; ``_evaluate_one_py`` (``kernel_reference.py``) rolls one plan out
-step by step.  Each (instance, plan) cell of the three outputs must
-carry the same IEEE-754 bit pattern — not an approximately equal float
-— across the paper's horizon of 5 and every input layout the consumers
-pass.
+``_BatchEvaluator.evaluate`` rolls the plan space's QoE out over its
+prefix tree; ``_evaluate_one_py`` (``kernel_reference.py``) rolls one
+plan out step by step.  Each (instance, plan) QoE cell must carry the
+same IEEE-754 bit pattern — not an approximately equal float — across
+the paper's horizon of 5 and every input layout the consumers pass.  The
+roll-out keeps no rebuffer or leaf buffer; the solvers replay each
+winning plan (``_replay_plan``) for them, and those two floats must
+match the scalar roll-out's bit for bit too, through ``_solve_rows`` in
+every layout and through ``solve_horizon``, ``solve_horizon_batch`` and
+``solve_startup``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from repro.core.horizon import HorizonProblem, _plan_matrix
-from repro.core.kernel import _BatchEvaluator, solve_horizon_batch
+from repro.core.horizon import (
+    HorizonProblem,
+    _plan_matrix,
+    solve_horizon,
+    solve_startup,
+)
+from repro.core.kernel import (
+    _BatchEvaluator,
+    _replay_plan,
+    _solve_rows,
+    solve_horizon_batch,
+)
 from repro.qoe import QoEWeights
 
 from kernel_reference import _evaluate_one_py
@@ -65,21 +80,26 @@ def make_case(rng, num_levels, horizon, layout, prev_mode, n=3):
     return sizes, preds, buffer0, prev, quality, scalars
 
 
+def instance_rows(row, sizes, preds, buffer0, prev):
+    """One instance's sizes, predictions, start buffer and previous quality."""
+    return (
+        (sizes if sizes.ndim == 2 else sizes[row]).tolist(),
+        (preds if preds.ndim == 1 else preds[row]).tolist(),
+        float(buffer0[row]),
+        None if prev is None else float(prev[row]),
+    )
+
+
 def scalar_cells(num_levels, horizon, sizes, preds, buffer0, prev, quality, scalars):
+    """The scalar roll-out's QoE of every (instance, plan)."""
     plans = _plan_matrix(num_levels, horizon)
     n = buffer0.shape[0]
-    out = np.empty((3, n, plans.shape[0]))
+    out = np.empty((n, plans.shape[0]))
     quality_list = quality.tolist()
     for row in range(n):
-        sizes_rows = (sizes if sizes.ndim == 2 else sizes[row]).tolist()
-        preds_row = (preds if preds.ndim == 1 else preds[row]).tolist()
-        prev_row = None if prev is None else float(prev[row])
+        rows = instance_rows(row, sizes, preds, buffer0, prev)
         for j, plan in enumerate(plans.tolist()):
-            out[:, row, j] = _evaluate_one_py(
-                plan, sizes_rows, preds_row, float(buffer0[row]), prev_row,
-                quality_list, scalars["switching"], scalars["rebuffering"],
-                scalars["chunk_duration_s"], scalars["buffer_capacity_s"],
-            )
+            out[row, j] = _evaluate_one_py(plan, *rows, quality_list, **scalars)[0]
     return out
 
 
@@ -101,9 +121,97 @@ def test_every_cell_matches_scalar_rollout(num_levels, horizon):
             scalars["chunk_duration_s"], scalars["buffer_capacity_s"],
         )
         expected = scalar_cells(num_levels, horizon, *case)
-        for name, cells, want in zip(("qoe", "rebuffer", "buffer"), got, expected):
-            assert cells.shape == (n, num_levels**horizon), name
-            assert np.array_equal(bits(cells), bits(want)), (name, layout, prev_mode)
+        assert got.shape == (n, num_levels**horizon)
+        assert np.array_equal(bits(got), bits(expected)), (layout, prev_mode)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("num_levels", [1, 2, 3, 4, 5, 6])
+def test_replayed_winners_match_scalar_rollout(num_levels, horizon):
+    """``_solve_rows``' winner of each instance, in every layout and
+    previous-quality mode, and its replayed rebuffer and final buffer:
+    all three floats are the scalar roll-out's for that plan."""
+    rng = np.random.default_rng(2000 * num_levels + horizon)
+    plans = _plan_matrix(num_levels, horizon)
+    for layout, prev_mode in itertools.product(LAYOUTS, PREV_MODES):
+        case = make_case(rng, num_levels, horizon, layout, prev_mode)
+        sizes, preds, buffer0, prev, quality, scalars = case
+        best, qoe = _solve_rows(plans, sizes, preds, buffer0, prev, quality, **scalars)
+        # The winner is the first maximum of the scalar cells.
+        assert best.tolist() == np.argmax(scalar_cells(num_levels, horizon, *case), 1).tolist()
+        for row in range(buffer0.shape[0]):
+            rows = instance_rows(row, sizes, preds, buffer0, prev)
+            plan = plans[best[row]].tolist()
+            want = _evaluate_one_py(plan, *rows, quality.tolist(), **scalars)
+            replayed = _replay_plan(
+                plan, rows[0], rows[1], rows[2],
+                scalars["chunk_duration_s"], scalars["buffer_capacity_s"],
+            )
+            got = (qoe[row],) + replayed
+            assert np.array_equal(bits(got), bits(want)), (layout, prev_mode, row)
+
+
+def entry_point_problems(rng, num_levels, horizon, count=4):
+    """Problems sharing a ladder, weights, L and Bmax (so a batch stacks
+    them into one roll-out), with VBR rows, their own predictions and
+    start buffers, and a previous quality on every other one (so the
+    batch's previous qualities are NaN-mixed)."""
+    sizes, _, _, _, quality, scalars = make_case(
+        rng, num_levels, horizon, (False, True), "none", count
+    )
+    weights = QoEWeights(
+        switching=scalars["switching"],
+        rebuffering=scalars["rebuffering"],
+        startup=float(rng.uniform(0.0, 5000.0)),
+    )
+    return [
+        HorizonProblem(
+            buffer_level_s=0.0 if k == 0 else float(rng.uniform(0.0, 25.0)),
+            prev_quality=None if k % 2 == 0 else float(quality[k % num_levels]),
+            chunk_sizes_kilobits=sizes[k].tolist(),
+            quality_values=quality.tolist(),
+            predicted_kbps=rng.uniform(200.0, 5000.0, horizon).tolist(),
+            chunk_duration_s=scalars["chunk_duration_s"],
+            buffer_capacity_s=scalars["buffer_capacity_s"],
+            weights=weights,
+        )
+        for k in range(count)
+    ]
+
+
+def scalar_answer(problem, plan, buffer0):
+    """``_evaluate_one_py`` of ``plan`` on ``problem`` from ``buffer0``."""
+    return _evaluate_one_py(
+        plan, problem.chunk_sizes_kilobits, problem.predicted_kbps, buffer0,
+        problem.prev_quality, problem.quality_values, problem.weights.switching,
+        problem.weights.rebuffering, problem.chunk_duration_s,
+        problem.buffer_capacity_s,
+    )
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("num_levels", [1, 2, 3, 4, 5, 6])
+def test_entry_points_answer_their_winners_scalar_floats(num_levels, horizon):
+    rng = np.random.default_rng(3000 * num_levels + horizon)
+    problems = entry_point_problems(rng, num_levels, horizon)
+    answers = [("solve_horizon", p, solve_horizon(p)) for p in problems]
+    answers += [
+        ("solve_horizon_batch", p, s)
+        for p, s in zip(problems, solve_horizon_batch(problems))
+    ]
+    for entry, problem, solution in answers:
+        want = scalar_answer(problem, solution.plan, problem.buffer_level_s)
+        got = (solution.qoe, solution.rebuffer_s, solution.final_buffer_s)
+        assert np.array_equal(bits(got), bits(want)), entry
+    for problem in problems:
+        solution = solve_startup(problem, max_wait_s=2.0, wait_step_s=0.25)
+        wait = solution.startup_wait_s
+        qoe, rebuffer, final_buffer = scalar_answer(
+            problem, solution.plan, problem.buffer_level_s + wait
+        )
+        got = (solution.qoe, solution.rebuffer_s, solution.final_buffer_s)
+        want = (qoe - problem.weights.startup * wait, rebuffer, final_buffer)
+        assert np.array_equal(bits(got), bits(want)), "solve_startup"
 
 
 def test_exact_tie_picks_the_lowest_plan_index():
@@ -121,7 +229,7 @@ def test_exact_tie_picks_the_lowest_plan_index():
         buffer_capacity_s=30.0,
         weights=QoEWeights(switching=1.0, rebuffering=100.0, startup=100.0),
     )
-    qoe, _, _ = _BatchEvaluator().evaluate(
+    qoe = _BatchEvaluator().evaluate(
         3, 5,
         np.asarray(problem.chunk_sizes_kilobits), np.asarray(problem.predicted_kbps),
         np.asarray([problem.buffer_level_s]), np.asarray([problem.prev_quality]),

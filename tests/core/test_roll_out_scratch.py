@@ -49,7 +49,7 @@ def assert_within_bounds(evaluator: _BatchEvaluator) -> None:
         # The recorded size is what the tree's arrays really hold.
         root_buf, dt, pen, first, steps, _ = tree
         arrays = [root_buf, dt, pen, first, steps[0][0][0].base]
-        arrays += [a.base for _, own, _ in steps for a in own]
+        arrays += [a.base for _, qoe, buf, _ in steps for a in (qoe, buf) if a is not None]
         assert sum(a.nbytes for a in arrays) == nbytes, key
     assert sum(nbytes for _, nbytes in evaluator._trees.values()) <= _TREE_CACHE_BYTES
 
@@ -84,7 +84,8 @@ def test_cache_stays_within_bounds_under_many_startup_grids():
         solve_startup(problem, max_wait_s=0.25 * (points - 1))
         assert_within_bounds(evaluator)
     # A grid whose tree alone exceeds the byte bound is solved but not
-    # kept: 601 points x 3,905 prefixes x 3 arrays is 56 MB.
+    # kept: 601 points x (3,905 QoE + 780 buffer prefix rows) x 8 bytes
+    # is 22.5 MB.
     solve_startup(problem, wait_step_s=0.05)
     assert all(key[0] != 601 for key in evaluator._trees)
     assert_within_bounds(evaluator)
