@@ -1,12 +1,12 @@
-"""Kernel microbenchmark — batched vs single-instance solving and the
-table-build/disk-cache speedups.
+"""Kernel microbenchmark — the table-build and disk-cache speedups, and
+the cost of a disabled tracer.
 
 Writes ``benchmarks/results/BENCH_kernel.json``, a machine-readable perf
 trajectory (timings + speedup ratios) future PRs can diff against.  The
-reference implementations timed here are literal copies of the
-pre-kernel code paths: one ``solve_horizon`` call per instance, and the
-per-``(buffer_bin, prev_level)`` Python loop the table builder used.
-It also records the peak RSS of a cold 100x100x5 table build in a fresh
+reference implementation timed here is a literal copy of the pre-kernel
+code path: the per-``(buffer_bin, prev_level)`` Python loop the table
+builder used.  The disabled-tracer gate times RobustMPC sessions, whose
+every chunk solves the horizon problem online.  It also records the peak RSS of a cold 100x100x5 table build in a fresh
 process, which catches a return to full-size roll-out temporaries, and,
 without a bar, that of a fresh process playing one RobustMPC session
 (its startup solve's prefix tree included).  Both fresh processes import
@@ -35,8 +35,7 @@ from repro.core.fastmpc import (
     clear_table_cache,
     table_size_sweep,
 )
-from repro.core.horizon import HorizonProblem, _plan_matrix, solve_horizon
-from repro.core.kernel import solve_horizon_batch
+from repro.core.horizon import _plan_matrix
 from repro.core.table import Binning
 from repro.qoe import QoEWeights
 
@@ -45,27 +44,6 @@ WEIGHTS = QoEWeights.balanced()
 CHUNK_S = 4.0
 BMAX = 30.0
 TABLE_CONFIG = FastMPCConfig(buffer_bins=100, throughput_bins=100, horizon=5)
-
-
-def make_problems(count: int, horizon: int, seed: int = 3) -> list:
-    rng = np.random.default_rng(seed)
-    problems = []
-    for _ in range(count):
-        problems.append(
-            HorizonProblem(
-                buffer_level_s=float(rng.uniform(0.0, 25.0)),
-                prev_quality=float(LADDER[int(rng.integers(0, len(LADDER)))]),
-                chunk_sizes_kilobits=tuple(
-                    tuple(CHUNK_S * r for r in LADDER) for _ in range(horizon)
-                ),
-                quality_values=LADDER,
-                predicted_kbps=tuple(rng.uniform(300.0, 4000.0, size=horizon)),
-                chunk_duration_s=CHUNK_S,
-                buffer_capacity_s=BMAX,
-                weights=WEIGHTS,
-            )
-        )
-    return problems
 
 
 def reference_table_build() -> np.ndarray:
@@ -115,24 +93,6 @@ def timed(func):
 
 @pytest.fixture(scope="module")
 def measurements():
-    # Two regimes: at horizon 3 (125 plans) the per-call Python/NumPy
-    # dispatch dominates and batching wins big; at horizon 5 (3125 plans)
-    # the plan roll-out itself dominates and batching is roughly a wash —
-    # both are recorded so future PRs can track each.
-    out = {}
-    for horizon in (3, 5):
-        problems = make_problems(200, horizon)
-        single_solutions, single_s = timed(
-            lambda: [solve_horizon(p) for p in problems]
-        )
-        batch_solutions, batch_s = timed(lambda: solve_horizon_batch(problems))
-        assert [s.plan for s in batch_solutions] == [
-            s.plan for s in single_solutions
-        ]
-        out[f"single_solve_h{horizon}_s"] = single_s
-        out[f"batch_solve_h{horizon}_s"] = batch_s
-        out[f"batch_speedup_h{horizon}"] = single_s / batch_s
-
     clear_table_cache()
     ref_decisions, ref_build_s = timed(reference_table_build)
     new_table, new_build_s = timed(
@@ -143,16 +103,12 @@ def measurements():
     assert np.array_equal(
         ref_decisions.reshape(-1), new_table.rle.decode()
     ), "kernel table build must reproduce the reference decisions"
-    out.update(
-        {
-            "horizon_instances": 200,
-            "table_config": "100x100x5",
-            "table_build_reference_s": ref_build_s,
-            "table_build_kernel_s": new_build_s,
-            "table_build_speedup": ref_build_s / new_build_s,
-        }
-    )
-    return out
+    return {
+        "table_config": "100x100x5",
+        "table_build_reference_s": ref_build_s,
+        "table_build_kernel_s": new_build_s,
+        "table_build_speedup": ref_build_s / new_build_s,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -181,15 +137,6 @@ def cache_measurements(tmp_path_factory):
     }
 
 
-def test_batched_solves_beat_single(benchmark, measurements):
-    speedup = run_once(benchmark, lambda: measurements["batch_speedup_h3"])
-    # 200 identically-shaped instances in one kernel call vs 200 calls.
-    assert speedup > 2.0
-    # At horizon 5 compute dominates; batching must at least not regress
-    # badly (allowing scheduler noise).
-    assert measurements["batch_speedup_h5"] > 0.6
-
-
 def test_table_build_speedup(benchmark, measurements):
     """Acceptance criterion: the 100x100x5 build is >= 3x faster."""
     speedup = run_once(benchmark, lambda: measurements["table_build_speedup"])
@@ -203,25 +150,41 @@ def test_disk_cache_skips_rebuild(benchmark, cache_measurements):
     assert speedup > 5.0
 
 
+#: RobustMPC sessions per timed unit of the disabled-tracer gate.
+TRACING_SESSIONS = 6
+
+
 @pytest.fixture(scope="module")
 def tracing_overhead():
-    """Disabled-tracer overhead of the batched solver, min-of-N interleaved.
+    """Disabled-tracer overhead of RobustMPC sessions, min-of-N interleaved.
 
-    ``tracer=None`` (the untouched fast path) vs ``NULL_TRACER`` (a real
-    tracer with ``enabled=False``): the observability hooks must reduce
-    to one boolean check, so the two runs are the same to within noise.
+    ``simulate_session`` with ``tracer=None`` (the untouched fast path)
+    vs ``NULL_TRACER`` (a real tracer with ``enabled=False``): every
+    observability hook a session reaches — the player's, the solver
+    call's, the predictor's — must reduce to one boolean check, so the
+    two runs are the same to within noise.  Every session gets a fresh
+    controller: the player attaches a given tracer to the algorithm, and
+    ``tracer=None`` leaves an earlier one in place.
     """
+    from repro.core.robust import RobustMPCController
     from repro.obs import NULL_TRACER
+    from repro.sim import simulate_session
+    from repro.traces import HSDPATraceGenerator
+    from repro.video import envivio
 
-    problems = make_problems(200, 5)
-    solve_horizon_batch(problems)  # warm caches before timing
+    traces = HSDPATraceGenerator(seed=7).generate_many(TRACING_SESSIONS, 320.0)
+    manifest = envivio()
+
+    def sessions(tracer):
+        for trace in traces:
+            simulate_session(RobustMPCController(), trace, manifest, tracer=tracer)
+
+    sessions(None)  # warm caches before timing
     baseline_s = float("inf")
     disabled_s = float("inf")
     for _ in range(9):
-        _, t_none = timed(lambda: solve_horizon_batch(problems, tracer=None))
-        _, t_null = timed(
-            lambda: solve_horizon_batch(problems, tracer=NULL_TRACER)
-        )
+        _, t_none = timed(lambda: sessions(None))
+        _, t_null = timed(lambda: sessions(NULL_TRACER))
         baseline_s = min(baseline_s, t_none)
         disabled_s = min(disabled_s, t_null)
     return {

@@ -420,10 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="FastMPC table discretization (default 100, the paper's)",
     )
     p.add_argument(
-        "--engine", choices=("vector", "scalar"), default="vector",
-        help="batch stepper engine (scalar: one reference session at a time)",
-    )
-    p.add_argument(
         "--json", metavar="PATH", help="also write the merged aggregates as JSON"
     )
 
@@ -1179,7 +1175,6 @@ def _cmd_fleet(args) -> int:
         shard_size=args.shard_size,
         space=space,
         cache_dir=args.cache_dir,
-        engine=args.engine,
     )
     t0 = time.perf_counter()
     result = run_fleet(config, workers=args.workers)

@@ -10,7 +10,7 @@ from .horizon import (
     solve_horizon_reference,
     solve_startup,
 )
-from .kernel import build_table_decisions, solve_horizon_batch
+from .kernel import build_table_decisions
 from .mpc import DEFAULT_HORIZON, MPCController, make_mpc_opt
 from .robust import RobustMPCController
 from .table import Binning, DecisionTable, RunLengthEncodedTable, TableSizeReport
@@ -38,7 +38,6 @@ __all__ = [
     "HorizonProblem",
     "HorizonSolution",
     "solve_horizon",
-    "solve_horizon_batch",
     "solve_horizon_reference",
     "solve_startup",
     "build_table_decisions",

@@ -9,8 +9,8 @@ CPLEX offline; because the problem is a small discrete program
 enumeration returns the identical argmax.  We provide:
 
 * :func:`solve_horizon` — vectorised NumPy enumeration (the production
-  path; the batched kernel of :mod:`repro.core.kernel` rolls the QoE of
-  all plans out together over their shared prefixes, on roll-out scratch
+  path; the kernel of :mod:`repro.core.kernel` rolls the QoE of all
+  plans out together over their shared prefixes, on roll-out scratch
   that belongs to the calling thread, and replays the winning plan),
 * :func:`solve_horizon_reference` — a straightforward recursive
   implementation used as the ground truth in property tests, and
@@ -87,8 +87,7 @@ class HorizonProblem:
     The sequence fields are stored as the tuples their annotations
     declare, whatever sequences they were given as, so a problem is
     hashable (it keys :func:`solve_startup`'s memo).  Every float must be
-    finite: NaN is the kernel's own "no previous chunk" marker, and a NaN
-    or infinite input would otherwise solve to a NaN QoE.
+    finite: a NaN or infinite input would otherwise solve to a NaN QoE.
     """
 
     buffer_level_s: float
@@ -198,10 +197,9 @@ def solve_horizon(problem: HorizonProblem) -> HorizonSolution:
 def solve_horizon_enumerate(problem: HorizonProblem) -> HorizonSolution:
     """Exact solution by vectorised exhaustive enumeration.
 
-    A thin wrapper over the batched kernel (the single implementation of
-    the plan roll-out shared by all consumers) for one instance: one
-    roll-out of its QoE, no batch grouping, and the winning plan replayed
-    for its rebuffer and final buffer.
+    A thin wrapper over the kernel (the single implementation of the plan
+    roll-out shared by all consumers): one roll-out of the instance's
+    QoE, and the winning plan replayed for its rebuffer and final buffer.
     """
     return _kernel._solve_one(problem)
 
@@ -335,10 +333,10 @@ def solve_startup(
     by default up to the remaining buffer headroom, since waiting longer
     than ``Bmax`` of accumulated content is never useful.
 
-    The whole wait grid is evaluated as *one* batched-kernel call — the
-    grid points differ only in starting buffer, so they stack as the
-    instances of a single prefix-tree roll-out instead of ``steps + 1``
-    independent solves.  Results (QoE values and the smallest-wait /
+    The whole wait grid is evaluated as *one* kernel call — the grid
+    points differ only in starting buffer, so they are the start buffers
+    of a single prefix-tree roll-out instead of ``steps + 1`` independent
+    solves.  Results (QoE values and the smallest-wait /
     lexicographic tie-break) are identical to the per-point loop.  The
     roll-out scores each point's plans by QoE alone; only the chosen
     point's plan is replayed for its rebuffer and final buffer.  The
@@ -405,13 +403,8 @@ def _solve_startup(
     preds = np.asarray(problem.predicted_kbps, dtype=np.float64)
     quality = np.asarray(problem.quality_values, dtype=np.float64)
     buffer0 = problem.buffer_level_s + waits
-    prev = (
-        None
-        if problem.prev_quality is None
-        else np.full(waits.shape, problem.prev_quality)
-    )
     best_idx, qoe = _kernel._solve_rows(
-        plans, sizes, preds, buffer0, prev, quality,
+        plans, sizes, preds, buffer0, problem.prev_quality, quality,
         problem.weights.switching, problem.weights.rebuffering,
         problem.chunk_duration_s, problem.buffer_capacity_s,
     )

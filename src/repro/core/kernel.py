@@ -1,4 +1,4 @@
-"""Batched horizon-solver kernel — one plan evaluator for every consumer.
+"""Horizon-solver kernel — one plan roll-out for every consumer.
 
 Every hot path of the reproduction ultimately evaluates the same
 recurrence: roll the buffer dynamics of Eqs. (1)-(4) forward over all
@@ -6,17 +6,18 @@ recurrence: roll the buffer dynamics of Eqs. (1)-(4) forward over all
 consumer re-implemented that roll-out — :func:`~repro.core.horizon.
 solve_horizon` per chunk, :func:`~repro.core.horizon.solve_startup` once
 per wait-grid point, and the FastMPC table builder in a hand-rolled
-double loop over ``(buffer_bin, prev_level)`` states.  This module is the
-single implementation they all delegate to:
+double loop over ``(buffer_bin, prev_level)`` states.  This module holds
+the two roll-outs they delegate to:
 
-* :class:`_BatchEvaluator` — the vectorised plan roll-out over the plan
-  prefix tree: plans sharing a prefix share every float up to its end,
-  so step ``i`` evaluates the ``|R|^(i+1)`` distinct prefixes of all
-  instances at once, and the last step yields the ``(n_instances,
-  n_plans)`` QoE in the plan matrix's lexicographic order.  It computes
-  only what the argmax reads: the QoE of every prefix and the buffer of
-  every prefix that has children.  The arithmetic is element-wise and
-  associates *exactly* like the scalar reference solver, so each QoE is
+* :class:`_BatchEvaluator` — the vectorised roll-out of one problem's
+  plans over the plan prefix tree, from ``n`` starting buffers at once:
+  plans sharing a prefix share every float up to its end, so step ``i``
+  evaluates the ``|R|^(i+1)`` distinct prefixes for every start buffer,
+  and the last step yields the ``(n, n_plans)`` QoE in the plan
+  matrix's lexicographic order.  It computes only what the argmax
+  reads: the QoE of every prefix and the buffer of every prefix that
+  has children.  The arithmetic is element-wise and associates
+  *exactly* like the scalar reference solver, so each QoE is
   bit-identical to :func:`~repro.core.horizon.solve_horizon_reference`'s
   recurrence (same optimal QoE, same lexicographic tie-break).  Its
   per-shape tree arrays are the roll-out scratch; each thread owns one
@@ -24,20 +25,15 @@ single implementation they all delegate to:
   reuses, so no session or controller carries solver scratch of its own.
 
 * :func:`_solve_rows` — the one entry to that roll-out: the first
-  maximum of each instance's QoE.  Its callers replay each winning plan
-  alone in plain Python (:func:`_replay_plan`, in the roll-out's
-  operation order) for the solution's rebuffer and final buffer, so
-  those floats are the ones a roll-out of every plan would have held.
-  :func:`~repro.core.horizon.solve_horizon` solves its one problem
-  through :func:`_solve_one`, and
-  :func:`~repro.core.horizon.solve_startup` stacks its wait grid as the
-  instances of one roll-out and replays only the grid point it picks.
-
-* :func:`solve_horizon_batch` — solve many :class:`~repro.core.horizon.
-  HorizonProblem` instances at once.  Problems sharing structure (ladder,
-  weights, horizon, chunk duration, capacity) are stacked into one NumPy
-  computation; oversized plan spaces fall back to the exact Pareto DP per
-  instance.
+  maximum of the QoE from each start buffer.  Its callers replay each
+  winning plan alone in plain Python (:func:`_replay_plan`, in the
+  roll-out's operation order) for the solution's rebuffer and final
+  buffer, so those floats are the ones a roll-out of every plan would
+  have held.  :func:`~repro.core.horizon.solve_horizon` solves its one
+  problem through :func:`_solve_one` (one start buffer), and
+  :func:`~repro.core.horizon.solve_startup` passes its wait grid as the
+  start buffers of one roll-out and replays only the grid point it
+  picks.
 
 * :func:`build_table_decisions` — the FastMPC offline enumeration.  It
   exploits the table's extra structure (CBR sizes, flat predictions): the
@@ -49,8 +45,8 @@ single implementation they all delegate to:
   and the near-ties that rounding could order differently are rescored
   exactly, so the decisions stay the scalar reference's.
 
-Instance batches are chunked internally so each roll-out stays bounded
-(:data:`MAX_BATCH_ELEMENTS` leaf elements) regardless of batch size.
+Long lists of start buffers are rolled out in chunks that keep each
+roll-out within :data:`MAX_BATCH_ELEMENTS` leaf elements.
 
 The scalar references the kernel is tested against, cell for cell and
 decision for decision, live in ``tests/core/kernel_reference.py``.
@@ -61,25 +57,19 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.events import SolverCall
 
-from .horizon import (
-    _ENUMERATION_LIMIT,
-    _plan_matrix,
-    HorizonProblem,
-    HorizonSolution,
-    solve_horizon_dp,
-)
+from .horizon import _plan_matrix, HorizonProblem, HorizonSolution
 
-__all__ = ["solve_horizon_batch", "build_table_decisions", "MAX_BATCH_ELEMENTS"]
+__all__ = ["build_table_decisions", "MAX_BATCH_ELEMENTS"]
 
-# Upper bound on the (instances x plans) element count of one roll-out's
-# last step (~16 MB of float64 per leaf array).  Larger batches are
-# rolled out in chunks of instances.
+# Upper bound on the (start buffers x plans) element count of one
+# roll-out's last step (~16 MB of float64 per leaf array).  Longer lists
+# of start buffers are rolled out in chunks.
 MAX_BATCH_ELEMENTS = 2_000_000
 
 # Leaf states per block of the table build: as many buffer bins as fit
@@ -126,7 +116,7 @@ class _BatchEvaluator:
         # shape key -> (tree, bytes held by its arrays)
         self._trees: "OrderedDict[tuple, tuple]" = OrderedDict()
 
-    def _prefix_tree(self, n: int, num_levels: int, horizon: int, dt_rows: int):
+    def _prefix_tree(self, n: int, num_levels: int, horizon: int):
         """Scratch for one roll-out shape: a root and one entry per step.
 
         Step ``i`` holds the QoE of the ``num_levels**(i+1)`` plan
@@ -135,23 +125,22 @@ class _BatchEvaluator:
         read, and no step keeps a rebuffer total.  Prefix ``p`` extended
         by level ``l`` is row ``p * num_levels + l``, so the rows of the
         last step are :func:`~repro.core.horizon._plan_matrix`'s rows in
-        order.  The instance axis is innermost, so every element-wise op
-        over a batch (a whole startup wait grid, say) runs along
-        contiguous memory.  Each entry carries ready-made ``(parents, 1,
-        n)`` views of its parent step and ``(parents, num_levels, n)``
-        views of its own arrays, so a roll-out of a cached shape creates
-        no arrays at all.
+        order.  The start-buffer axis is innermost, so every element-wise
+        op over a whole startup wait grid runs along contiguous memory.
+        Each entry carries ready-made ``(parents, 1, n)`` views of its
+        parent step and ``(parents, num_levels, n)`` views of its own
+        arrays, so a roll-out of a cached shape creates no arrays at all.
         """
-        key = (n, num_levels, horizon, dt_rows)
+        key = (n, num_levels, horizon)
         cached = self._trees.get(key)
         if cached is not None:
             self._trees.move_to_end(key)
             return cached[0]
         zeros = np.zeros((1, n))  # the root's QoE, read only
         root_buf = np.empty((1, n))
-        dt = np.empty((1, num_levels, dt_rows))  # download time per level
+        dt = np.empty((1, num_levels, 1))  # download time per level
         pen = np.empty((num_levels, num_levels, 1))  # switching penalty matrix
-        first = np.empty((1, num_levels, n))  # first-step switching penalty
+        first = np.empty((1, num_levels, 1))  # first-step switching penalty
         arrays = [zeros, root_buf, dt, pen, first]
         parent = (zeros, root_buf)
         steps = []
@@ -191,14 +180,14 @@ class _BatchEvaluator:
         sizes: np.ndarray,
         preds: np.ndarray,
         buffer0: np.ndarray,
-        prev_quality: Optional[np.ndarray],
+        prev_quality: Optional[float],
         quality: np.ndarray,
         switching: float,
         rebuffering: float,
         chunk_duration_s: float,
         buffer_capacity_s: float,
     ) -> np.ndarray:
-        """QoE of every (instance, plan): all an argmax over plans reads.
+        """QoE of every (start buffer, plan): all an argmax over plans reads.
 
         The plans are the full lexicographic product
         ``_plan_matrix(num_levels, horizon)``, rolled out over their
@@ -218,16 +207,14 @@ class _BatchEvaluator:
         Parameters
         ----------
         sizes:
-            ``(n, N, levels)`` per-instance chunk sizes, or ``(N, levels)``
-            shared by all instances.
+            ``(N, levels)`` chunk sizes of the problem's horizon chunks.
         preds:
-            ``(n, N)`` per-instance predictions, or ``(N,)`` shared.
+            ``(N,)`` predicted throughput per horizon chunk.
         buffer0:
-            ``(n,)`` starting buffer levels.
+            ``(n,)`` starting buffer levels, one roll-out each.
         prev_quality:
-            ``(n,)`` previous-chunk qualities with NaN marking "no
-            previous chunk" (no first-step switching penalty), or None
-            when no instance has a previous chunk.
+            The previous chunk's quality, or None at the session's first
+            chunk (no first-step switching penalty).
         quality:
             ``(levels,)`` the ladder's quality values.
 
@@ -235,19 +222,16 @@ class _BatchEvaluator:
         the plan matrix — a view into this evaluator's scratch, consume
         it before the next call.
         """
-        n = buffer0.shape[0]
-        shared_sizes = sizes.ndim == 2
-        shared_preds = preds.ndim == 1
         root_buf, dt, pen, first, steps, leaves = self._prefix_tree(
-            n, num_levels, horizon, 1 if shared_sizes and shared_preds else n
+            buffer0.shape[0], num_levels, horizon
         )
         root_buf[0] = buffer0
-        no_prev = None
-        if prev_quality is not None:
-            mask = np.isnan(prev_quality)
-            if mask.any():
-                no_prev = mask
         q = quality[None, :, None]
+        if prev_quality is not None:
+            # first[0, b]: the switching penalty from the previous chunk.
+            np.subtract(q, prev_quality, out=first)
+            np.abs(first, out=first)
+            np.multiply(first, switching, out=first)
         if horizon > 1:
             # pen[a, b]: the switching penalty from level a to level b.
             pairs = pen[:, :, 0]
@@ -256,16 +240,8 @@ class _BatchEvaluator:
             np.multiply(pairs, switching, out=pairs)
 
         for i, ((qoe_p, buf_p), qoe, buf, qoe_pairs) in enumerate(steps):
-            # Download time of each level at this step, per instance.
-            if shared_sizes:
-                if shared_preds:
-                    np.divide(sizes[i], preds[i], out=dt[0, :, 0])
-                else:
-                    np.divide(sizes[i][:, None], preds[None, :, i], out=dt[0])
-            elif shared_preds:
-                np.divide(sizes[:, i, :].T, preds[i], out=dt[0])
-            else:
-                np.divide(sizes[:, i, :].T, preds[None, :, i], out=dt[0])
+            # Download time of each level at this step.
+            np.divide(sizes[i], preds[i], out=dt[0, :, 0])
             # stall = max(dt - buffer, 0), held in ``qoe``;
             # qoe += q_now - mu * stall (exact reference association).
             np.subtract(dt, buf_p, out=qoe)
@@ -279,18 +255,12 @@ class _BatchEvaluator:
                 np.maximum(buf, 0.0, out=buf)
                 np.add(buf, chunk_duration_s, out=buf)
                 np.minimum(buf, buffer_capacity_s, out=buf)
-            # Switching penalty: per-instance at the first step, shared
-            # between steps (the prefix fixes both qualities).
-            if i == 0:
-                if prev_quality is not None:
-                    np.subtract(q, prev_quality[None, None, :], out=first)
-                    np.abs(first, out=first)
-                    np.multiply(first, switching, out=first)
-                    if no_prev is not None:
-                        first[:, :, no_prev] = 0.0
-                    np.subtract(qoe, first, out=qoe)
-            else:
+            # Switching penalty: from the previous chunk at the first
+            # step, between steps after it (the prefix fixes both).
+            if i:
                 np.subtract(qoe_pairs, pen, out=qoe_pairs)
+            elif prev_quality is not None:
+                np.subtract(qoe, first, out=qoe)
         return leaves
 
 
@@ -354,17 +324,20 @@ def _solve_rows(
     chunk_duration_s: float,
     buffer_capacity_s: float,
 ):
-    """The one entry to the roll-out: each instance's best plan and QoE.
+    """The one entry to the roll-out: the best plan from each start buffer.
 
-    Returns per-instance arrays ``(best_plan_index, qoe)``; the argmax
-    takes the first maximum, i.e. the lexicographically smallest optimal
-    plan.  Nothing else is rolled out: a caller replays the plans it
-    keeps with :func:`_replay_plan` for their rebuffer and final buffer.
-    The roll-out runs on the thread's shared evaluator, in chunks of
-    instances that keep each one within :data:`MAX_BATCH_ELEMENTS` leaf
+    ``sizes``, ``preds``, ``prev_quality`` and ``quality`` are one
+    problem's, as :meth:`_BatchEvaluator.evaluate` takes them, and
+    ``buffer0`` its ``(n,)`` start buffers.  Returns per-start-buffer
+    arrays ``(best_plan_index, qoe)``; the argmax takes the first
+    maximum, i.e. the lexicographically smallest optimal plan.  Nothing
+    else is rolled out: a caller replays the plans it keeps with
+    :func:`_replay_plan` for their rebuffer and final buffer.  The
+    roll-out runs on the thread's shared evaluator, in chunks of start
+    buffers that keep each one within :data:`MAX_BATCH_ELEMENTS` leaf
     cells, and each chunk's view of the scratch is consumed here, before
-    the next ``evaluate`` call.  One instance (every steady MPC solve)
-    takes the argmax of its one contiguous row.
+    the next ``evaluate`` call.  One start buffer (every steady MPC
+    solve) takes the argmax of its one contiguous row.
     """
     evaluator = _thread_evaluator()
     n = buffer0.shape[0]
@@ -387,17 +360,8 @@ def _solve_rows(
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         qoe = evaluator.evaluate(
-            num_levels,
-            horizon,
-            sizes if sizes.ndim == 2 else sizes[lo:hi],
-            preds if preds.ndim == 1 else preds[lo:hi],
-            buffer0[lo:hi],
-            None if prev_quality is None else prev_quality[lo:hi],
-            quality,
-            switching,
-            rebuffering,
-            chunk_duration_s,
-            buffer_capacity_s,
+            num_levels, horizon, sizes, preds, buffer0[lo:hi], prev_quality,
+            quality, switching, rebuffering, chunk_duration_s, buffer_capacity_s,
         )
         idx = np.argmax(qoe, axis=1)
         best[lo:hi] = idx
@@ -406,10 +370,9 @@ def _solve_rows(
 
 
 def _solve_one(problem: HorizonProblem) -> HorizonSolution:
-    """One enumerable ``QOE_MAX_STEADY`` instance, without batch grouping.
+    """One enumerable ``QOE_MAX_STEADY`` instance: one start buffer.
 
-    The problem's rows and predictions are the roll-out's shared layout;
-    the winning plan is replayed for its rebuffer and final buffer.
+    The winning plan is replayed for its rebuffer and final buffer.
     """
     plans = _plan_matrix(problem.num_levels, problem.horizon)
     sizes = problem.chunk_sizes_kilobits
@@ -423,9 +386,7 @@ def _solve_one(problem: HorizonProblem) -> HorizonSolution:
         np.asarray(sizes, dtype=np.float64),
         np.asarray(preds, dtype=np.float64),
         np.array([buffer0], dtype=np.float64),
-        None
-        if problem.prev_quality is None
-        else np.array([problem.prev_quality], dtype=np.float64),
+        problem.prev_quality,
         np.asarray(problem.quality_values, dtype=np.float64),
         weights.switching,
         weights.rebuffering,
@@ -437,103 +398,6 @@ def _solve_one(problem: HorizonProblem) -> HorizonSolution:
         plan, sizes, preds, buffer0, duration, capacity
     )
     return HorizonSolution(plan, float(qoe[0]), rebuffer, final_buffer)
-
-
-def solve_horizon_batch(
-    problems: Iterable[HorizonProblem],
-    tracer=None,
-) -> List[HorizonSolution]:
-    """Solve many ``QOE_MAX_STEADY`` instances in one vectorised pass.
-
-    Problems are grouped by shared structure (ladder qualities, weights,
-    horizon, chunk duration, capacity); each group is stacked into one
-    prefix-tree roll-out whose last step scores every ``(instance,
-    plan)`` pair.  Per-instance chunk
-    sizes (VBR rows) and predictions may differ freely within a group.
-    Each instance's winning plan is replayed for its rebuffer and final
-    buffer.  Results are returned in input order and are bit-identical
-    to :func:`~repro.core.horizon.solve_horizon` on each instance —
-    including the lexicographic tie-break — because the batched
-    arithmetic associates exactly like the scalar reference.
-
-    Instances whose plan space exceeds the enumeration limit are solved
-    with the exact Pareto DP, matching ``solve_horizon``'s dispatch.
-
-    A :class:`repro.obs.Tracer` records one ``solver-call`` event per
-    structural group (batch size, plan count, wall time).
-    """
-    tracing = tracer is not None and tracer.enabled
-    problem_list = list(problems)
-    if not problem_list:
-        return []
-    solutions: List[Optional[HorizonSolution]] = [None] * len(problem_list)
-
-    groups: Dict[tuple, List[int]] = {}
-    for idx, problem in enumerate(problem_list):
-        if problem.num_levels**problem.horizon > _ENUMERATION_LIMIT:
-            solutions[idx] = solve_horizon_dp(problem)
-            continue
-        key = (
-            problem.quality_values,
-            problem.horizon,
-            problem.num_levels,
-            problem.weights.switching,
-            problem.weights.rebuffering,
-            problem.chunk_duration_s,
-            problem.buffer_capacity_s,
-        )
-        groups.setdefault(key, []).append(idx)
-
-    for key, idxs in groups.items():
-        quality_values, horizon, num_levels, lam, mu, duration, capacity = key
-        if tracing:
-            _t0 = time.perf_counter()
-        plans = _plan_matrix(num_levels, horizon)
-        members = [problem_list[i] for i in idxs]
-        sizes = np.asarray(
-            [p.chunk_sizes_kilobits for p in members], dtype=np.float64
-        )
-        preds = np.asarray([p.predicted_kbps for p in members], dtype=np.float64)
-        buffer0 = np.asarray([p.buffer_level_s for p in members], dtype=np.float64)
-        if all(p.prev_quality is None for p in members):
-            prev = None
-        else:
-            prev = np.asarray(
-                [
-                    np.nan if p.prev_quality is None else p.prev_quality
-                    for p in members
-                ],
-                dtype=np.float64,
-            )
-        quality = np.asarray(quality_values, dtype=np.float64)
-        best, qoe = _solve_rows(
-            plans, sizes, preds, buffer0, prev, quality,
-            lam, mu, duration, capacity,
-        )
-        for idx, problem, j, value in zip(idxs, members, best.tolist(), qoe.tolist()):
-            plan = tuple(plans[j].tolist())
-            rebuffer, final_buffer = _replay_plan(
-                plan,
-                problem.chunk_sizes_kilobits,
-                problem.predicted_kbps,
-                problem.buffer_level_s,
-                duration,
-                capacity,
-            )
-            solutions[idx] = HorizonSolution(plan, value, rebuffer, final_buffer)
-        if tracing:
-            tracer.emit(
-                SolverCall(
-                    session_id="",
-                    t_mono=tracer.now(),
-                    op="solve-horizon-batch",
-                    instances=len(idxs),
-                    plans=len(plans),
-                    wall_s=time.perf_counter() - _t0,
-                )
-            )
-    assert all(s is not None for s in solutions)
-    return solutions  # type: ignore[return-value]
 
 
 def _block_max_error_bound(block_max_abs, static_abs: float, switch_max: float):

@@ -4,10 +4,12 @@
 and applies the link-level fault specs — latency spikes delay a
 transfer's first byte, chunk failures abort a transfer outright — while
 delegating all byte accounting to the wrapped link, so the exact
-integration and fair-sharing semantics are untouched.  Randomised
-outcomes come from one seeded :class:`random.Random`, consumed once per
-at-risk transfer in start order: the same (faults, seed, workload)
-triple always reproduces the same failure sequence.
+integration and fair-sharing semantics are untouched.  The failure
+draws, the spike delays and the transfer counters come from a
+:class:`~repro.faults.simlink.SimLinkFaults`, the simulator's injector,
+so both backends share one seeded draw per at-risk transfer in start
+order: the same (faults, seed, workload) triple always reproduces the
+same failure sequence.
 
 A failure is reported through the ``on_fail`` callback with a
 :class:`FailedTransfer` record.  Callers that pass no ``on_fail`` (a
@@ -19,12 +21,12 @@ the session.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, Optional
 
 from ..emulation.link import SharedTraceLink, Transfer
-from .spec import ChunkFailure, FaultSpec, LatencySpike, link_faults
+from .simlink import SimLinkFaults
+from .spec import FaultSpec
 
 __all__ = ["FailedTransfer", "FaultyLink"]
 
@@ -60,16 +62,15 @@ class FaultyLink:
         seed: int = 0,
     ) -> None:
         self.inner = inner
-        specs = link_faults(faults)
-        self._failures: List[ChunkFailure] = [
-            s for s in specs if isinstance(s, ChunkFailure)
-        ]
-        self._spikes: List[LatencySpike] = [
-            s for s in specs if isinstance(s, LatencySpike)
-        ]
-        self._rng = random.Random(seed)
-        self.transfers_started = 0
-        self.transfers_failed = 0
+        self._faults = SimLinkFaults(faults, seed)
+
+    @property
+    def transfers_started(self) -> int:
+        return self._faults.transfers_started
+
+    @property
+    def transfers_failed(self) -> int:
+        return self._faults.transfers_failed
 
     # ------------------------------------------------------------------
     # SharedTraceLink surface
@@ -111,11 +112,8 @@ class FaultyLink:
         failed (the outcome arrives through the callbacks either way).
         """
         now = self.queue.now
-        self.transfers_started += 1
-
-        failure = self._draw_failure(now)
+        failure = self._faults.draw_failure(now)
         if failure is not None:
-            self.transfers_failed += 1
             delay = failure.detect_delay_s
             if on_fail is not None:
                 started = now
@@ -132,9 +130,7 @@ class FaultyLink:
             )
             return None
 
-        extra = sum(
-            s.extra_delay_s for s in self._spikes if s.active_at(now)
-        )
+        extra = self._faults.spike_delay_s(now)
         if extra > 0:
             self.queue.schedule_in(
                 extra,
@@ -142,14 +138,3 @@ class FaultyLink:
             )
             return None
         return self.inner.start_transfer(size_kilobits, on_complete)
-
-    # ------------------------------------------------------------------
-
-    def _draw_failure(self, now: float) -> Optional[ChunkFailure]:
-        """One Bernoulli draw per at-risk transfer, in start order."""
-        for spec in self._failures:
-            if spec.rate <= 0 or not spec.active_at(now):
-                continue
-            if self._rng.random() < spec.rate:
-                return spec
-        return None

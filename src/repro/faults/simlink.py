@@ -1,22 +1,25 @@
-"""Per-transfer link-fault enforcement for the chunk-level simulator.
+"""Per-transfer link-fault draws, shared by both session backends.
 
-:class:`~repro.faults.link.FaultyLink` enforces :class:`LatencySpike`
-and :class:`ChunkFailure` around the event-driven emulation link; the
-simulator's synchronous download loop needs the same semantics without
-the event queue.  :class:`SimLinkFaults` mirrors ``FaultyLink`` exactly:
+:class:`SimLinkFaults` holds the one implementation of the link-level
+fault semantics: the chunk-level simulator asks it for each download's
+dead time (:meth:`SimLinkFaults.overhead_s`), and the emulation's
+:class:`~repro.faults.link.FaultyLink` takes its failure draws and spike
+delays from one of its own around the event-driven link.
 
 * each transfer start makes one seeded Bernoulli draw per at-risk
   :class:`ChunkFailure` spec, in start order — a failure costs
   ``detect_delay_s`` of dead wall time and the transfer retries from the
   delayed instant (a fresh draw at the new start time);
 * once a start survives the failure draws, every :class:`LatencySpike`
-  window active at that instant delays the first byte by its
-  ``extra_delay_s`` (overlapping spikes stack).
+  window active at that start instant delays the first byte by its
+  ``extra_delay_s`` (overlapping spikes stack; a spike that begins
+  during another's delay does not).
 
-The whole overhead is *dead* time: it extends the download's wall clock
-without delivering bytes, so the session loop counts it both into the
-download time and into the chunk's ``stalled_s`` — which is precisely
-the on/off signal the gap-corrected predictors divide back out.
+In the simulator the whole overhead is *dead* time: it extends the
+download's wall clock without delivering bytes, so the session loop
+counts it both into the download time and into the chunk's
+``stalled_s`` — which is precisely the on/off signal the gap-corrected
+predictors divide back out.
 
 The same (faults, seed) pair always reproduces the same overhead
 sequence, keeping sensitivity-experiment results bit-reproducible across
@@ -26,7 +29,7 @@ worker counts.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 from .spec import ChunkFailure, FaultSpec, LatencySpike, link_faults
 
@@ -39,7 +42,7 @@ _MAX_ATTEMPTS = 64
 
 
 class SimLinkFaults:
-    """Deterministic link-fault overhead for synchronous simulations."""
+    """Deterministic link-fault draws: failures, spike delays, counters."""
 
     def __init__(self, faults: Iterable[FaultSpec], seed: int = 0) -> None:
         specs = link_faults(faults)
@@ -59,27 +62,30 @@ class SimLinkFaults:
     def overhead_s(self, start_s: float) -> float:
         """Dead seconds injected ahead of a transfer starting at ``start_s``.
 
-        Consumes RNG draws exactly as :class:`FaultyLink` would for a
-        client that retries every failure immediately.
+        Consumes RNG draws exactly as :class:`~repro.faults.link.FaultyLink`
+        does for a client that retries every failure immediately.
         """
         now = start_s
         for _ in range(_MAX_ATTEMPTS):
-            self.transfers_started += 1
-            spec = self._draw_failure(now)
+            spec = self.draw_failure(now)
             if spec is None:
                 break
-            self.transfers_failed += 1
             now += spec.detect_delay_s
-        for spike in self._spikes:
-            if spike.active_at(now):
-                now += spike.extra_delay_s
-        return now - start_s
+        return now + self.spike_delay_s(now) - start_s
 
-    def _draw_failure(self, now: float):
-        """One Bernoulli draw per at-risk transfer, in start order."""
+    def draw_failure(self, now: float) -> Optional[ChunkFailure]:
+        """Start one transfer attempt at ``now``: the spec that fails it,
+        or None.  One Bernoulli draw per at-risk spec, in spec order."""
+        self.transfers_started += 1
         for spec in self._failures:
             if spec.rate <= 0 or not spec.active_at(now):
                 continue
             if self._rng.random() < spec.rate:
+                self.transfers_failed += 1
                 return spec
         return None
+
+    def spike_delay_s(self, now: float) -> float:
+        """First-byte delay of a transfer starting at ``now``: the sum of
+        every spike active at that instant."""
+        return sum(s.extra_delay_s for s in self._spikes if s.active_at(now))

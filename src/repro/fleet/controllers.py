@@ -183,31 +183,18 @@ class _BatchGapHarmonic:
     """N :class:`GapCorrectedHarmonicPredictor` windows in lockstep.
 
     Stores active rates (oldest first) plus a per-sample corrected flag;
-    the estimate replicates the scalar predictor's expression order —
-    harmonic mean, optional robust discount, then the clamp into the
-    window's [min, max] active-rate range, applied only to rows where a
-    correction engaged (min/max/comparison selection, no rounding).
+    the estimate replicates the scalar predictor's expression order
+    without a robust discount (the fleet's ``fastmpc-gap`` uses none) —
+    harmonic mean, then the clamp into the window's [min, max]
+    active-rate range, applied only to rows where a correction engaged
+    (min/max/comparison selection, no rounding).
     """
 
-    __slots__ = (
-        "window",
-        "cold_start_kbps",
-        "robust_discount",
-        "_active",
-        "_corrected",
-        "_filled",
-    )
+    __slots__ = ("window", "cold_start_kbps", "_active", "_corrected", "_filled")
 
-    def __init__(
-        self,
-        n: int,
-        window: int = 5,
-        cold_start_kbps: float = 100.0,
-        robust_discount: float = 0.0,
-    ):
+    def __init__(self, n: int, window: int = 5, cold_start_kbps: float = 100.0):
         self.window = window
         self.cold_start_kbps = cold_start_kbps
-        self.robust_discount = robust_discount
         self._active = np.zeros((n, window), dtype=np.float64)
         self._corrected = np.zeros((n, window), dtype=bool)
         self._filled = 0
@@ -222,13 +209,9 @@ class _BatchGapHarmonic:
         for j in range(1, self._filled):
             total += recip[:, j]
         estimate = self._filled / total
-        if self.robust_discount > 0.0:
-            estimate = estimate / (1.0 + self.robust_discount)
-            engaged = np.ones(n, dtype=bool)
-        else:
-            engaged = self._corrected[:, : self._filled].any(axis=1)
-            if not engaged.any():
-                return estimate
+        engaged = self._corrected[:, : self._filled].any(axis=1)
+        if not engaged.any():
+            return estimate
         lo = np.min(cols, axis=1)
         hi = np.max(cols, axis=1)
         clamped = np.minimum(np.maximum(estimate, lo), hi)
@@ -247,71 +230,6 @@ class _BatchGapHarmonic:
             self._active[:, -1] = active
             self._corrected[:, :-1] = self._corrected[:, 1:]
             self._corrected[:, -1] = engaged
-
-
-class _BatchGapEWMA:
-    """N :class:`GapCorrectedEWMAPredictor` levels in lockstep.
-
-    The level recurrence is the scalar ``alpha * a + (1 - alpha) * level``
-    elementwise; bounds are the running min/max active rate and a row's
-    correction flag, once set, stays set — exactly the scalar predictor's
-    session-sticky clamp semantics.
-    """
-
-    __slots__ = (
-        "alpha",
-        "cold_start_kbps",
-        "robust_discount",
-        "_level",
-        "_lo",
-        "_hi",
-        "_any_corrected",
-        "_n",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        alpha: float = 0.4,
-        cold_start_kbps: float = 100.0,
-        robust_discount: float = 0.0,
-    ):
-        self.alpha = alpha
-        self.cold_start_kbps = cold_start_kbps
-        self.robust_discount = robust_discount
-        self._n = n
-        self._level = None
-        self._lo = None
-        self._hi = None
-        self._any_corrected = np.zeros(n, dtype=bool)
-
-    def estimate(self):
-        if self._level is None:
-            return np.full(self._n, self.cold_start_kbps)
-        estimate = self._level
-        if self.robust_discount > 0.0:
-            estimate = estimate / (1.0 + self.robust_discount)
-            engaged = np.ones(self._n, dtype=bool)
-        else:
-            engaged = self._any_corrected
-            if not engaged.any():
-                return estimate.copy()
-        clamped = np.minimum(np.maximum(estimate, self._lo), self._hi)
-        return np.where(engaged, clamped, estimate)
-
-    def observe(self, throughput_kbps, download_time_s, stall_s) -> None:
-        active, engaged = _batch_active_rates(
-            throughput_kbps, download_time_s, stall_s
-        )
-        self._any_corrected = self._any_corrected | engaged
-        if self._level is None:
-            self._level = active.copy()
-            self._lo = active.copy()
-            self._hi = active.copy()
-        else:
-            self._level = self.alpha * active + (1.0 - self.alpha) * self._level
-            self._lo = np.minimum(self._lo, active)
-            self._hi = np.maximum(self._hi, active)
 
 
 class _BatchErrorTracker:
@@ -384,7 +302,7 @@ class _BatchController:
         """Feedback after the chunk completed (raw ``size / time``).
 
         The stepper always passes the download times and the stalled
-        seconds inside them; only the gap-corrected twins consume them.
+        seconds inside them; only the gap-corrected predictor twin consumes them.
         """
 
 

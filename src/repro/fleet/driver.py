@@ -40,7 +40,7 @@ from .scenarios import (
     session_config_for,
     trace_pools,
 )
-from .stepper import check_engine, run_batch
+from .stepper import run_batch
 
 __all__ = ["FleetConfig", "run_fleet", "run_shard"]
 
@@ -54,22 +54,18 @@ class FleetConfig:
     shard_size: int = 4096
     space: ScenarioSpace = field(default_factory=ScenarioSpace)
     cache_dir: Optional[str] = None
-    #: Stepper engine, forwarded to :func:`run_batch`.
-    engine: str = "vector"
 
     def __post_init__(self) -> None:
         if self.sessions < 0:
             raise ValueError("sessions must be >= 0")
         if self.shard_size < 1:
             raise ValueError("shard_size must be >= 1")
-        check_engine(self.engine)
 
 
 def run_shard(
     space: ScenarioSpace,
     scenarios: Sequence[Scenario],
     cache_dir: Optional[str] = None,
-    engine: str = "vector",
 ) -> dict:
     """Run one shard and return its serialized :class:`FleetResult`.
 
@@ -100,7 +96,6 @@ def run_shard(
             [configs[s.preset] for s in group],
             cache_dir=cache_dir,
             table_config=space.table_config,
-            engine=engine,
         )
         qoe = batch.qoe_per_chunk()
         rebuffer = batch.total_rebuffer_s
@@ -120,8 +115,8 @@ def run_shard(
 
 
 def _run_shard_job(args) -> dict:
-    space, scenarios, cache_dir, engine = args
-    return run_shard(space, scenarios, cache_dir=cache_dir, engine=engine)
+    space, scenarios, cache_dir = args
+    return run_shard(space, scenarios, cache_dir=cache_dir)
 
 
 def run_fleet(
@@ -149,10 +144,7 @@ def run_fleet(
 
     merged = FleetResult.empty()
     if shards:
-        jobs = [
-            (config.space, tuple(shard), config.cache_dir, config.engine)
-            for shard in shards
-        ]
+        jobs = [(config.space, tuple(shard), config.cache_dir) for shard in shards]
         if workers == 1 or len(shards) == 1:
             payloads = []
             for index, job in enumerate(jobs):

@@ -163,12 +163,6 @@ def _empty_result(controller: str, manifest: VideoManifest, engine: str) -> Batc
     )
 
 
-def check_engine(engine: str) -> None:
-    """Refuse an engine name :func:`run_batch` does not have."""
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-
-
 def _session_configs(config, n: int, manifest: VideoManifest) -> List[SessionConfig]:
     """One config per session, checked to differ only in Eq. 5 weights.
 
@@ -426,7 +420,8 @@ def run_batch(
             f"unsupported fleet controller {controller!r}; expected one of "
             f"{SUPPORTED_CONTROLLERS}"
         )
-    check_engine(engine)
+    if engine not in _ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
     if manifest.num_chunks < 1:
         raise ValueError("manifest must have at least one chunk")
     traces = list(traces)

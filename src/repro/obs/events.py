@@ -119,8 +119,9 @@ class SolverCall(Event):
     """One horizon-solver invocation (online MPC or offline table build).
 
     ``op`` names the code path (``solve-horizon`` / ``solve-startup`` /
-    ``solve-horizon-batch`` / ``table-build``); ``instances`` is the batch
-    size and ``plans`` the candidate-plan count per instance.
+    ``table-build``); ``instances`` is the number of problems solved (1
+    online, one per table state for a build) and ``plans`` the
+    candidate-plan count per problem.
     """
 
     kind = "solver-call"

@@ -1,13 +1,12 @@
 """Differential conformance: every solver implementation must agree.
 
 Section 5 sells FastMPC as a *faithful* table compilation of the online
-MPC optimisation, and PR 1's batched kernel promises bit-identical
-results to the scalar solver.  This sweep pins all three down on shared
-state: at every table bin centre, the online :func:`solve_horizon`, the
-batched :func:`solve_horizon_batch`, a full :class:`MPCController`, and
-the :class:`DecisionTable` built from the same configuration must choose
-the same bitrate.  Theorem 1's corollary is checked too: RobustMPC with
-zero past prediction error *is* plain MPC.
+MPC optimisation.  This sweep pins that down on shared state: at every
+table bin centre, the online :func:`solve_horizon`, a full
+:class:`MPCController`, and the :class:`DecisionTable` built from the
+same configuration must choose the same bitrate.  Theorem 1's corollary
+is checked too: RobustMPC with zero past prediction error *is* plain
+MPC.
 """
 
 import itertools
@@ -17,7 +16,6 @@ import pytest
 
 from repro.core.fastmpc import FastMPCConfig, build_decision_table
 from repro.core.horizon import HorizonProblem, solve_horizon
-from repro.core.kernel import solve_horizon_batch
 from repro.core.mpc import MPCController
 from repro.core.robust import RobustMPCController
 from repro.abr.base import PlayerObservation, SessionConfig
@@ -95,10 +93,8 @@ def test_table_scalar_and_batch_agree_on_every_bin(setup):
     problems = [_problem(manifest, b, p, c) for b, p, c in states]
 
     scalar_levels = [solve_horizon(pr).first_level for pr in problems]
-    batch_levels = [s.first_level for s in solve_horizon_batch(problems)]
     table_levels = [table.lookup(b, p, c) for b, p, c in states]
 
-    assert scalar_levels == batch_levels  # PR 1's bit-identical contract
     disagreements = [
         (state, s, t)
         for state, s, t in zip(states, scalar_levels, table_levels)

@@ -1,4 +1,4 @@
-"""The batched horizon kernel: exact equivalence with the reference solver."""
+"""The horizon kernel: exact equivalence with the reference solver."""
 
 from __future__ import annotations
 
@@ -10,10 +10,11 @@ from repro.core.horizon import (
     _plan_matrix,
     HorizonProblem,
     solve_horizon,
+    solve_horizon_dp,
     solve_horizon_reference,
     solve_startup,
 )
-from repro.core.kernel import _thread_evaluator, solve_horizon_batch
+from repro.core.kernel import _thread_evaluator
 from repro.core.table import Binning
 from repro.qoe import QoEWeights
 
@@ -96,65 +97,54 @@ def scalar_strict_argmax(problem):
     return best
 
 
-def assert_same_solution(batch, problem):
+def assert_same_solution(solution, problem):
     # Bitwise equality on purpose: the kernel's element-wise arithmetic
     # associates identically to the scalar recurrence, so even the floats
     # must match bit for bit (and with them, every argmax tie-break).
     qoe, plan, rebuf, final_buf = scalar_strict_argmax(problem)
-    assert batch.plan == plan
-    assert batch.qoe == qoe
-    assert batch.rebuffer_s == rebuf
-    assert batch.final_buffer_s == final_buf
+    assert solution.plan == plan
+    assert solution.qoe == qoe
+    assert solution.rebuffer_s == rebuf
+    assert solution.final_buffer_s == final_buf
     # Against the epsilon-tie-break reference: the same optimum up to the
     # solver's own tie tolerance, and the same first decision unless two
     # optimal plans are exactly tied within it.
     reference = solve_horizon_reference(problem)
-    assert batch.qoe == pytest.approx(reference.qoe, rel=1e-12, abs=1e-9)
-    if abs(batch.qoe - reference.qoe) == 0.0:
-        assert batch.plan == reference.plan
+    assert solution.qoe == pytest.approx(reference.qoe, rel=1e-12, abs=1e-9)
+    if abs(solution.qoe - reference.qoe) == 0.0:
+        assert solution.plan == reference.plan
 
 
 class TestBatchVsReference:
+    """``solve_horizon`` on the kernel, one problem at a time, against the
+    scalar strict argmax."""
+
     def test_randomized_cbr_and_vbr(self):
         rng = np.random.default_rng(7)
         problems = [
             random_problem(rng, vbr=bool(i % 2)) for i in range(120)
         ]
-        solutions = solve_horizon_batch(problems)
-        assert len(solutions) == len(problems)
-        for problem, solution in zip(problems, solutions):
-            assert_same_solution(solution, problem)
+        for problem in problems:
+            assert_same_solution(solve_horizon(problem), problem)
 
     def test_no_previous_chunk(self):
         rng = np.random.default_rng(11)
-        problems = []
         for _ in range(30):
             p = random_problem(rng, allow_no_prev=False)
-            problems.append(
-                HorizonProblem(
-                    buffer_level_s=p.buffer_level_s,
-                    prev_quality=None,
-                    chunk_sizes_kilobits=p.chunk_sizes_kilobits,
-                    quality_values=p.quality_values,
-                    predicted_kbps=p.predicted_kbps,
-                    chunk_duration_s=p.chunk_duration_s,
-                    buffer_capacity_s=p.buffer_capacity_s,
-                    weights=p.weights,
-                )
+            problem = HorizonProblem(
+                buffer_level_s=p.buffer_level_s,
+                prev_quality=None,
+                chunk_sizes_kilobits=p.chunk_sizes_kilobits,
+                quality_values=p.quality_values,
+                predicted_kbps=p.predicted_kbps,
+                chunk_duration_s=p.chunk_duration_s,
+                buffer_capacity_s=p.buffer_capacity_s,
+                weights=p.weights,
             )
-        for problem, solution in zip(problems, solve_horizon_batch(problems)):
-            assert_same_solution(solution, problem)
-
-    def test_mixed_shapes_one_batch(self):
-        """Heterogeneous problems (different ladders/horizons) in one call."""
-        rng = np.random.default_rng(13)
-        problems = [random_problem(rng) for _ in range(40)]
-        solutions = solve_horizon_batch(problems)
-        for problem, solution in zip(problems, solutions):
-            assert_same_solution(solution, problem)
+            assert_same_solution(solve_horizon(problem), problem)
 
     def test_dp_crossover_falls_back_consistently(self):
-        """Above the enumeration limit the batch must agree with solve_horizon."""
+        """Above the enumeration limit solve_horizon is the exact DP."""
         horizon = 8
         assert len(LADDER) ** horizon > _ENUMERATION_LIMIT
         problem = HorizonProblem(
@@ -169,26 +159,20 @@ class TestBatchVsReference:
             buffer_capacity_s=30.0,
             weights=QoEWeights.balanced(),
         )
-        (batch,) = solve_horizon_batch([problem])
-        direct = solve_horizon(problem)
-        assert batch.plan == direct.plan
-        assert batch.qoe == direct.qoe
-
-    def test_empty_batch(self):
-        assert solve_horizon_batch([]) == []
+        assert solve_horizon(problem) == solve_horizon_dp(problem)
 
     def test_evaluator_reuse_across_shapes(self):
-        """The thread's one evaluator serves batches of different shapes
-        back to back, and a repeated batch reuses its cached tree."""
+        """The thread's one evaluator serves problems of different shapes
+        back to back, and a repeated problem reuses its cached tree."""
         rng = np.random.default_rng(17)
         evaluator = _thread_evaluator()
         for _ in range(5):
             problems = [random_problem(rng) for _ in range(int(rng.integers(1, 9)))]
-            solutions = solve_horizon_batch(problems)
+            solutions = [solve_horizon(problem) for problem in problems]
             for problem, solution in zip(problems, solutions):
                 assert_same_solution(solution, problem)
         trees = {key: tree for key, (tree, _) in evaluator._trees.items()}
-        assert solve_horizon_batch(problems) == solutions
+        assert [solve_horizon(problem) for problem in problems] == solutions
         assert _thread_evaluator() is evaluator
         assert all(evaluator._trees[key][0] is tree for key, tree in trees.items())
 

@@ -1,20 +1,19 @@
 """The prefix-tree roll-out: every cell bit-identical to the scalar one.
 
-``_BatchEvaluator.evaluate`` rolls the plan space's QoE out over its
-prefix tree; ``_evaluate_one_py`` (``kernel_reference.py``) rolls one
-plan out step by step.  Each (instance, plan) QoE cell must carry the
-same IEEE-754 bit pattern — not an approximately equal float — across
-the paper's horizon of 5 and every input layout the consumers pass.  The
-roll-out keeps no rebuffer or leaf buffer; the solvers replay each
-winning plan (``_replay_plan``) for them, and those two floats must
-match the scalar roll-out's bit for bit too, through ``_solve_rows`` in
-every layout and through ``solve_horizon``, ``solve_horizon_batch`` and
+``_BatchEvaluator.evaluate`` rolls one problem's plan space out over its
+prefix tree from several start buffers at once; ``_evaluate_one_py``
+(``kernel_reference.py``) rolls one plan out step by step.  Each (start
+buffer, plan) QoE cell must carry the same IEEE-754 bit pattern — not an
+approximately equal float — across the paper's horizon of 5, with and
+without a previous quality.  The roll-out keeps no rebuffer or leaf
+buffer; the solvers replay each winning plan (``_replay_plan``) for
+them, and those two floats must match the scalar roll-out's bit for bit
+too, through ``_solve_rows`` and through ``solve_horizon`` and
 ``solve_startup``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -26,51 +25,37 @@ from repro.core.horizon import (
     solve_horizon,
     solve_startup,
 )
-from repro.core.kernel import (
-    _BatchEvaluator,
-    _replay_plan,
-    _solve_rows,
-    solve_horizon_batch,
-)
+from repro.core.kernel import _BatchEvaluator, _replay_plan, _solve_rows
 from repro.qoe import QoEWeights
 
 from kernel_reference import _evaluate_one_py
 
-#: (shared sizes, shared predictions) per layout.
-LAYOUTS = ((True, True), (True, False), (False, True), (False, False))
-PREV_MODES = ("none", "value", "nan-mixed")
+PREV_MODES = ("none", "value")
 
 
 def bits(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
 
 
-def make_case(rng, num_levels, horizon, layout, prev_mode, n=3):
-    shared_sizes, shared_preds = layout
+def vbr_rows(rng, num_levels, horizon):
+    """Ascending per-chunk sizes that differ between horizon chunks."""
+    return np.sort(rng.uniform(50.0, 20000.0, (horizon, num_levels)), axis=1)
+
+
+def make_case(rng, num_levels, horizon, prev_mode, n=3):
+    """One problem's sizes, predictions and previous quality, and ``n``
+    start buffers (the first one empty)."""
     quality = np.sort(rng.uniform(100.0, 4000.0, size=num_levels))
     chunk_s = float(rng.uniform(1.0, 6.0))
-    if shared_sizes:
-        # CBR rows for even horizons, VBR rows for odd ones.
-        if horizon % 2 == 0:
-            sizes = np.tile(chunk_s * quality, (horizon, 1))
-        else:
-            sizes = np.sort(rng.uniform(50.0, 20000.0, (horizon, num_levels)), axis=1)
+    # CBR rows for even horizons, VBR rows for odd ones.
+    if horizon % 2 == 0:
+        sizes = np.tile(chunk_s * quality, (horizon, 1))
     else:
-        sizes = np.sort(
-            rng.uniform(50.0, 20000.0, (n, horizon, num_levels)), axis=2
-        )
-    if shared_preds:
-        preds = rng.uniform(200.0, 5000.0, horizon)
-    else:
-        preds = rng.uniform(200.0, 5000.0, (n, horizon))
+        sizes = vbr_rows(rng, num_levels, horizon)
+    preds = rng.uniform(200.0, 5000.0, horizon)
     buffer0 = rng.uniform(0.0, 25.0, n)
     buffer0[0] = 0.0
-    if prev_mode == "none":
-        prev = None
-    else:
-        prev = quality[rng.integers(0, num_levels, n)].astype(np.float64)
-        if prev_mode == "nan-mixed":
-            prev[1::2] = np.nan
+    prev = None if prev_mode == "none" else float(quality[rng.integers(0, num_levels)])
     scalars = dict(
         switching=float(rng.uniform(0.0, 2.0)),
         rebuffering=float(rng.uniform(0.0, 5000.0)),
@@ -81,17 +66,12 @@ def make_case(rng, num_levels, horizon, layout, prev_mode, n=3):
 
 
 def instance_rows(row, sizes, preds, buffer0, prev):
-    """One instance's sizes, predictions, start buffer and previous quality."""
-    return (
-        (sizes if sizes.ndim == 2 else sizes[row]).tolist(),
-        (preds if preds.ndim == 1 else preds[row]).tolist(),
-        float(buffer0[row]),
-        None if prev is None else float(prev[row]),
-    )
+    """Start buffer ``row``'s sizes, predictions, buffer and previous quality."""
+    return sizes.tolist(), preds.tolist(), float(buffer0[row]), prev
 
 
 def scalar_cells(num_levels, horizon, sizes, preds, buffer0, prev, quality, scalars):
-    """The scalar roll-out's QoE of every (instance, plan)."""
+    """The scalar roll-out's QoE of every (start buffer, plan)."""
     plans = _plan_matrix(num_levels, horizon)
     n = buffer0.shape[0]
     out = np.empty((n, plans.shape[0]))
@@ -107,13 +87,12 @@ def scalar_cells(num_levels, horizon, sizes, preds, buffer0, prev, quality, scal
 @pytest.mark.parametrize("num_levels", [1, 2, 3, 4, 5, 6])
 def test_every_cell_matches_scalar_rollout(num_levels, horizon):
     rng = np.random.default_rng(1000 * num_levels + horizon)
-    # Small plan spaces draw more instances; the paper's 5^5 and 6^5
+    # Small plan spaces draw more start buffers; the paper's 5^5 and 6^5
     # still get two rows each.
     n = 3 if num_levels**horizon <= 1296 else 2
     evaluator = _BatchEvaluator()
-    for index, layout in enumerate(LAYOUTS):
-        prev_mode = PREV_MODES[(index + horizon) % len(PREV_MODES)]
-        case = make_case(rng, num_levels, horizon, layout, prev_mode, n)
+    for prev_mode in PREV_MODES * 2:
+        case = make_case(rng, num_levels, horizon, prev_mode, n)
         sizes, preds, buffer0, prev, quality, scalars = case
         got = evaluator.evaluate(
             num_levels, horizon, sizes, preds, buffer0, prev, quality,
@@ -122,19 +101,19 @@ def test_every_cell_matches_scalar_rollout(num_levels, horizon):
         )
         expected = scalar_cells(num_levels, horizon, *case)
         assert got.shape == (n, num_levels**horizon)
-        assert np.array_equal(bits(got), bits(expected)), (layout, prev_mode)
+        assert np.array_equal(bits(got), bits(expected)), prev_mode
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("num_levels", [1, 2, 3, 4, 5, 6])
 def test_replayed_winners_match_scalar_rollout(num_levels, horizon):
-    """``_solve_rows``' winner of each instance, in every layout and
-    previous-quality mode, and its replayed rebuffer and final buffer:
-    all three floats are the scalar roll-out's for that plan."""
+    """``_solve_rows``' winner from each start buffer, with and without a
+    previous quality, and its replayed rebuffer and final buffer: all
+    three floats are the scalar roll-out's for that plan."""
     rng = np.random.default_rng(2000 * num_levels + horizon)
     plans = _plan_matrix(num_levels, horizon)
-    for layout, prev_mode in itertools.product(LAYOUTS, PREV_MODES):
-        case = make_case(rng, num_levels, horizon, layout, prev_mode)
+    for prev_mode in PREV_MODES * 2:
+        case = make_case(rng, num_levels, horizon, prev_mode)
         sizes, preds, buffer0, prev, quality, scalars = case
         best, qoe = _solve_rows(plans, sizes, preds, buffer0, prev, quality, **scalars)
         # The winner is the first maximum of the scalar cells.
@@ -148,17 +127,13 @@ def test_replayed_winners_match_scalar_rollout(num_levels, horizon):
                 scalars["chunk_duration_s"], scalars["buffer_capacity_s"],
             )
             got = (qoe[row],) + replayed
-            assert np.array_equal(bits(got), bits(want)), (layout, prev_mode, row)
+            assert np.array_equal(bits(got), bits(want)), (prev_mode, row)
 
 
 def entry_point_problems(rng, num_levels, horizon, count=4):
-    """Problems sharing a ladder, weights, L and Bmax (so a batch stacks
-    them into one roll-out), with VBR rows, their own predictions and
-    start buffers, and a previous quality on every other one (so the
-    batch's previous qualities are NaN-mixed)."""
-    sizes, _, _, _, quality, scalars = make_case(
-        rng, num_levels, horizon, (False, True), "none", count
-    )
+    """Problems with VBR rows, their own predictions and start buffers
+    (the first one empty), and a previous quality on every other one."""
+    _, _, _, _, quality, scalars = make_case(rng, num_levels, horizon, "none")
     weights = QoEWeights(
         switching=scalars["switching"],
         rebuffering=scalars["rebuffering"],
@@ -168,7 +143,7 @@ def entry_point_problems(rng, num_levels, horizon, count=4):
         HorizonProblem(
             buffer_level_s=0.0 if k == 0 else float(rng.uniform(0.0, 25.0)),
             prev_quality=None if k % 2 == 0 else float(quality[k % num_levels]),
-            chunk_sizes_kilobits=sizes[k].tolist(),
+            chunk_sizes_kilobits=vbr_rows(rng, num_levels, horizon).tolist(),
             quality_values=quality.tolist(),
             predicted_kbps=rng.uniform(200.0, 5000.0, horizon).tolist(),
             chunk_duration_s=scalars["chunk_duration_s"],
@@ -194,15 +169,11 @@ def scalar_answer(problem, plan, buffer0):
 def test_entry_points_answer_their_winners_scalar_floats(num_levels, horizon):
     rng = np.random.default_rng(3000 * num_levels + horizon)
     problems = entry_point_problems(rng, num_levels, horizon)
-    answers = [("solve_horizon", p, solve_horizon(p)) for p in problems]
-    answers += [
-        ("solve_horizon_batch", p, s)
-        for p, s in zip(problems, solve_horizon_batch(problems))
-    ]
-    for entry, problem, solution in answers:
+    for problem in problems:
+        solution = solve_horizon(problem)
         want = scalar_answer(problem, solution.plan, problem.buffer_level_s)
         got = (solution.qoe, solution.rebuffer_s, solution.final_buffer_s)
-        assert np.array_equal(bits(got), bits(want)), entry
+        assert np.array_equal(bits(got), bits(want)), "solve_horizon"
     for problem in problems:
         solution = solve_startup(problem, max_wait_s=2.0, wait_step_s=0.25)
         wait = solution.startup_wait_s
@@ -232,7 +203,7 @@ def test_exact_tie_picks_the_lowest_plan_index():
     qoe = _BatchEvaluator().evaluate(
         3, 5,
         np.asarray(problem.chunk_sizes_kilobits), np.asarray(problem.predicted_kbps),
-        np.asarray([problem.buffer_level_s]), np.asarray([problem.prev_quality]),
+        np.asarray([problem.buffer_level_s]), problem.prev_quality,
         np.asarray(quality), 1.0, 100.0, 4.0, 30.0,
     )
     plans = _plan_matrix(3, 5).tolist()
@@ -240,15 +211,13 @@ def test_exact_tie_picks_the_lowest_plan_index():
     assert len(tied) == 2**5
     assert {float(qoe[0, j]) for j in tied} == {10.0}
     assert float(qoe[0].max()) == 10.0
-    (solution,) = solve_horizon_batch([problem])
+    solution = solve_horizon(problem)
     assert solution.plan == (1, 1, 1, 1, 1)
     assert plans.index(list(solution.plan)) == min(tied)
     assert math.isclose(solution.qoe, 10.0)
 
 
 def test_plans_must_be_the_full_product():
-    from repro.core.kernel import _solve_rows
-
     partial = _plan_matrix(3, 2)[:4]
     with pytest.raises(ValueError, match="full product"):
         _solve_rows(

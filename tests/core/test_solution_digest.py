@@ -1,12 +1,11 @@
 """Every field of the horizon solvers' answers, pinned bit for bit.
 
-About 4,000 seeded problems go through the three entry points that roll
-plans out on the kernel: ``solve_horizon`` one problem at a time,
-``solve_horizon_batch`` in batches whose members share a ladder (so they
-stack into one roll-out), and ``solve_startup`` over its wait grid.  The
-problems mix CBR and VBR rows, 1 to 6 levels, horizons 1 to 5, states
-with and without a previous level, integer qualities that tie exactly,
-and zero switching or rebuffering weights.  Each entry point's answers
+About 2,100 seeded problems go through the two entry points that roll
+plans out on the kernel: ``solve_horizon`` one problem at a time and
+``solve_startup`` over its wait grid.  The problems mix CBR and VBR
+rows, 1 to 6 levels, horizons 1 to 5, states with and without a
+previous level, integer qualities that tie exactly, and zero switching
+or rebuffering weights.  Each entry point's answers
 hash, through the ``repr`` of every :class:`HorizonSolution` field, to a
 digest recorded before the roll-out stopped computing the rebuffer and
 final buffer of every plan; ``repr`` round-trips a float exactly, so a
@@ -22,20 +21,18 @@ import numpy as np
 import pytest
 
 from repro.core.horizon import HorizonProblem, solve_horizon, solve_startup
-from repro.core.kernel import solve_horizon_batch
 from repro.qoe import QoEWeights
 
 #: sha256 of the answers' field reprs, per entry point.
 DIGESTS = {
     "solve_horizon": "145105b03604365b5160139e59da2136cbf2d8b3188f747ee8bdb1e67a014ce5",
-    "solve_horizon_batch": "272f94844f767b2cb427de095d745715b07f560daf1d6886dc671f0fb772e07a",
     "solve_startup": "c92a7d0ff271f71463fa4d2d54ff1e22233f0fd4c470b7ea76dd880b1127169b",
 }
 
 
 def _family(rng):
-    """The structure a batch's members share: ladder, weights, L, Bmax,
-    horizon, and whether the rows are CBR."""
+    """A problem's structure: ladder, weights, L, Bmax, horizon, and
+    whether the rows are CBR."""
     num_levels = int(rng.integers(1, 7))
     horizon = int(rng.integers(1, 6))
     if rng.uniform() < 0.3:
@@ -104,16 +101,6 @@ def one_at_a_time():
     return [solve_horizon(p) for p in problems]
 
 
-def in_batches():
-    rng = np.random.default_rng(2802)
-    solutions = []
-    for _ in range(60):
-        family = _family(rng)
-        count = int(rng.integers(1, 61))
-        solutions += solve_horizon_batch([_member(rng, family) for _ in range(count)])
-    return solutions
-
-
 def startup_grids():
     rng = np.random.default_rng(2803)
     solutions = []
@@ -128,7 +115,6 @@ def startup_grids():
 
 ENTRY_POINTS = {
     "solve_horizon": one_at_a_time,
-    "solve_horizon_batch": in_batches,
     "solve_startup": startup_grids,
 }
 

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.emulation import EventQueue, SharedTraceLink
-from repro.faults import ChunkFailure, FailedTransfer, FaultyLink, LatencySpike
+from repro.faults import (
+    ChunkFailure,
+    FailedTransfer,
+    FaultyLink,
+    LatencySpike,
+    SimLinkFaults,
+)
 from repro.traces import Trace
 
 
@@ -109,3 +115,21 @@ class TestLatencySpike:
         link.start_transfer(2500.0, lambda t: done.setdefault("t", t))
         queue.run_until_idle()
         assert done["t"].completed_at_s == pytest.approx(0.75 + 2.5)
+
+    def test_a_spike_starting_during_another_delay_is_not_charged(self):
+        """Both backends test every spike at the transfer's start: one
+        that begins during another's delay is not charged.  The
+        simulator's injector is the same code ``FaultyLink`` draws from."""
+        spikes = [
+            LatencySpike(0.0, 10.0, extra_delay_s=0.5),
+            LatencySpike(10.2, 10.0, extra_delay_s=0.5),
+        ]
+        assert SimLinkFaults(spikes).overhead_s(9.9) == 0.5
+        link, queue = make_link(spikes)
+        done = {}
+        queue.schedule_at(
+            9.9,
+            lambda: link.start_transfer(1000.0, lambda t: done.setdefault("t", t)),
+        )
+        queue.run_until_idle()
+        assert done["t"].started_at_s == pytest.approx(9.9 + 0.5)

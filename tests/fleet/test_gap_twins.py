@@ -1,10 +1,11 @@
-"""Lockstep parity: scalar gap-corrected predictors vs their batch twins.
+"""Lockstep parity: the scalar gap-corrected predictor vs its batch twin.
 
 The fleet's exactness doctrine applies to predictors too: feeding the
 same sample stream (throughput, download time, stall) to a scalar
-``GapCorrectedHarmonicPredictor`` / ``GapCorrectedEWMAPredictor`` and to
-one row of its vectorized twin must produce bit-identical estimates at
-every step — ``==`` on floats, no tolerances.  Each batch row carries an
+``GapCorrectedHarmonicPredictor`` and to one row of its vectorized twin
+must produce bit-identical estimates at every step — ``==`` on floats,
+no tolerances.  The twin has no robust discount: ``fastmpc-gap``, the
+one fleet controller that builds it, uses none.  Each batch row carries an
 independent stream, so the lockstep matrices cannot leak state sideways.
 """
 
@@ -13,13 +14,9 @@ from __future__ import annotations
 import random
 
 import numpy as np
-import pytest
 
-from repro.fleet.controllers import _BatchGapEWMA, _BatchGapHarmonic
-from repro.prediction.streaming import (
-    GapCorrectedEWMAPredictor,
-    GapCorrectedHarmonicPredictor,
-)
+from repro.fleet.controllers import _BatchGapHarmonic
+from repro.prediction.streaming import GapCorrectedHarmonicPredictor
 
 
 def make_streams(n_rows, n_steps, seed, stall_every=3):
@@ -67,27 +64,10 @@ def assert_lockstep(scalar_factory, batch, streams, n_steps):
 N_ROWS, N_STEPS = 8, 24
 
 
-@pytest.mark.parametrize("robust_discount", (0.0, 0.25))
-def test_gap_harmonic_twin_lockstep(robust_discount):
+def test_gap_harmonic_twin_lockstep():
     streams = make_streams(N_ROWS, N_STEPS, seed=101)
-    batch = _BatchGapHarmonic(N_ROWS, robust_discount=robust_discount)
     assert_lockstep(
-        lambda: GapCorrectedHarmonicPredictor(robust_discount=robust_discount),
-        batch,
-        streams,
-        N_STEPS,
-    )
-
-
-@pytest.mark.parametrize("robust_discount", (0.0, 0.25))
-def test_gap_ewma_twin_lockstep(robust_discount):
-    streams = make_streams(N_ROWS, N_STEPS, seed=202)
-    batch = _BatchGapEWMA(N_ROWS, robust_discount=robust_discount)
-    assert_lockstep(
-        lambda: GapCorrectedEWMAPredictor(robust_discount=robust_discount),
-        batch,
-        streams,
-        N_STEPS,
+        GapCorrectedHarmonicPredictor, _BatchGapHarmonic(N_ROWS), streams, N_STEPS
     )
 
 
