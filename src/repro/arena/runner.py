@@ -4,9 +4,12 @@
 into players (each its own :class:`~repro.emulation.client.EmulatedClient`
 driving a registry controller), attaches cross-traffic flows to the shared
 :class:`~repro.emulation.link.SharedTraceLink`, and drives one event queue
-to completion.  Everything is deterministic in the config: the same
-:class:`ArenaConfig` always produces a byte-identical
-:meth:`ArenaResult.to_json`, in any process, under any fault profile.
+until every player has finished.  The testbed (queue, link, the one
+link-fault injector, chunk server) comes from the same builder
+:func:`repro.emulation.harness.emulate_shared_link` uses.  Everything is
+deterministic in the config: the same :class:`ArenaConfig` always
+produces a byte-identical :meth:`ArenaResult.to_json`, in any process,
+under any fault profile.
 
 Parity pin: with ``arrivals="stagger"``, no departures
 (``max_watch_chunks=None``) and no cross traffic, the arena is — by
@@ -22,7 +25,7 @@ it ends, so every departed session remains a complete, scoreable
 Cross traffic keeps the link's progress loop alive indefinitely (an
 infinitely backlogged flow never completes), so the arena drives the
 queue itself and stops once every player has finished rather than
-waiting for an idle queue.
+waiting for an idle queue — with or without cross traffic.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ from ..abr import registry
 from ..abr.base import SessionConfig
 from ..emulation.clock import EventQueue
 from ..emulation.client import EmulatedClient
-from ..emulation.harness import NetworkProfile, _build_link
-from ..emulation.server import ChunkServer
+from ..emulation.harness import NetworkProfile, _Testbed
 from ..faults.profiles import get_profile
 from ..sim.session import SessionResult
 from ..traces.trace import Trace
@@ -224,7 +226,9 @@ def _drive(queue: EventQueue, clients: List[EmulatedClient]) -> None:
 
     With cross traffic attached the link never goes idle (an infinitely
     backlogged flow always has a next progress event), so draining the
-    queue is not a termination condition — finished players are.
+    queue is not a termination condition — finished players are.  The
+    events left over once they have (superseded link progress events,
+    say) change no player's result.
     """
     pending = list(clients)
     executed = 0
@@ -258,19 +262,12 @@ def run_arena(config: ArenaConfig, tracer=None) -> ArenaResult:
     """
     manifest = config.manifest
     schedule = build_schedule(config.schedule, manifest.num_chunks)
-    queue = EventQueue()
-    profile = get_profile(config.profile)
-    link = _build_link(
+    testbed = _Testbed(
         config.trace,
-        queue,
-        config.network,
-        profile.trace_faults or None,
-        config.fault_seed,
-    )
-    server = ChunkServer(
         manifest,
-        header_kilobits=config.network.header_kilobits,
-        processing_delay_s=config.network.server_processing_delay_s,
+        config.network,
+        get_profile(config.profile).trace_faults,
+        config.fault_seed,
     )
     clients: List[EmulatedClient] = []
     specs = schedule.players
@@ -281,15 +278,11 @@ def run_arena(config: ArenaConfig, tracer=None) -> ArenaResult:
             else manifest.truncated(spec.watch_chunks)
         )
         clients.append(
-            EmulatedClient(
-                client_id=spec.player_id,
-                algorithm=registry.create(spec.controller),
-                manifest=watched,
-                config=config.session,
-                queue=queue,
-                link=link,
-                server=server,
-                rtt_s=config.network.rtt_s,
+            testbed.client(
+                spec.player_id,
+                registry.create(spec.controller),
+                watched,
+                config.session,
                 start_time_s=spec.arrival_s,
                 tracer=tracer,
                 session_id=f"{spec.arm}#p{spec.player_id}",
@@ -297,17 +290,12 @@ def run_arena(config: ArenaConfig, tracer=None) -> ArenaResult:
         )
     ledger: Dict[str, float] = {}
     drivers = [
-        _CrossDriver(spec, link, queue, ledger)
+        _CrossDriver(spec, testbed.link, testbed.queue, ledger)
         for spec in schedule.cross_traffic
     ]
-    if drivers:
-        _drive(queue, clients)
-        for driver in drivers:
-            driver.shutdown()
-    else:
-        # No cross traffic: the queue drains exactly like
-        # emulate_shared_link's, byte for byte (the parity path).
-        queue.run_until_idle()
+    _drive(testbed.queue, clients)
+    for driver in drivers:
+        driver.shutdown()
     sessions = tuple(client.result() for client in clients)
     outcomes = tuple(
         player_outcome(spec, session, manifest.num_chunks)

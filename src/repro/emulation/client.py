@@ -12,9 +12,13 @@ What a chunk does to the player is not reimplemented here: the client
 drives the simulator's own :class:`~repro.sim.session.PlayerState`
 (decision, Eq. 3 drain and rebuffer, startup wait, Eq. 4 pacing wait,
 records, trace events and the :class:`~repro.sim.session.SessionResult`)
-and keeps only its requests, retries with their fallback level, and
-link events.  Each next request goes out at the time the player's
-``settle`` step returns, so on an ideal network the two backends agree.
+and keeps only its requests and link events.  Link faults are the
+simulator's too: each time a request reaches the link the client asks
+the run's :class:`~repro.faults.simlink.SimLinkFaults` whether the
+attempt fails and how long a latency spike holds it, and retries a
+failed attempt at the level the player decided.  Each next request goes
+out at the time the player's ``settle`` step returns, so on an ideal
+network the two backends agree.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 from typing import Optional
 
 from ..abr.base import ABRAlgorithm, SessionConfig
+from ..faults.simlink import SimLinkFaults
 from ..obs.tracer import Tracer
 from ..sim.session import PlayerState, SessionResult, StartupPolicy
 from ..video.manifest import VideoManifest
@@ -38,7 +43,8 @@ class EmulatedClient:
 
     The client schedules itself on the shared :class:`EventQueue`; run the
     queue to completion (or use :func:`repro.emulation.harness.emulate_session`)
-    and read :meth:`result`.
+    and read :meth:`result`.  ``faults`` is the link-fault injector every
+    client on ``link`` shares (``None`` on a fault-free link).
     """
 
     def __init__(
@@ -50,18 +56,16 @@ class EmulatedClient:
         queue: EventQueue,
         link: SharedTraceLink,
         server: ChunkServer,
+        faults: Optional[SimLinkFaults] = None,
         rtt_s: float = 0.08,
         startup_policy: StartupPolicy = StartupPolicy.FIRST_CHUNK,
         fixed_startup_delay_s: float = 0.0,
         start_time_s: float = 0.0,
-        max_chunk_retries: int = 3,
         tracer: Optional[Tracer] = None,
         session_id: str = "",
     ) -> None:
         if not 0.0 <= rtt_s < math.inf:
             raise ValueError("RTT must be a finite number >= 0")
-        if max_chunk_retries < 0:
-            raise ValueError("max chunk retries must be >= 0")
         self.client_id = client_id
         self.algorithm = algorithm
         self.manifest = manifest
@@ -69,13 +73,8 @@ class EmulatedClient:
         self.queue = queue
         self.link = link
         self.server = server
+        self.faults = faults
         self.rtt_s = rtt_s
-        self.max_chunk_retries = max_chunk_retries
-        #: Failed download attempts over the whole session (fault runs).
-        self.download_retries = 0
-        #: Chunks that fell back to the local rate-based level after
-        #: exhausting their retry budget.
-        self.fallback_chunks = 0
         self._player = PlayerState(
             algorithm,
             link.trace,
@@ -115,60 +114,52 @@ class EmulatedClient:
         self._pending_level = self._player.decide(now)
         self._chunk_request_time = now
         self._chunk_failures = 0
-        self._issue_request(self._pending_level)
+        self._issue_request()
 
-    def _issue_request(self, level: int) -> None:
-        """Send one GET for the pending chunk at ``level``.
+    def _issue_request(self) -> None:
+        """Send one GET for the pending chunk at the decided level.
 
         Request travels one RTT/2, the server processes, the response
         header arrives after another RTT/2; then bytes flow on the link.
-        Retries after a failed download come back through here, paying
+        Retries after a failed attempt come back through here, paying
         the full request latency again.
         """
         k = len(self._player.records)
-        request = ChunkRequest(self.client_id, k, level, self.queue.now)
+        request = ChunkRequest(self.client_id, k, self._pending_level, self.queue.now)
         size, processing = self.server.handle_request(request)
         self.queue.schedule_in(
             self.rtt_s + processing, lambda: self._reach_link(size)
         )
 
     def _reach_link(self, size: float) -> None:
-        if self._chunk_failures == 0:
-            self._link_reached_s = self.queue.now
-        self.link.start_transfer(
-            size, self._on_chunk_delivered, on_fail=self._on_chunk_failed
-        )
+        """Start the attempt's transfer, subject to the link faults.
 
-    def _fallback_level(self) -> int:
-        """The local rate-based rule over the last measured throughput —
-        the level a degraded chunk retries at (lowest level when no
-        measurement exists yet, matching real players' cold start)."""
-        records = self._player.records
-        if not records:
-            return 0
-        return self.manifest.ladder.highest_at_most(records[-1].throughput_kbps)
-
-    def _on_chunk_failed(self, failure) -> None:
-        """A download attempt died (injected chunk failure): retry.
-
-        The chunk is re-requested at the same level up to
-        ``max_chunk_retries`` times; after that the client degrades to
-        the local rate-based fallback level and keeps retrying there, so
-        a session always completes once the fault window passes.  Wall
+        A failed attempt delivers nothing: the failure is detected
+        ``detect_delay_s`` later and the chunk is requested again.  A
+        surviving one starts after the latency spikes active now.  Wall
         time spent on dead attempts stays inside the chunk's download
         interval, so the measured throughput (and with it the predictor
         and the rebuffer accounting) sees the outage honestly.
         """
-        self._chunk_failures += 1
-        self.download_retries += 1
-        level = self._pending_level
-        if self._chunk_failures > self.max_chunk_retries:
-            fallback = self._fallback_level()
-            if fallback != level:
-                self.fallback_chunks += 1
-                level = fallback
-                self._pending_level = level
-        self._issue_request(level)
+        now = self.queue.now
+        failures = self._chunk_failures
+        if failures == 0:
+            self._link_reached_s = now
+        faults = self.faults
+        if faults is not None:
+            failure = faults.draw_failure(now, failures)
+            if failure is not None:
+                self._chunk_failures = failures + 1
+                self.queue.schedule_in(failure.detect_delay_s, self._issue_request)
+                return
+            spike = faults.spike_delay_s(now)
+            if spike > 0:
+                self.queue.schedule_in(
+                    spike,
+                    lambda: self.link.start_transfer(size, self._on_chunk_delivered),
+                )
+                return
+        self.link.start_transfer(size, self._on_chunk_delivered)
 
     def _on_chunk_delivered(self, transfer: Transfer) -> None:
         # The download time the player *measures* spans the request, its
@@ -179,7 +170,6 @@ class EmulatedClient:
         now = self.queue.now
         player = self._player
         next_request = player.settle(
-            self._pending_level,
             now - self._chunk_request_time,
             transfer.started_at_s - self._link_reached_s,
             now,

@@ -4,7 +4,11 @@
 :func:`repro.sim.session.simulate_session`; :func:`emulate_shared_link`
 runs several players against one bottleneck — the multi-player scenario
 Section 8 discusses as future work, available here as an extension
-experiment.
+experiment.  A single session is the one-player case of the same run,
+and both, like the arena (:func:`repro.arena.run_arena`), build their
+testbed with one private builder: the event queue, the link with the
+bandwidth faults compiled into its trace, the one link-fault injector
+and the chunk server.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..abr.base import ABRAlgorithm, SessionConfig
+from ..faults.simlink import SimLinkFaults
+from ..faults.trace import apply_trace_faults
 from ..sim.session import SessionResult, StartupPolicy
 from ..traces.trace import Trace
 from ..video.manifest import VideoManifest
@@ -69,37 +75,89 @@ class NetworkProfile:
             raise ValueError("processing delay must be a finite number >= 0")
 
 
-def _build_link(
-    trace: Trace,
-    queue: EventQueue,
-    network: NetworkProfile,
-    faults: Optional[Sequence] = None,
-    fault_seed: int = 0,
-):
-    """The shared bottleneck, optionally wrapped with fault injection.
+class _Testbed:
+    """What every player of one emulated run shares.
 
-    Bandwidth faults are compiled into the trace itself (exact segment
-    surgery); per-transfer faults wrap the link.  With ``faults`` empty
-    or ``None`` this is byte-for-byte the clean link.
+    The event queue; the bottleneck link, with the bandwidth faults in
+    ``faults`` compiled into its trace (exact segment surgery); the one
+    :class:`~repro.faults.simlink.SimLinkFaults` drawing the link faults
+    for every client (``None`` without link faults); and the chunk
+    server.  With ``faults`` empty or ``None`` this is byte-for-byte the
+    clean testbed.
     """
-    if faults:
-        # Imported lazily: the faults package is optional equipment and
-        # itself imports this package's link module.
-        from ..faults import FaultyLink, apply_trace_faults, link_faults
 
-        trace = apply_trace_faults(trace, faults)
-        link = SharedTraceLink(
-            trace,
-            queue,
+    def __init__(
+        self,
+        trace: Trace,
+        manifest: VideoManifest,
+        network: NetworkProfile,
+        faults: Optional[Sequence] = None,
+        fault_seed: int = 0,
+    ) -> None:
+        faults = faults or ()
+        self.rtt_s = network.rtt_s
+        self.queue = EventQueue()
+        self.link = SharedTraceLink(
+            apply_trace_faults(trace, faults),
+            self.queue,
             rtt_s=max(network.rtt_s, 1e-3),
             slow_start=network.slow_start,
         )
-        if link_faults(faults):
-            return FaultyLink(link, faults, seed=fault_seed)
-        return link
-    return SharedTraceLink(
-        trace, queue, rtt_s=max(network.rtt_s, 1e-3), slow_start=network.slow_start
-    )
+        self.faults = SimLinkFaults(faults, fault_seed) or None
+        self.server = ChunkServer(
+            manifest,
+            header_kilobits=network.header_kilobits,
+            processing_delay_s=network.server_processing_delay_s,
+        )
+
+    def client(
+        self,
+        client_id: int,
+        algorithm: ABRAlgorithm,
+        manifest: VideoManifest,
+        config: SessionConfig,
+        **options,
+    ) -> EmulatedClient:
+        """A player on this testbed; ``options`` are the client's own
+        (start time, startup policy, tracer, session id)."""
+        return EmulatedClient(
+            client_id,
+            algorithm,
+            manifest,
+            config,
+            self.queue,
+            self.link,
+            self.server,
+            self.faults,
+            rtt_s=self.rtt_s,
+            **options,
+        )
+
+
+def _emulate(
+    algorithms: Sequence[ABRAlgorithm],
+    trace: Trace,
+    manifest: VideoManifest,
+    config: Optional[SessionConfig],
+    network: Optional[NetworkProfile],
+    faults: Optional[Sequence],
+    fault_seed: int,
+    start_stagger_s: float = 0.0,
+    **options,
+) -> List[SessionResult]:
+    """Play ``algorithms`` on one testbed, player ``i`` arriving at
+    ``i * start_stagger_s``; one result per player, in input order."""
+    config = config if config is not None else SessionConfig()
+    network = network if network is not None else NetworkProfile()
+    testbed = _Testbed(trace, manifest, network, faults, fault_seed)
+    clients = [
+        testbed.client(
+            i, algorithm, manifest, config, start_time_s=i * start_stagger_s, **options
+        )
+        for i, algorithm in enumerate(algorithms)
+    ]
+    testbed.queue.run_until_idle()
+    return [client.result() for client in clients]
 
 
 def emulate_session(
@@ -120,38 +178,27 @@ def emulate_session(
 
     ``faults`` takes :class:`~repro.faults.spec.FaultSpec` objects
     (blackouts, clamps, latency spikes, chunk failures); the session
-    still always completes — the client retries failed downloads and
-    degrades to its local rate-based fallback level when the retry
-    budget runs out (see ``docs/robustness.md``).
+    still always completes — the client retries a failed download at the
+    level it decided, and a chunk's attempt after its 64th failure is
+    never failed (see ``docs/robustness.md``).
 
     A :class:`repro.obs.Tracer` makes the client emit the same per-chunk
     event timeline as the simulator (see ``docs/observability.md``).
     """
-    config = config if config is not None else SessionConfig()
-    network = network if network is not None else NetworkProfile()
-    queue = EventQueue()
-    link = _build_link(trace, queue, network, faults, fault_seed)
-    server = ChunkServer(
+    (result,) = _emulate(
+        [algorithm],
+        trace,
         manifest,
-        header_kilobits=network.header_kilobits,
-        processing_delay_s=network.server_processing_delay_s,
-    )
-    client = EmulatedClient(
-        client_id=0,
-        algorithm=algorithm,
-        manifest=manifest,
-        config=config,
-        queue=queue,
-        link=link,
-        server=server,
-        rtt_s=network.rtt_s,
+        config,
+        network,
+        faults,
+        fault_seed,
         startup_policy=startup_policy,
         fixed_startup_delay_s=fixed_startup_delay_s,
         tracer=tracer,
         session_id=session_id,
     )
-    queue.run_until_idle()
-    return client.result()
+    return result
 
 
 def emulate_shared_link(
@@ -178,29 +225,16 @@ def emulate_shared_link(
         raise ValueError("need at least one player")
     if not 0.0 <= start_stagger_s < math.inf:
         raise ValueError("stagger must be a finite number >= 0")
-    config = config if config is not None else SessionConfig()
-    network = network if network is not None else NetworkProfile()
-    queue = EventQueue()
-    link = _build_link(trace, queue, network, faults, fault_seed)
-    server = ChunkServer(
-        manifest,
-        header_kilobits=network.header_kilobits,
-        processing_delay_s=network.server_processing_delay_s,
-    )
-    clients = [
-        EmulatedClient(
-            client_id=i,
-            algorithm=algorithm,
-            manifest=manifest,
-            config=config,
-            queue=queue,
-            link=link,
-            server=server,
-            rtt_s=network.rtt_s,
-            start_time_s=i * start_stagger_s,
+    return SharedLinkResult(
+        _emulate(
+            algorithms,
+            trace,
+            manifest,
+            config,
+            network,
+            faults,
+            fault_seed,
+            start_stagger_s,
             tracer=tracer,
         )
-        for i, algorithm in enumerate(algorithms)
-    ]
-    queue.run_until_idle()
-    return SharedLinkResult(client.result() for client in clients)
+    )

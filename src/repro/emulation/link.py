@@ -325,17 +325,14 @@ class SharedTraceLink:
         return len(self._cross)
 
     def start_transfer(
-        self,
-        size_kilobits: float,
-        on_complete: Callable[[Transfer], None],
-        on_fail: Optional[Callable] = None,
+        self, size_kilobits: float, on_complete: Callable[[Transfer], None]
     ) -> Transfer:
         """Begin delivering ``size_kilobits``; ``on_complete`` fires at the
         exact virtual completion time.
 
-        ``on_fail`` is part of the link interface shared with
-        :class:`~repro.faults.link.FaultyLink`; the clean link never
-        fails a transfer, so it is accepted and ignored here.
+        The link itself never fails a transfer: link faults are drawn by
+        the client before its request reaches the link (see
+        :class:`~repro.faults.simlink.SimLinkFaults`).
         """
         if size_kilobits <= 0:
             raise ValueError("transfer size must be positive")

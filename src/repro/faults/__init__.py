@@ -9,11 +9,10 @@ manufactures the unhappy ones, end to end:
 * :mod:`trace` — :func:`apply_trace_faults` compiles bandwidth faults
   into an ordinary :class:`~repro.traces.trace.Trace` by exact segment
   surgery (byte integration outside fault windows is untouched).
-* :mod:`link` — :class:`FaultyLink` enforces per-transfer faults around
-  the emulation's shared bottleneck link.
-* :mod:`simlink` — :class:`SimLinkFaults`, the same per-transfer
-  semantics for the synchronous chunk simulator (dead time counted into
-  each chunk's ``stalled_s``).
+* :mod:`simlink` — :class:`SimLinkFaults`, the one injector of
+  per-transfer faults (chunk failures, latency spikes): the simulator
+  asks it for each download's dead time, the emulated client asks it
+  each time a request reaches the link.
 * :mod:`chaos` — :class:`ChaosPolicy`, the decision server's injected
   misbehaviour source (5xx, slow-loris, resets, mid-flight table swaps).
 * :mod:`profiles` — named scenarios for ``repro-abr chaos`` and tests.
@@ -36,7 +35,6 @@ from .spec import (
     link_faults,
 )
 from .trace import apply_trace_faults
-from .link import FailedTransfer, FaultyLink
 from .simlink import SimLinkFaults
 from .chaos import (
     CHAOS_ERROR,
@@ -61,8 +59,6 @@ __all__ = [
     "bandwidth_faults",
     "link_faults",
     "apply_trace_faults",
-    "FailedTransfer",
-    "FaultyLink",
     "SimLinkFaults",
     "CHAOS_ERROR",
     "CHAOS_KILL",

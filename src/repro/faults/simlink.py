@@ -1,15 +1,19 @@
 """Per-transfer link-fault draws, shared by both session backends.
 
-:class:`SimLinkFaults` holds the one implementation of the link-level
-fault semantics: the chunk-level simulator asks it for each download's
-dead time (:meth:`SimLinkFaults.overhead_s`), and the emulation's
-:class:`~repro.faults.link.FaultyLink` takes its failure draws and spike
-delays from one of its own around the event-driven link.
+:class:`SimLinkFaults` is the one implementation of the link-level
+fault semantics.  The chunk-level simulator asks it for each download's
+dead time (:meth:`SimLinkFaults.overhead_s`); the emulated client
+(:class:`~repro.emulation.client.EmulatedClient`) asks it
+:meth:`~SimLinkFaults.draw_failure` and
+:meth:`~SimLinkFaults.spike_delay_s` each time one of its requests
+reaches the link, and retries a failed attempt at the level it decided.
 
-* each transfer start makes one seeded Bernoulli draw per at-risk
+* each transfer attempt makes one seeded Bernoulli draw per at-risk
   :class:`ChunkFailure` spec, in start order — a failure costs
-  ``detect_delay_s`` of dead wall time and the transfer retries from the
+  ``detect_delay_s`` of dead wall time and the chunk retries from the
   delayed instant (a fresh draw at the new start time);
+* a chunk's 65th attempt makes no draw: it always survives, so even a
+  ``rate=1.0`` spec ends after 64 failures of each chunk;
 * once a start survives the failure draws, every :class:`LatencySpike`
   window active at that start instant delays the first byte by its
   ``extra_delay_s`` (overlapping spikes stack; a spike that begins
@@ -35,14 +39,15 @@ from .spec import ChunkFailure, FaultSpec, LatencySpike, link_faults
 
 __all__ = ["SimLinkFaults"]
 
-#: Retry ceiling per transfer: with the profile rates used in this repo
-#: (<= 0.25) the probability of hitting it is below 1e-38; it exists so a
-#: pathological rate=1.0 spec terminates instead of looping forever.
+#: Failed attempts per chunk before its next attempt is spared the draw:
+#: with the profile rates used in this repo (<= 0.25) the probability of
+#: reaching it is below 1e-38; it exists so a pathological rate=1.0 spec
+#: ends each chunk instead of looping forever.
 _MAX_ATTEMPTS = 64
 
 
 class SimLinkFaults:
-    """Deterministic link-fault draws: failures, spike delays, counters."""
+    """Deterministic link-fault draws: failures and spike delays."""
 
     def __init__(self, faults: Iterable[FaultSpec], seed: int = 0) -> None:
         specs = link_faults(faults)
@@ -53,8 +58,6 @@ class SimLinkFaults:
             s for s in specs if isinstance(s, LatencySpike)
         ]
         self._rng = random.Random(seed)
-        self.transfers_started = 0
-        self.transfers_failed = 0
 
     def __bool__(self) -> bool:
         return bool(self._failures or self._spikes)
@@ -62,26 +65,32 @@ class SimLinkFaults:
     def overhead_s(self, start_s: float) -> float:
         """Dead seconds injected ahead of a transfer starting at ``start_s``.
 
-        Consumes RNG draws exactly as :class:`~repro.faults.link.FaultyLink`
-        does for a client that retries every failure immediately.
+        Consumes RNG draws exactly as the emulated client does when it
+        retries every failure immediately.
         """
         now = start_s
-        for _ in range(_MAX_ATTEMPTS):
-            spec = self.draw_failure(now)
+        attempt = 0
+        while True:
+            spec = self.draw_failure(now, attempt)
             if spec is None:
                 break
             now += spec.detect_delay_s
+            attempt += 1
         return now + self.spike_delay_s(now) - start_s
 
-    def draw_failure(self, now: float) -> Optional[ChunkFailure]:
-        """Start one transfer attempt at ``now``: the spec that fails it,
-        or None.  One Bernoulli draw per at-risk spec, in spec order."""
-        self.transfers_started += 1
+    def draw_failure(self, now: float, attempt: int) -> Optional[ChunkFailure]:
+        """Start a transfer attempt at ``now``, after ``attempt`` failed
+        ones of the same chunk: the spec that fails it, or None.
+
+        One Bernoulli draw per at-risk spec, in spec order; none once
+        the chunk has failed :data:`_MAX_ATTEMPTS` times.
+        """
+        if attempt >= _MAX_ATTEMPTS:
+            return None
         for spec in self._failures:
             if spec.rate <= 0 or not spec.active_at(now):
                 continue
             if self._rng.random() < spec.rate:
-                self.transfers_failed += 1
                 return spec
         return None
 

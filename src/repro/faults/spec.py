@@ -16,9 +16,9 @@ Two families exist, distinguished by where they apply:
   :func:`repro.faults.trace.apply_trace_faults` — exact piecewise
   segment surgery, never numeric approximation;
 * **link faults** (:class:`LatencySpike`, :class:`ChunkFailure`) act on
-  individual transfers and are enforced by
-  :class:`~repro.faults.link.FaultyLink` around a
-  :class:`~repro.emulation.link.SharedTraceLink`.
+  individual transfers and are drawn by
+  :class:`~repro.faults.simlink.SimLinkFaults`, which both session
+  backends ask at each transfer start.
 
 Randomised faults (:class:`ChunkFailure`) carry a *rate*, not an
 outcome: the seeded RNG lives in the injector, so the same spec + seed

@@ -45,8 +45,8 @@ def apply_trace_faults(
     Fault windows live on the trace's own ``[0, duration)`` timeline;
     the parts of a window past the trace end are clipped (and therefore
     repeat with the trace if a session wraps it).  Link-level faults in
-    ``faults`` are ignored here — they are enforced by
-    :class:`~repro.faults.link.FaultyLink`.
+    ``faults`` are ignored here — they are drawn per transfer by
+    :class:`~repro.faults.simlink.SimLinkFaults`.
 
     With no bandwidth faults the input trace is returned as-is, which
     makes "empty fault list == clean run" hold by construction.

@@ -516,7 +516,7 @@ async def _drive_session(
         download_s, stall_s = trace.download_time_and_stall(
             t, manifest.chunk_size_kilobits(k, level)
         )
-        player.settle(level, download_s, stall_s, t + download_s)
+        player.settle(download_s, stall_s, t + download_s)
     qoe = player.finish().qoe().total
     report.sessions_completed += 1
     report.qoe_sum += qoe

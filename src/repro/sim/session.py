@@ -48,6 +48,7 @@ from ..abr.base import (
     SessionConfig,
 )
 from ..core.qoe import QoEBreakdown, compute_qoe
+from ..faults.simlink import SimLinkFaults
 from ..obs.events import (
     ChunkDecision,
     ChunkDownload,
@@ -145,9 +146,10 @@ def simulate_session(
         ``"<algorithm>:<trace>"``.
     link_faults / fault_seed:
         Per-transfer fault specs (:class:`LatencySpike` /
-        :class:`ChunkFailure`) enforced by a seeded
-        :class:`~repro.faults.simlink.SimLinkFaults` injector with the
-        same semantics as the emulation's ``FaultyLink``: each transfer's
+        :class:`ChunkFailure`) drawn by a seeded
+        :class:`~repro.faults.simlink.SimLinkFaults`, the injector the
+        emulated client asks too: a failed attempt is retried at the
+        decided level (at most 64 failures per chunk), and each chunk's
         fault overhead is dead wall time, counted into both the download
         time and the chunk's ``stalled_s``.  Bandwidth faults belong in
         the trace (:func:`~repro.faults.trace.apply_trace_faults`).
@@ -212,14 +214,7 @@ def _play_session(
         tracer,
         session_id,
     )
-    if link_faults:
-        # Imported lazily: the faults package reaches into the emulation
-        # layer (FaultyLink), which itself imports this module.
-        from ..faults.simlink import SimLinkFaults
-
-        injector = SimLinkFaults(link_faults, fault_seed)
-    else:
-        injector = None
+    injector = SimLinkFaults(link_faults, fault_seed) if link_faults else None
 
     num_chunks = manifest.num_chunks
     chunk_size = manifest.chunk_size_kilobits
@@ -271,7 +266,7 @@ def _play_session(
         download_time = overhead + transfer_time
         t_end = t + download_time
         latencies.append(t_end - publish)
-        t = settle(level, download_time, overhead + trace_stall, t_end)
+        t = settle(download_time, overhead + trace_stall, t_end)
 
     return player.finish(), latencies, edge_wait, edge_rebuffer
 
@@ -299,7 +294,7 @@ class PlayerState:
         "records", "buffer_s", "playback_start_s", "total_rebuffer_s",
         "prev_level", "wall_time_s", "_start_time_s", "_tracer", "_num_levels",
         "_chunk_s", "_bmax_s", "_threshold_s", "_last_end_s", "_observation",
-        "_predictions",
+        "_level", "_predictions",
     )
 
     def __init__(
@@ -344,6 +339,7 @@ class PlayerState:
         self._threshold_s = config.pacing_threshold_s
         self._last_end_s = start_time_s  # wall time the previous download finished
         self._observation: Optional[PlayerObservation] = None  # pending decision
+        self._level = 0  # the level decided for it
         self._predictions: list = []
 
     def decide(self, t: float, available: Optional[int] = None) -> int:
@@ -392,19 +388,17 @@ class PlayerState:
                 (p.name, p.predict(1)[0]) for p in algorithm.predictors()
             ]
         self._observation = observation
+        self._level = level
         return level
 
-    def settle(
-        self, level: int, download_time: float, stalled: float, t_end: float
-    ) -> float:
-        """Account the chunk whose download ended at ``t_end``; returns
-        the wall time of the next request.
+    def settle(self, download_time: float, stalled: float, t_end: float) -> float:
+        """Account the decided chunk, whose download ended at ``t_end``;
+        returns the wall time of the next request.
 
-        ``level`` is the level actually downloaded (a backend may fall
-        back from the decided one); ``stalled`` is the dead time inside
-        the download window.
+        ``stalled`` is the dead time inside the download window.
         """
         observation = self._observation
+        level = self._level
         k = observation.chunk_index
         t_request = observation.wall_time_s
         idle_before = t_request - self._last_end_s

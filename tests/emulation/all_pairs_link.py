@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.emulation.clock import EventQueue
 from repro.emulation.link import Transfer, _water_fill
@@ -67,10 +67,7 @@ class AllPairsSharedTraceLink:
         return len(self._transfers)
 
     def start_transfer(
-        self,
-        size_kilobits: float,
-        on_complete: Callable[[Transfer], None],
-        on_fail: Optional[Callable] = None,
+        self, size_kilobits: float, on_complete: Callable[[Transfer], None]
     ) -> Transfer:
         if size_kilobits <= 0:
             raise ValueError("transfer size must be positive")

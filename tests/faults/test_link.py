@@ -1,135 +1,145 @@
-"""FaultyLink: per-transfer failure and latency injection."""
+"""Link faults: per-transfer failure and latency injection.
+
+:class:`SimLinkFaults` is the one injector.  The simulator asks it for
+each chunk's dead time, and the emulated client asks it each time a
+request reaches the link, so each behaviour is checked on the injector
+and end to end through ``emulate_session``.  On the ideal network a
+chunk's ``stalled_s`` is exactly the dead time before its delivering
+attempt's first byte.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.emulation import EventQueue, SharedTraceLink
-from repro.faults import (
-    ChunkFailure,
-    FailedTransfer,
-    FaultyLink,
-    LatencySpike,
-    SimLinkFaults,
-)
+from repro.abr import ConstantLevelAlgorithm
+from repro.emulation import NetworkProfile, emulate_session
+from repro.faults import ChunkFailure, LatencySpike, SimLinkFaults
 from repro.traces import Trace
+from repro.video import envivio
+
+IDEAL = NetworkProfile(
+    rtt_s=0.0, header_kilobits=0.0, server_processing_delay_s=0.0,
+    slow_start=False,
+)
+TRACE = Trace.constant(1000.0, 600.0, name="constant-1000")
+MANIFEST = envivio().truncated(12)
 
 
-def make_link(faults, seed=0):
-    trace = Trace.constant(1000.0, 600.0)
-    queue = EventQueue()
-    inner = SharedTraceLink(trace, queue, slow_start=False)
-    return FaultyLink(inner, faults, seed=seed), queue
+def emulate(faults, seed=0):
+    return emulate_session(
+        ConstantLevelAlgorithm(0), TRACE, MANIFEST,
+        network=IDEAL, faults=faults, fault_seed=seed,
+    )
+
+
+def request_times(session):
+    """When each chunk was requested: when the previous one settled."""
+    return [0.0] + [r.wall_time_end_s for r in session.records[:-1]]
 
 
 class TestCleanPassThrough:
     def test_zero_rate_behaves_like_the_clean_link(self):
-        link, queue = make_link([ChunkFailure(rate=0.0)])
-        done = {}
-        transfer = link.start_transfer(2500.0, lambda t: done.setdefault("t", t))
-        queue.run_until_idle()
-        assert transfer is not None
-        assert done["t"].completed_at_s == pytest.approx(2.5)
-        assert link.transfers_started == 1
-        assert link.transfers_failed == 0
-
-    def test_exposes_the_inner_link_surface(self):
-        link, queue = make_link([])
-        assert link.trace is link.inner.trace
-        assert link.queue is queue
-        assert link.active_transfers == 0
+        faults = SimLinkFaults([ChunkFailure(rate=0.0)])
+        assert faults.draw_failure(0.0, 0) is None
+        assert faults.overhead_s(3.0) == 0.0
+        assert emulate([ChunkFailure(rate=0.0)]).records == emulate(None).records
 
 
 class TestChunkFailureInjection:
     def test_certain_failure_reports_after_detect_delay(self):
-        link, queue = make_link([ChunkFailure(rate=1.0, detect_delay_s=0.25)])
-        failures = []
-        completions = []
-        result = link.start_transfer(
-            2500.0, completions.append, on_fail=failures.append
-        )
-        queue.run_until_idle()
-        assert result is None
-        assert completions == []
-        (failure,) = failures
-        assert isinstance(failure, FailedTransfer)
-        assert failure.size_kilobits == 2500.0
-        assert failure.wasted_s == pytest.approx(0.25)
-        assert link.transfers_failed == 1
-
-    def test_no_handler_degrades_to_a_delay_not_a_deadlock(self):
-        """A caller without on_fail still gets its bytes, late."""
-        link, queue = make_link([ChunkFailure(rate=1.0, detect_delay_s=0.25)])
-        done = {}
-        # rate=1.0 would re-fail the rescheduled transfer too — but the
-        # degraded path goes straight to the inner link, so it cannot.
-        link.start_transfer(2500.0, lambda t: done.setdefault("t", t))
-        queue.run_until_idle()
-        assert done["t"].completed_at_s == pytest.approx(0.25 + 2.5)
+        # Only the first attempt, at t = 0, is at risk.
+        fault = ChunkFailure(rate=1.0, detect_delay_s=0.25, duration_s=0.1)
+        assert SimLinkFaults([fault]).draw_failure(0.0, 0) is fault
+        assert SimLinkFaults([fault]).overhead_s(0.0) == 0.25
+        first = emulate([fault]).records[0]
+        clean = emulate(None).records[0]
+        assert first.stalled_s == 0.25
+        assert first.download_time_s == pytest.approx(0.25 + clean.download_time_s)
 
     def test_window_bounds_the_risk(self):
         fault = ChunkFailure(rate=1.0, detect_delay_s=0.1, start_s=10.0, duration_s=5.0)
-        link, queue = make_link([fault])
-        outcomes = []
-        link.start_transfer(1000.0, lambda t: outcomes.append("ok"))
-        queue.run_until_idle()  # starts at t=0, outside the window
-        assert outcomes == ["ok"]
+        faults = SimLinkFaults([fault])
+        assert faults.draw_failure(9.9, 0) is None
+        assert faults.draw_failure(10.0, 0) is fault
+        assert faults.draw_failure(15.0, 0) is None
+        session = emulate([fault])
+        at_risk = 0
+        for requested, record in zip(request_times(session), session.records):
+            if 10.0 <= requested < 15.0:
+                # Every attempt inside the window fails; the first one
+                # past its end delivers.
+                at_risk += 1
+                started = requested + record.stalled_s
+                assert 15.0 - 1e-9 <= started < 15.1 + 1e-9
+            else:
+                assert record.stalled_s == 0.0
+        assert at_risk
 
     def test_same_seed_same_failure_sequence(self):
         fault = ChunkFailure(rate=0.4, detect_delay_s=0.1)
 
         def failure_pattern(seed):
-            link, queue = make_link([fault], seed=seed)
-            pattern = []
-            for _ in range(20):
-                link.start_transfer(
-                    10.0, lambda t: pattern.append(False),
-                    on_fail=lambda f: pattern.append(True),
-                )
-                queue.run_until_idle()
-            return pattern
+            faults = SimLinkFaults([fault], seed)
+            return [faults.draw_failure(0.0, 0) is not None for _ in range(20)]
 
         first = failure_pattern(seed=7)
         assert first == failure_pattern(seed=7)
         assert True in first and False in first  # 0.4 over 20 draws: mixed
         assert first != failure_pattern(seed=8)
 
+        def stalls(seed):
+            return [r.stalled_s for r in emulate([fault], seed).records]
+
+        assert stalls(7) == stalls(7)
+        assert stalls(7) != stalls(8)
+
+    def test_a_chunk_fails_at_most_64_times(self):
+        fault = ChunkFailure(rate=1.0, detect_delay_s=0.5)
+        faults = SimLinkFaults([fault])
+        assert faults.draw_failure(0.0, 63) is fault
+        assert faults.draw_failure(0.0, 64) is None
+        assert faults.overhead_s(0.0) == 64 * 0.5
+        session = emulate([fault])
+        assert [r.stalled_s for r in session.records] == pytest.approx(
+            [32.0] * MANIFEST.num_chunks
+        )
+
 
 class TestLatencySpike:
     def test_transfer_starting_in_window_is_delayed(self):
-        link, queue = make_link([LatencySpike(0.0, 10.0, extra_delay_s=0.5)])
-        done = {}
-        result = link.start_transfer(2500.0, lambda t: done.setdefault("t", t))
-        queue.run_until_idle()
-        assert result is None  # delayed, outcome via callback
-        assert done["t"].completed_at_s == pytest.approx(0.5 + 2.5)
+        spike = LatencySpike(0.0, 10.0, extra_delay_s=0.5)
+        assert SimLinkFaults([spike]).spike_delay_s(0.0) == 0.5
+        session = emulate([spike])
+        clean = emulate(None)
+        first = session.records[0]
+        assert first.stalled_s == 0.5
+        assert first.download_time_s == pytest.approx(
+            0.5 + clean.records[0].download_time_s
+        )
+        for requested, record in zip(request_times(session), session.records):
+            assert record.stalled_s == (0.5 if requested < 10.0 else 0.0)
 
     def test_overlapping_spikes_stack(self):
-        link, queue = make_link(
-            [
-                LatencySpike(0.0, 10.0, extra_delay_s=0.5),
-                LatencySpike(0.0, 5.0, extra_delay_s=0.25),
-            ]
-        )
-        done = {}
-        link.start_transfer(2500.0, lambda t: done.setdefault("t", t))
-        queue.run_until_idle()
-        assert done["t"].completed_at_s == pytest.approx(0.75 + 2.5)
+        spikes = [
+            LatencySpike(0.0, 10.0, extra_delay_s=0.5),
+            LatencySpike(0.0, 5.0, extra_delay_s=0.25),
+        ]
+        assert SimLinkFaults(spikes).spike_delay_s(0.0) == 0.75
+        assert emulate(spikes).records[0].stalled_s == 0.75
 
     def test_a_spike_starting_during_another_delay_is_not_charged(self):
         """Both backends test every spike at the transfer's start: one
-        that begins during another's delay is not charged.  The
-        simulator's injector is the same code ``FaultyLink`` draws from."""
+        that begins during another's delay is not charged."""
+        assert SimLinkFaults(
+            [
+                LatencySpike(0.0, 10.0, extra_delay_s=0.5),
+                LatencySpike(10.2, 10.0, extra_delay_s=0.5),
+            ]
+        ).overhead_s(9.9) == 0.5
         spikes = [
             LatencySpike(0.0, 10.0, extra_delay_s=0.5),
-            LatencySpike(10.2, 10.0, extra_delay_s=0.5),
+            LatencySpike(0.2, 10.0, extra_delay_s=0.5),
         ]
-        assert SimLinkFaults(spikes).overhead_s(9.9) == 0.5
-        link, queue = make_link(spikes)
-        done = {}
-        queue.schedule_at(
-            9.9,
-            lambda: link.start_transfer(1000.0, lambda t: done.setdefault("t", t)),
-        )
-        queue.run_until_idle()
-        assert done["t"].started_at_s == pytest.approx(9.9 + 0.5)
+        assert SimLinkFaults(spikes).overhead_s(0.0) == 0.5
+        assert emulate(spikes).records[0].stalled_s == 0.5

@@ -98,3 +98,69 @@ class TestLinkFaultDeadTime:
                 simulated.download_time_s, abs=1e-9
             )
         assert sum(r.stalled_s for r in emu.records) == pytest.approx(total_stall_s)
+
+
+def _fault_runs(fault, seed, manifest, trace):
+    sim = simulate_session(
+        create("fastmpc-gap"), trace, manifest,
+        link_faults=[fault], fault_seed=seed,
+    )
+    emu = emulate_session(
+        create("fastmpc-gap"), trace, manifest,
+        network=IDEAL, faults=[fault], fault_seed=seed,
+    )
+    return sim, emu
+
+
+def _agree(sim, emu) -> bool:
+    return emu.level_indices == sim.level_indices and all(
+        e.stalled_s == pytest.approx(s.stalled_s, abs=1e-9)
+        and e.download_time_s == pytest.approx(s.download_time_s, abs=1e-9)
+        for e, s in zip(emu.records, sim.records)
+    )
+
+
+class TestLinkFaultRetries:
+    """Both backends draw link faults from one injector and retry a failed
+    chunk at the level they decided, so on the ideal network they agree
+    whatever the failure rate and seed."""
+
+    def test_backends_agree_for_every_rate_and_seed(self):
+        manifest = envivio().truncated(20)
+        trace = Trace.constant(2000.0, 600.0, name="constant-2000")
+        mismatched = [
+            (rate, seed)
+            for rate in (0.2, 0.4, 0.6, 0.8)
+            for seed in range(12)
+            if not _agree(
+                *_fault_runs(
+                    ChunkFailure(rate=rate, detect_delay_s=0.5), seed, manifest, trace
+                )
+            )
+        ]
+        assert mismatched == []
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            ChunkFailure(rate=1.0, detect_delay_s=0.5),
+            ChunkFailure(rate=1.0, detect_delay_s=0.5, start_s=4.0, duration_s=60.0),
+            ChunkFailure(rate=1.0, detect_delay_s=0.0),
+        ],
+        ids=["whole-run", "window", "zero-delay"],
+    )
+    def test_certain_failure_completes_on_both_backends(self, fault):
+        """Every attempt fails: each chunk still ends after its 64th
+        failure, on both backends alike."""
+        manifest = envivio().truncated(20)
+        trace = Trace.constant(2000.0, 600.0, name="constant-2000")
+        sim, emu = _fault_runs(fault, 0, manifest, trace)
+        assert len(emu.records) == manifest.num_chunks
+        assert emu.level_indices == sim.level_indices
+        assert [r.stalled_s for r in emu.records] == pytest.approx(
+            [r.stalled_s for r in sim.records], abs=1e-9
+        )
+        assert emu.total_rebuffer_s == pytest.approx(sim.total_rebuffer_s, abs=1e-6)
+        assert max(r.stalled_s for r in sim.records) == pytest.approx(
+            64 * fault.detect_delay_s
+        )
