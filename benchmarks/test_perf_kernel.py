@@ -97,7 +97,7 @@ def measurements():
     ref_decisions, ref_build_s = timed(reference_table_build)
     new_table, new_build_s = timed(
         lambda: build_decision_table(
-            LADDER, CHUNK_S, BMAX, WEIGHTS, config=TABLE_CONFIG, use_cache=False
+            LADDER, CHUNK_S, BMAX, WEIGHTS, config=TABLE_CONFIG
         )
     )
     assert np.array_equal(
@@ -113,22 +113,21 @@ def measurements():
 
 @pytest.fixture(scope="module")
 def cache_measurements(tmp_path_factory):
-    cache_dir = tmp_path_factory.mktemp("kernel_cache")
     levels = (50, 100)
-    clear_table_cache()
-    _, cold_s = timed(
-        lambda: table_size_sweep(
-            LADDER, CHUNK_S, BMAX, WEIGHTS,
-            discretization_levels=levels, cache_dir=cache_dir,
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("kernel_cache")))
+        clear_table_cache()
+        _, cold_s = timed(
+            lambda: table_size_sweep(
+                LADDER, CHUNK_S, BMAX, WEIGHTS, discretization_levels=levels
+            )
         )
-    )
-    clear_table_cache()
-    _, warm_s = timed(
-        lambda: table_size_sweep(
-            LADDER, CHUNK_S, BMAX, WEIGHTS,
-            discretization_levels=levels, cache_dir=cache_dir,
+        clear_table_cache()
+        _, warm_s = timed(
+            lambda: table_size_sweep(
+                LADDER, CHUNK_S, BMAX, WEIGHTS, discretization_levels=levels
+            )
         )
-    )
     return {
         "sweep_levels": list(levels),
         "sweep_cold_s": cold_s,
@@ -214,7 +213,6 @@ from repro.qoe import QoEWeights
 build_decision_table(
     (350.0, 600.0, 1000.0, 2000.0, 3000.0), 4.0, 30.0, QoEWeights.balanced(),
     config=FastMPCConfig(buffer_bins=100, throughput_bins=100, horizon=5),
-    use_cache=False,
 )
 with open("/proc/self/status") as status:
     print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))

@@ -166,7 +166,6 @@ def make_prior_service():
         30.0,
         QoEWeights(),
         config=FastMPCConfig(buffer_bins=8, throughput_bins=8, horizon=3),
-        use_cache=False,
     )
     return DecisionService(ladder, table=table)
 

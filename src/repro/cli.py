@@ -731,11 +731,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    reports = table1(
-        discretization_levels=args.levels,
-        horizon=args.horizon,
-        cache_dir=args.cache_dir,
-    )
+    reports = table1(discretization_levels=args.levels, horizon=args.horizon)
     rows = [
         [
             r.discretization_levels,
@@ -755,21 +751,12 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_overhead(args) -> int:
-    from .core.fastmpc import FastMPCController
-
     manifest = envivio()
     trace = make_generator("fcc", seed=args.seed).generate(
         manifest.total_duration_s + 60.0
     )
-    # FastMPC's table build dominates this command's start-up; thread the
-    # disk cache through explicitly (as `compare` does) so repeat
-    # invocations skip straight to the measurement.
     algorithms = {
-        name: (
-            FastMPCController(cache_dir=args.cache_dir)
-            if name == "fastmpc"
-            else create(name)
-        )
+        name: create(name)
         for name in ("rb", "bb", "festive", "dashjs", "fastmpc", "robust-mpc")
     }
     for sample in measure_overhead(algorithms, trace, manifest):
@@ -805,7 +792,6 @@ def _cmd_serve(args) -> int:
                 throughput_bins=args.bins,
                 horizon=args.horizon,
             ),
-            cache_dir=args.cache_dir,
         )
     service = DecisionService(
         manifest.ladder.levels_kbps,
@@ -1002,7 +988,6 @@ def _cmd_leaderboard(args) -> int:
         trace_duration_s=args.duration,
         salt=args.salt,
         bins=args.bins,
-        cache_dir=args.cache_dir,
     )
     result = run_leaderboard(config)
     print(result.render())
@@ -1061,7 +1046,6 @@ def _cmd_chaos(args) -> int:
         config=FastMPCConfig(
             buffer_bins=args.bins, throughput_bins=args.bins, horizon=5
         ),
-        cache_dir=args.cache_dir,
     )
     retry = (
         RetryPolicy(
@@ -1174,7 +1158,6 @@ def _cmd_fleet(args) -> int:
         seed=args.seed,
         shard_size=args.shard_size,
         space=space,
-        cache_dir=args.cache_dir,
     )
     t0 = time.perf_counter()
     result = run_fleet(config, workers=args.workers)
@@ -1392,10 +1375,10 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "cache_dir", None):
-        # Exported rather than threaded through every command: everything
-        # that caches (table builds, offline bounds) reads this variable
-        # as its default, including experiment pool workers on spawn.
+    if args.cache_dir:
+        # Exported rather than threaded through every command: the disk
+        # cache (table builds, offline bounds) reads only this variable,
+        # and forked or spawned pool workers inherit it.
         os.environ["REPRO_CACHE_DIR"] = args.cache_dir
     return _COMMANDS[args.command](args)
 

@@ -12,10 +12,10 @@ whole binned state space — every ``(buffer_bin, prev_level,
 throughput_bin)`` instance — in a handful of NumPy passes rather than a
 Python loop per state.  Built tables are memoised per configuration
 in-process because every session of an experiment shares one table, and
-optionally persisted to a disk cache (``cache_dir`` argument or the
-``REPRO_CACHE_DIR`` environment variable) so repeated benchmark/figure
-runs skip the build entirely — mirroring deployment, where the table is
-computed once and downloaded by every player.
+persisted to a disk cache when the ``REPRO_CACHE_DIR`` environment
+variable names one, so repeated benchmark/figure runs skip the build
+entirely — mirroring deployment, where the table is computed once and
+downloaded by every player.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ _TABLE_CACHE: Dict[tuple, DecisionTable] = {}
 
 
 def clear_table_cache() -> None:
-    """Drop all memoised decision tables (used by tests)."""
+    """Drop all memoised decision tables, so the next build of each
+    configuration is cold (or read from the disk cache)."""
     _TABLE_CACHE.clear()
 
 
@@ -119,8 +120,6 @@ def build_decision_table(
     weights: QoEWeights,
     quality_values: Optional[Iterable[float]] = None,
     config: Optional[FastMPCConfig] = None,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
 ) -> DecisionTable:
     """Enumerate the binned state space and solve every instance offline.
 
@@ -128,12 +127,13 @@ def build_decision_table(
     sizes are the CBR model ``d(R) = L * R`` — the paper's table also keys
     on nominal rates, with VBR left to the online solver.
 
-    Caching is two-level.  The in-process memo (``use_cache``) shares one
-    table across every session of a run.  The optional disk cache —
-    enabled by ``cache_dir`` or the ``REPRO_CACHE_DIR`` environment
-    variable — additionally persists tables across processes and runs,
-    keyed by the full configuration tuple; a hit skips the build and a
-    stale/corrupt entry silently falls back to rebuilding.
+    Caching is two-level, both keyed by the full configuration tuple.
+    The in-process memo shares one table across every session of a run;
+    :func:`clear_table_cache` empties it.  The disk cache
+    (:func:`repro.experiments.persistence.cache_root`, set by the
+    ``REPRO_CACHE_DIR`` environment variable) persists tables across
+    processes and runs; a hit skips the build and a stale/corrupt entry
+    silently falls back to rebuilding.
     """
     ladder = tuple(float(r) for r in ladder_kbps)
     if not ladder or list(ladder) != sorted(ladder):
@@ -156,7 +156,7 @@ def build_decision_table(
     key = _cache_key(
         ladder, quality, chunk_duration_s, buffer_capacity_s, weights, config
     )
-    if use_cache and key in _TABLE_CACHE:
+    if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
 
     # Imported lazily: experiments.persistence sits above core in the
@@ -164,10 +164,9 @@ def build_decision_table(
     # here would be circular.
     from ..experiments import persistence
 
-    cached = persistence.load_cached_table(key, cache_dir=cache_dir)
+    cached = persistence.load_cached_table(key)
     if cached is not None and cached.num_levels == len(ladder):
-        if use_cache:
-            _TABLE_CACHE[key] = cached
+        _TABLE_CACHE[key] = cached
         return cached
 
     low, high = config.resolved_range(ladder)
@@ -192,9 +191,8 @@ def build_decision_table(
         throughput_binning,
         decisions.reshape(-1),
     )
-    if use_cache:
-        _TABLE_CACHE[key] = table
-    persistence.save_cached_table(key, table, cache_dir=cache_dir)
+    _TABLE_CACHE[key] = table
+    persistence.save_cached_table(key, table)
     return table
 
 
@@ -205,15 +203,13 @@ def table_size_sweep(
     weights: QoEWeights,
     discretization_levels: Iterable[int] = (50, 100, 200, 500),
     horizon: int = 5,
-    cache_dir: Optional[str] = None,
 ) -> List[TableSizeReport]:
     """Reproduce Table 1: table size vs discretization granularity.
 
     Each level count ``n`` uses ``n`` buffer bins and ``n`` throughput
     bins, mirroring the paper's single "discretization levels" knob.
-    With a disk cache (``cache_dir`` / ``REPRO_CACHE_DIR``), a repeat
-    sweep of the same configuration loads every table instead of
-    rebuilding.
+    With a disk cache (``REPRO_CACHE_DIR``), a repeat sweep of the same
+    configuration loads every table instead of rebuilding.
     """
     ladder = tuple(float(r) for r in ladder_kbps)
     reports = []
@@ -225,7 +221,6 @@ def table_size_sweep(
             buffer_capacity_s,
             weights,
             config=config,
-            cache_dir=cache_dir,
         )
         reports.append(table.size_report(n))
     return reports
@@ -243,15 +238,13 @@ class FastMPCController(ABRAlgorithm):
     predictor:
         Defaults to the harmonic mean of the last 5 chunks.
     config:
-        Discretization settings; the table is built (or fetched from the
-        module cache) at :meth:`prepare` time.
+        Discretization settings; the table is built, or fetched from the
+        memo or the disk cache (see :func:`build_decision_table`), at
+        :meth:`prepare` time.
     robust:
         When True, queries the table with the RobustMPC lower bound
         ``C_hat / (1 + err)`` — valid because the table's throughput axis
         *is* the MPC input that Theorem 1 says to lower-bound.
-    cache_dir:
-        Optional disk-cache directory for the built table (defaults to
-        the ``REPRO_CACHE_DIR`` environment variable when unset).
     """
 
     name = "fastmpc"
@@ -263,12 +256,10 @@ class FastMPCController(ABRAlgorithm):
         robust: bool = False,
         error_window: int = 5,
         name: Optional[str] = None,
-        cache_dir: Optional[str] = None,
     ) -> None:
         self.predictor = predictor if predictor is not None else HarmonicMeanPredictor()
         self.table_config = config if config is not None else FastMPCConfig()
         self.robust = robust
-        self.cache_dir = cache_dir
         self.error_tracker = PredictionErrorTracker(window=error_window)
         if name:
             self.name = name
@@ -289,7 +280,6 @@ class FastMPCController(ABRAlgorithm):
             config.weights,
             quality_values=quality_values,
             config=self.table_config,
-            cache_dir=self.cache_dir,
         )
 
     def predictors(self) -> Iterable[ThroughputPredictor]:

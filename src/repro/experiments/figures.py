@@ -183,7 +183,6 @@ def table1(
     buffer_capacity_s: float = DEFAULT_BUFFER_CAPACITY_S,
     weights: Optional[QoEWeights] = None,
     horizon: int = 5,
-    cache_dir: Optional[str] = None,
 ) -> List[TableSizeReport]:
     """Full vs run-length-coded table size per discretization level."""
     weights = weights if weights is not None else QoEWeights.balanced()
@@ -194,7 +193,6 @@ def table1(
         weights,
         discretization_levels=discretization_levels,
         horizon=horizon,
-        cache_dir=cache_dir,
     )
 
 

@@ -66,7 +66,6 @@ class LeaderboardConfig:
     bins: int = 25
     horizon: int = 5
     deadline_s: float = 5.0
-    cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.controllers:
@@ -228,7 +227,6 @@ def run_leaderboard(config: LeaderboardConfig) -> LeaderboardResult:
                 throughput_bins=config.bins,
                 horizon=config.horizon,
             ),
-            cache_dir=config.cache_dir,
         )
 
     result = LeaderboardResult(config=config)

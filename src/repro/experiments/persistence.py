@@ -226,7 +226,7 @@ def save_session_log_csv(session, path: PathLike) -> None:
 # itself is stored inside the entry, so a hash collision or stale format
 # is detected on load and falls back to recomputing.  Writes go through a
 # same-directory temp file + ``os.replace`` so concurrent processes (the
-# experiment worker pool) never observe a torn entry.
+# fleet's pool workers) never observe a torn entry.
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
@@ -234,14 +234,13 @@ _TABLE_SUBDIR = "tables"
 _BOUND_SUBDIR = "bounds"
 
 
-def cache_root(cache_dir: Optional[PathLike] = None) -> Optional[Path]:
-    """Resolve the disk-cache root directory.
+def cache_root() -> Optional[Path]:
+    """The disk-cache root: the ``REPRO_CACHE_DIR`` environment variable,
+    or ``None`` — caching disabled — when it is unset or empty.
 
-    Explicit ``cache_dir`` wins; otherwise the ``REPRO_CACHE_DIR``
-    environment variable; otherwise ``None`` — caching disabled.
+    This is the one place the cache location is read.  ``repro-abr
+    --cache-dir`` sets the variable, and pool workers inherit it.
     """
-    if cache_dir is not None:
-        return Path(cache_dir)
     env = os.environ.get(CACHE_DIR_ENV)
     return Path(env) if env else None
 
@@ -278,16 +277,14 @@ def _atomic_write(path: Path, payload: bytes) -> None:
         pass
 
 
-def save_cached_table(
-    key: tuple, table: DecisionTable, cache_dir: Optional[PathLike] = None
-) -> Optional[Path]:
+def save_cached_table(key: tuple, table: DecisionTable) -> Optional[Path]:
     """Persist a decision table under its configuration key.
 
     ``key`` is the tuple produced by ``repro.core.fastmpc._cache_key`` —
     plain floats/ints/strings, so its ``repr`` round-trips exactly.
     Returns the entry path, or ``None`` when caching is disabled.
     """
-    root = cache_root(cache_dir)
+    root = cache_root()
     if root is None:
         return None
     key_repr = repr(key)
@@ -299,16 +296,14 @@ def save_cached_table(
     return path
 
 
-def load_cached_table(
-    key: tuple, cache_dir: Optional[PathLike] = None
-) -> Optional[DecisionTable]:
+def load_cached_table(key: tuple) -> Optional[DecisionTable]:
     """Load a previously saved decision table, or ``None`` on any miss.
 
     Misses include: caching disabled, no entry, stored key mismatch
     (collision / stale format), or a corrupt blob — all safe, because the
     caller simply rebuilds.
     """
-    root = cache_root(cache_dir)
+    root = cache_root()
     if root is None:
         return None
     key_repr = repr(key)
@@ -400,7 +395,6 @@ def cached_fluid_upper_bound(
     buffer_capacity_s: float = 30.0,
     max_rebuffer_s: float = 256.0,
     startup_step_s: float = 2.0,
-    cache_dir: Optional[PathLike] = None,
 ) -> float:
     """Disk-cached :func:`repro.core.offline.fluid_upper_bound`.
 
@@ -411,7 +405,7 @@ def cached_fluid_upper_bound(
     back to a direct computation when caching is disabled or the quality
     function cannot be keyed.
     """
-    root = cache_root(cache_dir)
+    root = cache_root()
     qkey = _quality_key(quality)
 
     def compute() -> float:
@@ -466,13 +460,13 @@ def cached_fluid_upper_bound(
     return value
 
 
-def clear_disk_cache(cache_dir: Optional[PathLike] = None) -> int:
+def clear_disk_cache() -> int:
     """Delete every cached table and bound; returns the entry count.
 
     Only known entry types under the cache root's ``tables/`` and
     ``bounds/`` subdirectories are touched.
     """
-    root = cache_root(cache_dir)
+    root = cache_root()
     if root is None:
         return 0
     removed = 0

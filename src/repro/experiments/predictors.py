@@ -27,8 +27,7 @@ Two accuracy metrics are reported per cell:
 Determinism contract: results are bit-identical for ``workers=1`` and
 ``workers=N``.  Work units are fanned out in a fixed job order (profiles
 x predictors x traces), ``Pool.map`` returns them in that same order, and
-every parent-side aggregate is a sequential sum over cells in row order —
-the same idiom as :mod:`repro.experiments.parallel`.
+every parent-side aggregate is a sequential sum over cells in row order.
 """
 
 from __future__ import annotations

@@ -153,7 +153,6 @@ def run_matrix(
     include_startup_in_qoe: bool = True,
     dataset: str = "",
     progress: Optional[Callable[[str, int, int], None]] = None,
-    cache_dir: Optional[str] = None,
 ) -> ResultSet:
     """Run every algorithm over every trace and score the sessions.
 
@@ -170,9 +169,9 @@ def run_matrix(
         "except the startup delay term").
     progress:
         Optional callback ``(algorithm, finished, total)`` for long runs.
-    cache_dir:
-        Optional disk-cache directory for the per-trace offline bounds
-        (defaults to the ``REPRO_CACHE_DIR`` environment variable).
+
+    The per-trace offline bounds go through the disk cache when
+    ``REPRO_CACHE_DIR`` names one.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
@@ -194,7 +193,6 @@ def run_matrix(
             weights=bound_weights,
             quality=config.quality,
             buffer_capacity_s=config.buffer_capacity_s,
-            cache_dir=cache_dir,
         )
 
     records: List[ExperimentRecord] = []

@@ -56,22 +56,28 @@ class FaultSpec:
 @dataclass(frozen=True)
 class WindowedFault(FaultSpec):
     """A fault active on the half-open wall-clock window
-    ``[start_s, start_s + duration_s)``.
+    ``[start_s, start_s + duration_s)``; both fields must be finite,
+    ``start_s >= 0`` and ``duration_s > 0``.
 
-    Windows are expressed on the session timeline, which for traces is
-    the trace's own ``[0, duration)`` — a fault window past the trace
-    end is clipped away, and (like the trace itself) what remains
-    repeats if the session wraps the trace.
+    Bandwidth-fault windows live on the trace's own ``[0, duration)``:
+    the part of a window past the trace end is clipped away, and (like
+    the trace itself) what remains repeats if the session wraps the
+    trace.  Link-fault windows (:class:`LatencySpike`) are on the
+    session clock: they are tested at each transfer's start instant,
+    are not clipped at the trace end and do not repeat when the session
+    wraps the trace.
     """
 
     start_s: float
     duration_s: float
 
     def __post_init__(self) -> None:
-        if self.start_s < 0 or math.isnan(self.start_s):
-            raise ValueError("fault start must be >= 0")
-        if self.duration_s <= 0 or math.isinf(self.duration_s):
-            raise ValueError("fault duration must be positive and finite")
+        if not 0.0 <= self.start_s < math.inf:
+            raise ValueError(f"start_s must be finite and >= 0, got {self.start_s}")
+        if not 0.0 < self.duration_s < math.inf:
+            raise ValueError(
+                f"duration_s must be finite and > 0, got {self.duration_s}"
+            )
 
     @property
     def end_s(self) -> float:
@@ -105,15 +111,19 @@ class ThroughputClamp(WindowedFault):
 @dataclass(frozen=True)
 class LatencySpike(WindowedFault):
     """Every transfer *starting* inside the window is delayed by
-    ``extra_delay_s`` before its first byte flows (bufferbloat, a
-    loaded CDN edge).  Overlapping spikes stack."""
+    ``extra_delay_s`` (finite, > 0) before its first byte flows
+    (bufferbloat, a loaded CDN edge).  Overlapping spikes stack.  The
+    window is on the session clock, so a session that wraps the trace
+    does not meet it again."""
 
     extra_delay_s: float = 0.5
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.extra_delay_s <= 0 or math.isinf(self.extra_delay_s):
-            raise ValueError("extra delay must be positive and finite")
+        if not 0.0 < self.extra_delay_s < math.inf:
+            raise ValueError(
+                f"extra_delay_s must be finite and > 0, got {self.extra_delay_s}"
+            )
 
 
 @dataclass(frozen=True)
@@ -121,11 +131,14 @@ class ChunkFailure(FaultSpec):
     """Each transfer fails independently with probability ``rate``.
 
     A failed transfer delivers nothing; the failure surfaces after
-    ``detect_delay_s`` of wasted wall time (a connection timeout, a
-    truncated response).  When ``start_s``/``duration_s`` bound a
-    window, only transfers starting inside it are at risk; the default
-    window is the whole session.  The Bernoulli draw itself is made by
-    the injector's seeded RNG, so outcomes are reproducible.
+    ``detect_delay_s`` (finite, >= 0) of wasted wall time (a connection
+    timeout, a truncated response).  When ``start_s``/``duration_s``
+    bound a window, only transfers starting inside it are at risk; the
+    default window is the whole session (``duration_s`` is the one field
+    that may be infinite).  Like :class:`LatencySpike`'s, the window is
+    on the session clock and does not repeat when the session wraps the
+    trace.  The Bernoulli draw itself is made by the injector's seeded
+    RNG, so outcomes are reproducible.
     """
 
     rate: float = 0.1
@@ -135,13 +148,15 @@ class ChunkFailure(FaultSpec):
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("failure rate must be in [0, 1]")
-        if self.detect_delay_s < 0:
-            raise ValueError("detect delay must be >= 0")
-        if self.start_s < 0:
-            raise ValueError("fault start must be >= 0")
-        if self.duration_s <= 0:
-            raise ValueError("fault duration must be positive")
+            raise ValueError(f"rate must be in [0, 1], got {self.rate}")
+        if not 0.0 <= self.detect_delay_s < math.inf:
+            raise ValueError(
+                f"detect_delay_s must be finite and >= 0, got {self.detect_delay_s}"
+            )
+        if not 0.0 <= self.start_s < math.inf:
+            raise ValueError(f"start_s must be finite and >= 0, got {self.start_s}")
+        if not self.duration_s > 0.0:
+            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
 
     @property
     def end_s(self) -> float:

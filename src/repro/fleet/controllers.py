@@ -37,16 +37,13 @@ from typing import Optional
 
 import numpy as np
 
+from ..abr import registry
 from ..abr.base import SessionConfig
 from ..abr.bola import BolaAlgorithm
-from ..abr.buffer_based import BufferBasedAlgorithm, BufferBasedChunkMapAlgorithm
 from ..abr.dasip import DasIpAlgorithm
-from ..abr.fixed import ConstantLevelAlgorithm
-from ..abr.rate_based import RateBasedAlgorithm
 from ..core.fastmpc import FastMPCConfig, FastMPCController, build_decision_table
 from ..core.table import DecisionTableStack
 from ..prediction.base import OBSERVATION_FLOOR_KBPS
-from ..prediction.streaming import GapCorrectedHarmonicPredictor
 from ..video.manifest import VideoManifest
 
 __all__ = [
@@ -80,46 +77,20 @@ def supported_controllers() -> tuple:
 
 
 def make_scalar_algorithm(
-    name: str,
-    cache_dir: Optional[str] = None,
-    table_config: Optional[FastMPCConfig] = None,
+    name: str, table_config: Optional[FastMPCConfig] = None
 ):
-    """The reference (scalar) algorithm a batch controller is pinned to.
-
-    Mirrors the registry factories exactly, with the fleet's ``cache_dir``
-    and optional table-discretization override threaded through.
-    """
-    if name == "lowest":
-        return ConstantLevelAlgorithm(0)
-    if name == "highest":
-        return ConstantLevelAlgorithm(-1)
-    if name == "rb":
-        return RateBasedAlgorithm()
-    if name == "bb":
-        return BufferBasedAlgorithm()
-    if name == "bba-1":
-        return BufferBasedChunkMapAlgorithm()
-    if name == "bola":
-        return BolaAlgorithm()
-    if name == "das-ip":
-        return DasIpAlgorithm()
-    if name == "fastmpc":
-        return FastMPCController(config=table_config, cache_dir=cache_dir)
-    if name == "robust-fastmpc":
-        return FastMPCController(
-            config=table_config, robust=True, cache_dir=cache_dir
+    """The reference (scalar) algorithm a batch controller is pinned to:
+    the registry's instance, with the FastMPC family's table
+    discretization overridden when ``table_config`` is given."""
+    if name not in SUPPORTED_CONTROLLERS:
+        raise ValueError(
+            f"unsupported fleet controller {name!r}; expected one of "
+            f"{SUPPORTED_CONTROLLERS}"
         )
-    if name == "fastmpc-gap":
-        return FastMPCController(
-            predictor=GapCorrectedHarmonicPredictor(),
-            config=table_config,
-            cache_dir=cache_dir,
-            name="fastmpc-gap",
-        )
-    raise ValueError(
-        f"unsupported fleet controller {name!r}; expected one of "
-        f"{SUPPORTED_CONTROLLERS}"
-    )
+    algorithm = registry.create(name)
+    if table_config is not None and isinstance(algorithm, FastMPCController):
+        algorithm.table_config = table_config
+    return algorithm
 
 
 # ----------------------------------------------------------------------
@@ -468,12 +439,10 @@ class _BatchFastMPC(_BatchController):
         robust: bool = False,
         gap: bool = False,
         table_config: Optional[FastMPCConfig] = None,
-        cache_dir: Optional[str] = None,
     ):
         self.robust = robust
         self.gap = gap
         self.table_config = table_config
-        self.cache_dir = cache_dir
 
     def prepare(self, manifest, config, n):
         super().prepare(manifest, config, n)
@@ -498,7 +467,6 @@ class _BatchFastMPC(_BatchController):
                         weights,
                         quality_values=quality_values,
                         config=self.table_config,
-                        cache_dir=self.cache_dir,
                     )
                 )
             which.append(slot)
@@ -529,9 +497,7 @@ class _BatchFastMPC(_BatchController):
 
 
 def make_batch_controller(
-    name: str,
-    cache_dir: Optional[str] = None,
-    table_config: Optional[FastMPCConfig] = None,
+    name: str, table_config: Optional[FastMPCConfig] = None
 ) -> _BatchController:
     """Instantiate the vectorized twin of a registry algorithm."""
     if name == "lowest":
@@ -549,15 +515,11 @@ def make_batch_controller(
     if name == "das-ip":
         return _BatchDasIp()
     if name == "fastmpc":
-        return _BatchFastMPC(table_config=table_config, cache_dir=cache_dir)
+        return _BatchFastMPC(table_config=table_config)
     if name == "robust-fastmpc":
-        return _BatchFastMPC(
-            robust=True, table_config=table_config, cache_dir=cache_dir
-        )
+        return _BatchFastMPC(robust=True, table_config=table_config)
     if name == "fastmpc-gap":
-        return _BatchFastMPC(
-            gap=True, table_config=table_config, cache_dir=cache_dir
-        )
+        return _BatchFastMPC(gap=True, table_config=table_config)
     raise ValueError(
         f"unsupported fleet controller {name!r}; expected one of "
         f"{SUPPORTED_CONTROLLERS}"

@@ -53,7 +53,6 @@ class FleetConfig:
     seed: int = 7
     shard_size: int = 4096
     space: ScenarioSpace = field(default_factory=ScenarioSpace)
-    cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.sessions < 0:
@@ -62,11 +61,7 @@ class FleetConfig:
             raise ValueError("shard_size must be >= 1")
 
 
-def run_shard(
-    space: ScenarioSpace,
-    scenarios: Sequence[Scenario],
-    cache_dir: Optional[str] = None,
-) -> dict:
+def run_shard(space: ScenarioSpace, scenarios: Sequence[Scenario]) -> dict:
     """Run one shard and return its serialized :class:`FleetResult`.
 
     Module-level so process pools can pickle it.  Scenarios are grouped
@@ -94,7 +89,6 @@ def run_shard(
             traces,
             manifest_for(ladder, space.num_chunks),
             [configs[s.preset] for s in group],
-            cache_dir=cache_dir,
             table_config=space.table_config,
         )
         qoe = batch.qoe_per_chunk()
@@ -112,11 +106,6 @@ def run_shard(
             )
         result.sessions += len(group)
     return result.to_dict()
-
-
-def _run_shard_job(args) -> dict:
-    space, scenarios, cache_dir = args
-    return run_shard(space, scenarios, cache_dir=cache_dir)
 
 
 def run_fleet(
@@ -144,12 +133,12 @@ def run_fleet(
 
     merged = FleetResult.empty()
     if shards:
-        jobs = [(config.space, tuple(shard), config.cache_dir) for shard in shards]
+        jobs = [(config.space, tuple(shard)) for shard in shards]
         if workers == 1 or len(shards) == 1:
             payloads = []
             for index, job in enumerate(jobs):
                 shard_t0 = time.perf_counter()
-                payload = _run_shard_job(job)
+                payload = run_shard(*job)
                 payloads.append(payload)
                 if tracing:
                     tracer.emit(
@@ -163,7 +152,7 @@ def run_fleet(
                     )
         else:
             with multiprocessing.Pool(processes=min(workers, len(shards))) as pool:
-                payloads = pool.map(_run_shard_job, jobs)
+                payloads = pool.starmap(run_shard, jobs)
             if tracing:
                 for index, shard in enumerate(shards):
                     tracer.emit(

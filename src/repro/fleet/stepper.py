@@ -200,14 +200,13 @@ def _run_vector(
     traces: Sequence[Trace],
     manifest: VideoManifest,
     configs: List[SessionConfig],
-    cache_dir: Optional[str],
     table_config: Optional[FastMPCConfig],
 ) -> BatchResult:
     n = len(traces)
     num_chunks = manifest.num_chunks
     num_levels = len(manifest.ladder)
     bank = TraceBank(traces)
-    controller = make_batch_controller(controller_name, cache_dir, table_config)
+    controller = make_batch_controller(controller_name, table_config)
     controller.prepare(manifest, configs, n)
 
     shared = configs[0]
@@ -323,7 +322,6 @@ def _run_scalar(
     traces: Sequence[Trace],
     manifest: VideoManifest,
     configs: List[SessionConfig],
-    cache_dir: Optional[str],
     table_config: Optional[FastMPCConfig],
 ) -> BatchResult:
     # The reference path: one simulate_session per row.  Parity with the
@@ -344,7 +342,7 @@ def _run_scalar(
     qoe: List[float] = []
     mean_bitrate: List[float] = []
     for trace, config in zip(traces, configs):
-        algorithm = make_scalar_algorithm(controller_name, cache_dir, table_config)
+        algorithm = make_scalar_algorithm(controller_name, table_config)
         result = simulate_session(algorithm, trace, manifest, config)
         breakdown = result.qoe()
         levels.append([record.level_index for record in result.records])
@@ -386,7 +384,6 @@ def run_batch(
     manifest: VideoManifest,
     config: Union[SessionConfig, Sequence[SessionConfig], None] = None,
     *,
-    cache_dir: Optional[str] = None,
     table_config: Optional[FastMPCConfig] = None,
     engine: str = "vector",
 ) -> BatchResult:
@@ -429,7 +426,5 @@ def run_batch(
     if not traces:
         return _empty_result(controller, manifest, engine)
     if engine == "vector":
-        return _run_vector(
-            controller, traces, manifest, configs, cache_dir, table_config
-        )
-    return _run_scalar(controller, traces, manifest, configs, cache_dir, table_config)
+        return _run_vector(controller, traces, manifest, configs, table_config)
+    return _run_scalar(controller, traces, manifest, configs, table_config)

@@ -14,7 +14,11 @@ import hashlib
 
 import pytest
 
-from repro.core.fastmpc import FastMPCConfig, build_decision_table
+from repro.core.fastmpc import (
+    FastMPCConfig,
+    build_decision_table,
+    clear_table_cache,
+)
 from repro.core.table import DecisionTable
 from repro.fleet.scenarios import session_config_for
 from repro.video import envivio
@@ -33,6 +37,7 @@ DIGESTS = {
 def test_benchmark_table_bytes_are_pinned(preset, bins):
     manifest = envivio()
     config = session_config_for(preset)
+    clear_table_cache()
     table = build_decision_table(
         manifest.ladder.levels_kbps,
         manifest.chunk_duration_s,
@@ -40,7 +45,6 @@ def test_benchmark_table_bytes_are_pinned(preset, bins):
         config.weights,
         quality_values=[config.quality(r) for r in manifest.ladder],
         config=FastMPCConfig(buffer_bins=bins, throughput_bins=bins, horizon=5),
-        use_cache=False,
     )
     blob = table.to_bytes()
     assert hashlib.sha256(blob).hexdigest() == DIGESTS[preset, bins]

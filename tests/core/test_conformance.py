@@ -14,7 +14,11 @@ from typing import List
 
 import pytest
 
-from repro.core.fastmpc import FastMPCConfig, build_decision_table
+from repro.core.fastmpc import (
+    FastMPCConfig,
+    build_decision_table,
+    clear_table_cache,
+)
 from repro.core.horizon import HorizonProblem, solve_horizon
 from repro.core.mpc import MPCController
 from repro.core.robust import RobustMPCController
@@ -49,13 +53,13 @@ class FixedPredictor(ThroughputPredictor):
 def setup():
     manifest = short_test_video(num_chunks=8, num_levels=3)
     config = FastMPCConfig(buffer_bins=8, throughput_bins=10, horizon=HORIZON)
+    clear_table_cache()
     table = build_decision_table(
         manifest.ladder.levels_kbps,
         manifest.chunk_duration_s,
         30.0,
         WEIGHTS,
         config=config,
-        use_cache=False,
     )
     return manifest, table
 

@@ -14,6 +14,7 @@ from repro.core.fastmpc import (
     table_size_sweep,
 )
 from repro.core.horizon import HorizonProblem, solve_horizon
+from repro.experiments import persistence
 from repro.prediction import LastSamplePredictor
 from repro.qoe import QoEWeights
 from repro.sim import simulate_session
@@ -113,12 +114,15 @@ class TestBuild:
             raise AssertionError("the table build started")
 
         monkeypatch.setattr(fastmpc, "build_table_decisions", enumerate_nothing)
+        if disk_cache:
+            monkeypatch.setenv(persistence.CACHE_DIR_ENV, str(tmp_path))
+        else:
+            monkeypatch.delenv(persistence.CACHE_DIR_ENV, raising=False)
         ladder = [100.0 + 10.0 * i for i in range(300)]
         config = FastMPCConfig(buffer_bins=2, throughput_bins=2, horizon=1)
         with pytest.raises(ValueError, match="at most 256"):
             build_decision_table(
-                ladder, 4.0, 30.0, QoEWeights.balanced(), config=config,
-                cache_dir=str(tmp_path) if disk_cache else None,
+                ladder, 4.0, 30.0, QoEWeights.balanced(), config=config
             )
         assert not any(tmp_path.iterdir())
 

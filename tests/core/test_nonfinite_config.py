@@ -18,7 +18,11 @@ import struct
 
 import pytest
 
-from repro.core.fastmpc import FastMPCConfig, build_decision_table
+from repro.core.fastmpc import (
+    FastMPCConfig,
+    build_decision_table,
+    clear_table_cache,
+)
 from repro.core.horizon import HorizonProblem, solve_horizon, solve_startup
 from repro.core.table import Binning, DecisionTable
 from repro.qoe import QoEWeights
@@ -47,8 +51,9 @@ def test_binning_range_must_be_finite(low, high, spacing):
 
 
 def table_blob() -> bytearray:
+    clear_table_cache()
     table = build_decision_table(
-        LADDER, 4.0, 30.0, QoEWeights.balanced(), config=SMALL, use_cache=False
+        LADDER, 4.0, 30.0, QoEWeights.balanced(), config=SMALL
     )
     return bytearray(table.to_bytes())
 
@@ -81,8 +86,7 @@ def test_forged_table_with_unknown_spacing_is_rejected():
 def test_table_geometry_must_be_finite_and_positive(chunk_s, capacity_s):
     with pytest.raises(ValueError, match="finite and positive"):
         build_decision_table(
-            LADDER, chunk_s, capacity_s, QoEWeights.balanced(), config=SMALL,
-            use_cache=False,
+            LADDER, chunk_s, capacity_s, QoEWeights.balanced(), config=SMALL
         )
 
 
@@ -92,7 +96,7 @@ def test_infinite_throughput_range_is_rejected():
     )
     with pytest.raises(ValueError, match="finite"):
         build_decision_table(
-            LADDER, 4.0, 30.0, QoEWeights.balanced(), config=config, use_cache=False
+            LADDER, 4.0, 30.0, QoEWeights.balanced(), config=config
         )
 
 

@@ -1,4 +1,9 @@
-"""The persistent disk cache: tables and offline bounds."""
+"""The persistent disk cache: tables and offline bounds.
+
+The cache has one setting, the ``REPRO_CACHE_DIR`` environment
+variable, so every test here names its cache directory through
+``monkeypatch.setenv`` (the ``cache_dir`` fixture).
+"""
 
 from __future__ import annotations
 
@@ -8,6 +13,7 @@ import struct
 
 import pytest
 
+from repro import cli
 from repro.core import fastmpc
 from repro.core.fastmpc import (
     FastMPCConfig,
@@ -17,6 +23,7 @@ from repro.core.fastmpc import (
 )
 from repro.core.offline import fluid_upper_bound
 from repro.experiments import persistence
+from repro.fleet import FleetConfig, ScenarioSpace, run_fleet
 from repro.qoe import QoEWeights
 from repro.traces import FCCTraceGenerator
 from repro.video import envivio
@@ -33,10 +40,16 @@ def fresh_cache():
     clear_table_cache()
 
 
-def build(tmp_path, **kwargs):
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """``tmp_path`` as the disk cache, set the one way there is."""
+    monkeypatch.setenv(persistence.CACHE_DIR_ENV, str(tmp_path))
+    return tmp_path
+
+
+def build(**kwargs):
     return build_decision_table(
-        LADDER, 4.0, 30.0, QoEWeights.balanced(), config=SMALL,
-        cache_dir=tmp_path, **kwargs
+        LADDER, 4.0, 30.0, QoEWeights.balanced(), config=SMALL, **kwargs
     )
 
 
@@ -48,14 +61,13 @@ class TestCacheRoot:
     def test_env_var_fallback(self, monkeypatch, tmp_path):
         monkeypatch.setenv(persistence.CACHE_DIR_ENV, str(tmp_path))
         assert persistence.cache_root() == tmp_path
-        assert persistence.cache_root(tmp_path / "explicit") == tmp_path / "explicit"
 
 
 class TestTableDiskCache:
-    def test_round_trip_bitwise_identical(self, tmp_path):
-        first = build(tmp_path)
+    def test_round_trip_bitwise_identical(self, cache_dir):
+        first = build()
         clear_table_cache()  # drop the in-process memo, keep the disk entry
-        second = build(tmp_path)
+        second = build()
         assert second is not first
         assert second.rle.to_bytes() == first.rle.to_bytes()
         assert second.num_levels == first.num_levels
@@ -70,21 +82,21 @@ class TestTableDiskCache:
         for buf, prev, kbps in ((3.0, 0, 400.0), (15.0, 2, 1500.0), (29.0, 4, 6000.0)):
             assert second.lookup(buf, prev, kbps) == first.lookup(buf, prev, kbps)
 
-    def test_second_build_does_not_recompute(self, tmp_path, monkeypatch):
-        build(tmp_path)
+    def test_second_build_does_not_recompute(self, cache_dir, monkeypatch):
+        build()
         clear_table_cache()
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("table was rebuilt despite a disk cache hit")
 
         monkeypatch.setattr(fastmpc, "build_table_decisions", boom)
-        build(tmp_path)  # served from disk
+        build()  # served from disk
 
-    def test_sweep_hits_cache_on_repeat(self, tmp_path, monkeypatch):
+    def test_sweep_hits_cache_on_repeat(self, cache_dir, monkeypatch):
         levels = (10, 20)
         table_size_sweep(
             LADDER, 4.0, 30.0, QoEWeights.balanced(),
-            discretization_levels=levels, cache_dir=tmp_path,
+            discretization_levels=levels,
         )
         clear_table_cache()
         monkeypatch.setattr(
@@ -96,33 +108,30 @@ class TestTableDiskCache:
         )
         repeat = table_size_sweep(
             LADDER, 4.0, 30.0, QoEWeights.balanced(),
-            discretization_levels=levels, cache_dir=tmp_path,
+            discretization_levels=levels,
         )
         assert [r.discretization_levels for r in repeat] == list(levels)
 
-    def test_different_config_misses(self, tmp_path):
-        build(tmp_path)
+    def test_different_config_misses(self, cache_dir):
+        build()
         clear_table_cache()
         other = build_decision_table(
             LADDER, 4.0, 30.0, QoEWeights.balanced(),
             config=FastMPCConfig(buffer_bins=21, throughput_bins=25),
-            cache_dir=tmp_path,
         )
         assert other.buffer_bins.count == 21
 
-    def test_corrupt_entry_falls_back_to_build(self, tmp_path):
-        first = build(tmp_path)
+    def test_corrupt_entry_falls_back_to_build(self, cache_dir):
+        first = build()
         clear_table_cache()
-        (entry,) = (tmp_path / "tables").iterdir()
+        (entry,) = (cache_dir / "tables").iterdir()
         entry.write_bytes(b"garbage")
-        rebuilt = build(tmp_path)
+        rebuilt = build()
         assert rebuilt.rle.to_bytes() == first.rle.to_bytes()
 
     def test_no_cache_dir_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.delenv(persistence.CACHE_DIR_ENV, raising=False)
-        build_decision_table(
-            LADDER, 4.0, 30.0, QoEWeights.balanced(), config=SMALL
-        )
+        build()
         assert not (tmp_path / "tables").exists()
 
 
@@ -131,13 +140,11 @@ class TestBoundDiskCache:
     def trace(self):
         return FCCTraceGenerator(seed=5).generate_many(1, 320.0)[0]
 
-    def test_round_trip_and_hit(self, trace, tmp_path, monkeypatch):
+    def test_round_trip_and_hit(self, trace, cache_dir, monkeypatch):
         manifest = envivio()
         weights = QoEWeights.balanced()
         direct = fluid_upper_bound(trace, manifest, weights=weights)
-        cached = persistence.cached_fluid_upper_bound(
-            trace, manifest, weights=weights, cache_dir=tmp_path
-        )
+        cached = persistence.cached_fluid_upper_bound(trace, manifest, weights=weights)
         assert cached == direct
         calls = []
         monkeypatch.setattr(
@@ -145,30 +152,26 @@ class TestBoundDiskCache:
             "fluid_upper_bound",
             lambda *a, **k: calls.append(1) or 0.0,
         )
-        again = persistence.cached_fluid_upper_bound(
-            trace, manifest, weights=weights, cache_dir=tmp_path
-        )
+        again = persistence.cached_fluid_upper_bound(trace, manifest, weights=weights)
         assert again == direct
         assert calls == []  # served from disk, never recomputed
 
-    def test_keyed_quality_function_cached(self, trace, tmp_path):
+    def test_keyed_quality_function_cached(self, trace, cache_dir):
         manifest = envivio()
         quality = LogQuality(reference_kbps=250.0)
-        value = persistence.cached_fluid_upper_bound(
-            trace, manifest, quality=quality, cache_dir=tmp_path
-        )
+        value = persistence.cached_fluid_upper_bound(trace, manifest, quality=quality)
         assert value == fluid_upper_bound(trace, manifest, quality=quality)
-        assert any((tmp_path / "bounds").iterdir())
+        assert any((cache_dir / "bounds").iterdir())
 
-    def test_unkeyable_quality_computes_directly(self, trace, tmp_path):
+    def test_unkeyable_quality_computes_directly(self, trace, cache_dir):
         manifest = envivio()
         value = persistence.cached_fluid_upper_bound(
-            trace, manifest, quality=lambda r: r, cache_dir=tmp_path
+            trace, manifest, quality=lambda r: r
         )
         # An anonymous callable cannot be fingerprinted: correct value,
         # but nothing is written.
         assert value == pytest.approx(fluid_upper_bound(trace, manifest))
-        assert not (tmp_path / "bounds").exists()
+        assert not (cache_dir / "bounds").exists()
 
 
 class TestCorruptEntryHygiene:
@@ -177,86 +180,112 @@ class TestCorruptEntryHygiene:
 
     KEY = ("ladder", 4.0, 30.0, "balanced")
 
-    def entry_path(self, tmp_path):
+    def entry_path(self, cache_dir):
         return persistence._entry_path(
-            tmp_path, "tables", repr(self.KEY), ".table"
+            cache_dir, "tables", repr(self.KEY), ".table"
         )
 
-    def test_truncated_table_blob_warns_and_unlinks(self, tmp_path, caplog):
-        path = self.entry_path(tmp_path)
+    def test_truncated_table_blob_warns_and_unlinks(self, cache_dir, caplog):
+        path = self.entry_path(cache_dir)
         path.parent.mkdir(parents=True)
         # Header claims a 500-byte key; the blob ends long before that.
         path.write_bytes(struct.pack("<I", 500) + b"short")
         with caplog.at_level(logging.WARNING, logger="repro.experiments.persistence"):
-            assert persistence.load_cached_table(self.KEY, cache_dir=tmp_path) is None
+            assert persistence.load_cached_table(self.KEY) is None
         assert not path.exists()
         assert "discarding corrupt cache entry" in caplog.text
 
-    def test_unparseable_table_blob_warns_and_unlinks(self, tmp_path, caplog):
-        path = self.entry_path(tmp_path)
+    def test_unparseable_table_blob_warns_and_unlinks(self, cache_dir, caplog):
+        path = self.entry_path(cache_dir)
         path.parent.mkdir(parents=True)
         key_bytes = repr(self.KEY).encode()
         # Valid key frame, garbage table payload.
         path.write_bytes(struct.pack("<I", len(key_bytes)) + key_bytes + b"garbage")
         with caplog.at_level(logging.WARNING, logger="repro.experiments.persistence"):
-            assert persistence.load_cached_table(self.KEY, cache_dir=tmp_path) is None
+            assert persistence.load_cached_table(self.KEY) is None
         assert not path.exists()
         assert "discarding corrupt cache entry" in caplog.text
 
-    def test_key_mismatch_is_a_miss_not_corruption(self, tmp_path, caplog):
+    def test_key_mismatch_is_a_miss_not_corruption(self, cache_dir, caplog):
         """A parseable entry for a different key (collision / stale
         format) is someone else's data: miss, but leave the file alone."""
-        path = self.entry_path(tmp_path)
+        path = self.entry_path(cache_dir)
         path.parent.mkdir(parents=True)
         other = repr(("some", "other", "key")).encode()
         path.write_bytes(struct.pack("<I", len(other)) + other + b"payload")
         with caplog.at_level(logging.WARNING, logger="repro.experiments.persistence"):
-            assert persistence.load_cached_table(self.KEY, cache_dir=tmp_path) is None
+            assert persistence.load_cached_table(self.KEY) is None
         assert path.exists()
         assert "discarding corrupt" not in caplog.text
 
-    def test_corrupt_bound_json_warns_unlinks_and_recomputes(self, tmp_path, caplog):
+    def test_corrupt_bound_json_warns_unlinks_and_recomputes(self, cache_dir, caplog):
         trace = FCCTraceGenerator(seed=11).generate_many(1, 320.0)[0]
         manifest = envivio()
-        value = persistence.cached_fluid_upper_bound(
-            trace, manifest, cache_dir=tmp_path
-        )
-        (entry,) = (tmp_path / "bounds").iterdir()
+        value = persistence.cached_fluid_upper_bound(trace, manifest)
+        (entry,) = (cache_dir / "bounds").iterdir()
         entry.write_text("not json at all")
         with caplog.at_level(logging.WARNING, logger="repro.experiments.persistence"):
-            again = persistence.cached_fluid_upper_bound(
-                trace, manifest, cache_dir=tmp_path
-            )
+            again = persistence.cached_fluid_upper_bound(trace, manifest)
         assert again == value
         assert "discarding corrupt cache entry" in caplog.text
         # The recompute rewrote a healthy entry in its place.
         payload = json.loads(entry.read_text())
         assert payload["value"] == value
 
-    def test_bound_entry_missing_value_field_is_discarded(self, tmp_path, caplog):
+    def test_bound_entry_missing_value_field_is_discarded(self, cache_dir, caplog):
         trace = FCCTraceGenerator(seed=12).generate_many(1, 320.0)[0]
         manifest = envivio()
-        value = persistence.cached_fluid_upper_bound(
-            trace, manifest, cache_dir=tmp_path
-        )
-        (entry,) = (tmp_path / "bounds").iterdir()
+        value = persistence.cached_fluid_upper_bound(trace, manifest)
+        (entry,) = (cache_dir / "bounds").iterdir()
         stored_key = json.loads(entry.read_text())["key"]
         entry.write_text(json.dumps({"key": stored_key}))  # value lost
         with caplog.at_level(logging.WARNING, logger="repro.experiments.persistence"):
-            again = persistence.cached_fluid_upper_bound(
-                trace, manifest, cache_dir=tmp_path
-            )
+            again = persistence.cached_fluid_upper_bound(trace, manifest)
         assert again == value
         assert "discarding corrupt cache entry" in caplog.text
 
 
 class TestClearDiskCache:
-    def test_clears_both_layers(self, tmp_path):
-        build(tmp_path)
+    def test_clears_both_layers(self, cache_dir):
+        build()
         trace = FCCTraceGenerator(seed=9).generate_many(1, 320.0)[0]
-        persistence.cached_fluid_upper_bound(
-            trace, envivio(), cache_dir=tmp_path
-        )
-        removed = persistence.clear_disk_cache(tmp_path)
+        persistence.cached_fluid_upper_bound(trace, envivio())
+        removed = persistence.clear_disk_cache()
         assert removed == 2
-        assert persistence.clear_disk_cache(tmp_path) == 0
+        assert persistence.clear_disk_cache() == 0
+
+
+class TestOneSetting:
+    """``--cache-dir`` reaches every table build through the environment
+    alone: the CLI exports it and forked pool workers inherit it."""
+
+    def test_cli_flag_caches_table1(self, tmp_path, monkeypatch, capsys):
+        # main() writes os.environ; registering the variable with
+        # monkeypatch (empty: no cache) restores it after the test.
+        monkeypatch.setenv(persistence.CACHE_DIR_ENV, "")
+        argv = ["--cache-dir", str(tmp_path), "table1", "--levels", "10", "20"]
+        assert cli.main(argv) == 0
+        assert len(list((tmp_path / "tables").iterdir())) == 2
+        clear_table_cache()
+
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("table1 rebuilt a table it had cached")
+
+        monkeypatch.setattr(fastmpc, "build_table_decisions", boom)
+        assert cli.main(argv) == 0
+        assert len(list((tmp_path / "tables").iterdir())) == 2
+
+    def test_fleet_pool_workers_write_the_preset_tables(self, cache_dir):
+        space = ScenarioSpace(
+            controllers=("fastmpc",),
+            datasets=("fcc",),
+            num_chunks=10,
+            traces_per_dataset=4,
+            table_config=FastMPCConfig(buffer_bins=12, throughput_bins=12),
+        )
+        config = FleetConfig(sessions=64, seed=7, shard_size=32, space=space)
+        assert run_fleet(config, workers=2).sessions == 64
+        # One table per QoE preset, all built in the workers: the
+        # parent's memo stays empty.
+        assert len(list((cache_dir / "tables").iterdir())) == len(space.presets)
+        assert not fastmpc._TABLE_CACHE

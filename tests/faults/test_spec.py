@@ -12,12 +12,15 @@ from repro.faults import (
     FaultProfile,
     LatencySpike,
     PROFILES,
+    SimLinkFaults,
     ThroughputClamp,
+    apply_trace_faults,
     bandwidth_faults,
     get_profile,
     link_faults,
     periodic_blackouts,
 )
+from repro.traces import Trace
 
 
 class TestWindowedFaultValidation:
@@ -26,16 +29,31 @@ class TestWindowedFaultValidation:
             Blackout(-1.0, 5.0)
 
     def test_nan_start_rejected(self):
-        with pytest.raises(ValueError):
-            Blackout(math.nan, 5.0)
+        # A NaN or infinite start was accepted and never fired.
+        for fault, fields in (
+            (Blackout, dict(start_s=math.nan, duration_s=5.0)),
+            (Blackout, dict(start_s=math.inf, duration_s=1.0)),
+            (LatencySpike, dict(start_s=math.nan, duration_s=1.0)),
+            (ChunkFailure, dict(start_s=math.nan)),
+            (ChunkFailure, dict(start_s=math.inf)),
+        ):
+            with pytest.raises(ValueError, match="start_s"):
+                fault(**fields)
 
     def test_nonpositive_duration_rejected(self):
-        with pytest.raises(ValueError):
-            Blackout(10.0, 0.0)
-        with pytest.raises(ValueError):
-            Blackout(10.0, -2.0)
-        with pytest.raises(ValueError):
-            Blackout(10.0, math.inf)
+        for fault, fields in (
+            (Blackout, dict(start_s=10.0, duration_s=0.0)),
+            (Blackout, dict(start_s=10.0, duration_s=-2.0)),
+            (Blackout, dict(start_s=10.0, duration_s=math.inf)),
+            (Blackout, dict(start_s=0.0, duration_s=math.nan)),
+            (LatencySpike, dict(start_s=0.0, duration_s=math.nan)),
+            (ChunkFailure, dict(duration_s=0.0)),
+            (ChunkFailure, dict(duration_s=math.nan)),
+        ):
+            with pytest.raises(ValueError, match="duration_s"):
+                fault(**fields)
+        # Only a failure window may be endless: the whole session.
+        assert ChunkFailure(duration_s=math.inf).duration_s == math.inf
 
     def test_window_is_half_open(self):
         fault = Blackout(10.0, 5.0)
@@ -53,10 +71,11 @@ class TestWindowedFaultValidation:
             ThroughputClamp(0.0, 1.0, cap_kbps=math.inf)
 
     def test_latency_spike_validation(self):
-        with pytest.raises(ValueError):
-            LatencySpike(0.0, 1.0, extra_delay_s=0.0)
-        with pytest.raises(ValueError):
-            LatencySpike(0.0, 1.0, extra_delay_s=math.inf)
+        # A NaN delay made the simulator raise mid-session while the
+        # emulation played as if there were no spike.
+        for delay in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="extra_delay_s"):
+                LatencySpike(0.0, 1.0, extra_delay_s=delay)
 
 
 class TestChunkFailureValidation:
@@ -67,10 +86,16 @@ class TestChunkFailureValidation:
             ChunkFailure(rate=-0.1)
         with pytest.raises(ValueError):
             ChunkFailure(rate=1.1)
+        with pytest.raises(ValueError, match="rate"):
+            ChunkFailure(rate=math.nan)
 
     def test_negative_detect_delay_rejected(self):
-        with pytest.raises(ValueError):
-            ChunkFailure(detect_delay_s=-0.1)
+        # An infinite delay made simulate_session divide by zero and the
+        # emulation schedule an event at infinity.
+        assert ChunkFailure(detect_delay_s=0.0).detect_delay_s == 0.0
+        for delay in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="detect_delay_s"):
+                ChunkFailure(rate=1.0, detect_delay_s=delay)
 
     def test_default_window_is_whole_session(self):
         fault = ChunkFailure(rate=0.5)
@@ -82,6 +107,22 @@ class TestChunkFailureValidation:
         assert not fault.active_at(9.0)
         assert fault.active_at(12.0)
         assert not fault.active_at(15.0)
+
+
+def test_only_bandwidth_fault_windows_repeat_when_the_session_wraps():
+    """Bandwidth faults are compiled into the trace and wrap with it;
+    link-fault windows are on the session clock and do not repeat."""
+    trace = Trace.constant(1000.0, 600.0)
+    blacked_out = apply_trace_faults(trace, [Blackout(0.0, 10.0)])
+    assert blacked_out.bandwidth_at(5.0) == 0.0
+    assert blacked_out.bandwidth_at(605.0) == 0.0
+    assert blacked_out.bandwidth_at(615.0) == 1000.0
+    spiked = SimLinkFaults([LatencySpike(0.0, 10.0)])
+    assert spiked.spike_delay_s(5.0) == 0.5
+    assert spiked.spike_delay_s(605.0) == 0.0
+    failing = SimLinkFaults([ChunkFailure(rate=1.0, duration_s=10.0)])
+    assert failing.draw_failure(5.0, 0) is not None
+    assert failing.draw_failure(605.0, 0) is None
 
 
 class TestFamilyPartition:

@@ -1,7 +1,7 @@
 """The full research pipeline, end to end, through the public API only:
 
 generate traces -> persist to disk -> reload -> run the experiment
-matrix (parallel) -> persist results -> reload -> render reports and SVG.
+matrix -> persist results -> reload -> render reports and SVG.
 
 This is the workflow a downstream user runs; every hand-off between
 subsystems is exercised and checked for consistency.
@@ -19,7 +19,6 @@ from repro.experiments import (
     save_result_set_csv,
     save_svg,
 )
-from repro.experiments.parallel import run_matrix_parallel
 from repro.abr import create
 from repro.traces import load_dataset, make_generator, save_dataset
 from repro.video import envivio
@@ -39,19 +38,12 @@ def test_full_pipeline(tmp_path):
     for original, reloaded in zip(traces, loaded):
         assert reloaded.mean_kbps() == pytest.approx(original.mean_kbps())
 
-    # 3. Run the matrix, both serial and parallel, and cross-check.
+    # 3. Run the matrix.
     names = ["rb", "bb"]
     serial = run_matrix(
         {name: create(name) for name in names}, loaded, manifest,
         dataset="e2e",
     )
-    parallel = run_matrix_parallel(
-        names, loaded, manifest, workers=2, dataset="e2e"
-    )
-    for name in names:
-        assert parallel.n_qoe_values(name) == pytest.approx(
-            serial.n_qoe_values(name)
-        )
 
     # 4. Persist results, reload, and verify the aggregate views agree.
     results_path = tmp_path / "results.csv"
